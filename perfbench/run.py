@@ -39,6 +39,7 @@ SRC = ROOT / "src"
 SPAN_DIR = ROOT / ".bench_out"
 
 SETUP_PROBES = 5  # setup_s is the median over this many fresh processes
+RSS_PROBE_OPS = 2  # full-size ops in the process that measures peak_rss_mb
 MIN_OPS = 3  # timed ops per end-to-end run, however short --seconds is
 MIN_TRACE_OPS = 2  # untraced and traced ops each, per traced run
 
@@ -361,6 +362,40 @@ def run_ops(op, check, seed: int, seconds: float, min_ops: int, call=None) -> Op
     return stats
 
 
+# glibc raises its mmap threshold when a large block is freed, and from then
+# on keeps freed blocks of up to 32 MB in its heap.  Whether such a block is
+# reused or the heap grows instead depends on the data: on range-n2000 the
+# peak RSS jumps by one (1000, 4096) float64 array, 31 MB, at the second,
+# third or a later op, depending on the seed.  A fixed threshold returns
+# every block above it to the system when it is freed, so the peak follows
+# the arrays that are live at once.  Only the probe process gets it; the
+# timed ops run with the default allocator.
+RSS_PROBE_ENV = {"MALLOC_MMAP_THRESHOLD_": str(256 * 1024)}
+
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def measure_peak_rss(workload: str, seed: int) -> dict:
+    """Peak RSS of a fresh process that runs ops 0 .. RSS_PROBE_OPS-1 only."""
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--rss-probe", workload,
+         "--seed", str(seed)],
+        cwd=ROOT, env={**os.environ, **RSS_PROBE_ENV}, capture_output=True,
+        text=True, timeout=150, check=True,
+    )
+    sys.stderr.write(proc.stderr)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def rss_probe(wl: Workload, seed: int) -> dict:
+    wl.warm()
+    stats = run_ops(wl.op, wl.check, seed, 0, RSS_PROBE_OPS)
+    return {"peak_rss_mb": peak_rss_mb(), "attempted": stats.attempted,
+            "failed": stats.failed}
+
+
 def measure_setup(workload: str) -> tuple[list, list]:
     """Raw and scaled seconds from process start to ready-for-the-first-op."""
     raw, scaled = [], []
@@ -382,20 +417,25 @@ def metric(value: float, unit: str) -> dict:
 
 def end_to_end(wl: Workload, seed: int, seconds: float) -> dict:
     setup_raw, setup = measure_setup(wl.name)
+    start = perf_counter()  # the RSS probe and the timed ops share the seconds
+    rss = measure_peak_rss(wl.name, seed)
     wl.warm()
-    stats = run_ops(wl.op, wl.check, seed, seconds, MIN_OPS)
+    stats = run_ops(wl.op, wl.check, seed, seconds - (perf_counter() - start), MIN_OPS)
+    op_p50 = statistics.median(stats.scaled)
     print(f"{wl.name}: {stats.attempted} ops, {stats.failed} failed; raw op seconds "
           f"{[round(t, 3) for t in stats.raw]}, scale {[round(s, 3) for s in stats.scale]}; "
-          f"raw setup seconds {[round(t, 3) for t in setup_raw]}")
+          f"raw setup seconds {[round(t, 3) for t in setup_raw]}; peak RSS "
+          f"{rss['peak_rss_mb']:.2f} MB in the probe, {peak_rss_mb():.2f} MB here")
     metrics = {
         "setup_s": metric(statistics.median(setup), "s"),
-        "items_per_s": metric(wl.items_per_op * len(stats.raw) / sum(stats.scaled), "1/s"),
-        "op_p50_s": metric(statistics.median(stats.scaled), "s"),
-        "peak_rss_mb": metric(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
+        "items_per_s": metric(wl.items_per_op / op_p50, "1/s"),
+        "op_p50_s": metric(op_p50, "s"),
+        "peak_rss_mb": metric(rss["peak_rss_mb"], "MB"),
     }
-    return {"correct": stats.failed == 0, "attempted": stats.attempted,
-            "failed": stats.failed, "metrics": metrics}
+    attempted = stats.attempted + rss["attempted"]
+    failed = stats.failed + rss["failed"]
+    return {"correct": failed == 0, "attempted": attempted, "failed": failed,
+            "metrics": metrics}
 
 
 def _ratio(num: float, den: float) -> float:
@@ -540,10 +580,14 @@ def main(argv=None) -> int:
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--self-test", action="store_true")
     p.add_argument("--setup-probe", choices=sorted(WORKLOADS), help=argparse.SUPPRESS)
+    p.add_argument("--rss-probe", choices=sorted(WORKLOADS), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.setup_probe:
         WORKLOADS[args.setup_probe].warm()
         print(repr(time.time()))
+        return 0
+    if args.rss_probe:
+        print(json.dumps(rss_probe(WORKLOADS[args.rss_probe], args.seed)))
         return 0
     if args.self_test:
         return self_test()
