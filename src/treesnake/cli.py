@@ -1,15 +1,18 @@
 """Command-line front end for the samplers, verifiers, and comparisons.
 
 Every randomized subcommand takes an explicit --seed so that a run is
-fully determined by its flags; there is no wall-clock fallback.  Worker
-parallelism is expressed as a deterministic split of the sample budget
-over per-worker generator streams, merged back in worker order, so data
-files are byte-identical for a given manifest.  Timing lives only in the
-manifest printed to stdout, never in the files written to --out.
+fully determined by its flags; there is no wall-clock fallback.  `sample`
+and `quad` cut the sample budget into blocks of SAMPLE_BLOCK draws, block
+k drawing from child k of SeedSequence(seed); --workers only sets how many
+processes share the blocks, so their data files are byte-identical for a
+given seed whatever the worker count.  `snake` and `compare` split the
+budget over one generator stream per worker instead.  Timing lives only in
+the manifest printed to stdout, never in the files written to --out.
 
 Exit status: 0 when the requested checks pass (or a pure sampling run
-completes), 1 when a verification or comparison fails, 2 for usage
-errors.
+completes), 1 when a verification or comparison fails or a sampler runs
+out of its rejection or size budget, 2 for usage errors and inputs outside
+a sampler's domain.  Errors print one line, never a traceback.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from collections import Counter
@@ -36,10 +40,11 @@ from treesnake.exact_enum import (
 from treesnake.gw_sampler import (
     MEASURES,
     OffspringDistribution,
+    RejectionBudgetExhausted,
     SampleConfig,
+    SizeOverflow,
     StepDistribution,
     draw_measure,
-    sample_conditioned_batch,
     sample_label_extrema,
     spawn_rngs,
 )
@@ -50,6 +55,7 @@ from treesnake.quadmap import (
     cvs_inverse,
     distances,
     enumerate_well_labelled,
+    sample_uniform_quads,
 )
 from treesnake.snake_limit import ks_report, sample_extrema, samples_csv, to_lattice
 
@@ -58,6 +64,9 @@ CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430)
 KS_THRESHOLD = 0.05
 
 SIZED_MEASURES = {"Pi-n", "P-n-x", "Pbar-n-x", "Q-n", "Qbar-n"}
+
+# Draws per RNG block of `sample` and `quad`; changing it changes their output.
+SAMPLE_BLOCK = 256
 
 
 class UsageError(ValueError):
@@ -104,6 +113,31 @@ def _split_budget(total: int, workers: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(workers)]
 
 
+def _run_blocks(fn, args, total: int, seed: int, workers: int) -> list:
+    """fn(*args, size, seed_sequence) for each block of the budget, in order.
+
+    Block k gets child k of SeedSequence(seed), so the results do not
+    depend on how many worker processes share the blocks.
+    """
+    if total < 1:
+        raise UsageError("need a positive sample count")
+    if workers < 1:
+        raise UsageError("need at least one worker")
+    sizes = [min(SAMPLE_BLOCK, total - s) for s in range(0, total, SAMPLE_BLOCK)]
+    jobs = [(*args, size, seq) for size, seq in
+            zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes)))]
+    procs = min(workers, len(jobs), os.cpu_count() or 1)
+    if procs == 1:
+        return [fn(*job) for job in jobs]
+    # imported here so that single-process runs skip their import time;
+    # spawned workers, because forking a process that may hold threads is unsafe
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, *zip(*jobs)))
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
@@ -134,6 +168,22 @@ def _finish(args, subcommand: str, config: dict, artifact: str, t0: float,
         _print_json(payload)
 
 
+def _sample_block(config, mu, gamma, size: int, seq) -> list[tuple[str, ...]]:
+    """CSV rows of one block of `sample` draws."""
+    rng = np.random.default_rng(seq)
+    rows = []
+    for _ in range(size):
+        drawn = draw_measure(config, mu, gamma, rng)
+        if isinstance(drawn, PlaneTree):
+            rows.append((tree_to_line(drawn),))
+        else:
+            labels = ";".join(
+                repr(v) if isinstance(v, float) else str(v) for v in drawn.labels
+            )
+            rows.append((tree_to_line(drawn.tree), labels))
+    return rows
+
+
 def _cmd_sample(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if args.measure in SIZED_MEASURES and args.n is None:
@@ -141,19 +191,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     mu = _offspring(args.mu)
     gamma = _step(args.gamma)
     config = SampleConfig(measure=args.measure, seed=args.seed, n=args.n, x=args.x)
-
-    rows = []
-    for rng, share in zip(spawn_rngs(args.seed, args.workers),
-                          _split_budget(args.samples, args.workers)):
-        for _ in range(share):
-            drawn = draw_measure(config, mu, gamma, rng)
-            if isinstance(drawn, PlaneTree):
-                rows.append((tree_to_line(drawn),))
-            else:
-                labels = ";".join(
-                    repr(v) if isinstance(v, float) else str(v) for v in drawn.labels
-                )
-                rows.append((tree_to_line(drawn.tree), labels))
+    blocks = _run_blocks(_sample_block, (config, mu, gamma), args.samples,
+                         args.seed, args.workers)
+    rows = [row for block in blocks for row in block]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -239,18 +279,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report["equal"] else 1
 
 
+def _quad_block(n: int, size: int, seq) -> Counter:
+    """Canonical-code counts of one block of uniform quadrangulations."""
+    rng = np.random.default_rng(seq)
+    return Counter(canonical_code(q).decode() for q in sample_uniform_quads(n, size, rng))
+
+
 def _cmd_quad(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    mu = _offspring(args.mu)
-    gamma = _step("uniform3")
-    codes: Counter = Counter()
-    attempts = 0
-    for rng, share in zip(spawn_rngs(args.seed, args.workers),
-                          _split_budget(args.samples, args.workers)):
-        trees, tries = sample_conditioned_batch(mu, gamma, args.n, 1, share, rng)
-        attempts += tries
-        for wt in trees:
-            codes[canonical_code(cvs_build(wt)).decode()] += 1
+    codes = sum(_run_blocks(_quad_block, (args.n,), args.samples, args.seed, args.workers),
+                Counter())
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -261,7 +299,7 @@ def _cmd_quad(args: argparse.Namespace) -> int:
         args, "quad",
         {"n": args.n, "samples": args.samples, "workers": args.workers},
         buf.getvalue(), t0,
-        {"distinct_codes": len(codes), "attempts": attempts},
+        {"distinct_codes": len(codes), "attempts": args.samples},
     )
     return 0
 
@@ -348,7 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("quad", help="sample uniform quadrangulations by rejection")
+    p = sub.add_parser(
+        "quad", help="sample uniform quadrangulations through the pointed bijection"
+    )
     p.add_argument("--n", type=int, required=True, help="number of faces")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--mu", default="geometric", choices=["geometric"])
@@ -382,7 +422,10 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (RejectionBudgetExhausted, SizeOverflow) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # UsageError and the samplers' domain errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

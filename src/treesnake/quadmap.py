@@ -17,12 +17,24 @@ arcs without crossings in the region around the tree: arc ends at a corner
 sort by how far away their other endpoint sits along the contour cycle.
 The inverse walks the faces of the map: each face contributes exactly one
 tree edge, read off its label pattern around the face.  The handedness
-conventions below are frozen by the round-trip and distance validation
-battery in the tests; flipping any of them breaks face degrees or the
-round trip on small cases.
+(children kept in order, inverse fans read by ascending angular offset, a
+simple face's tree edge leaving the corner after its lowest one) is pinned
+by the round-trip and distance battery in the tests; flipping any part of
+it breaks face degrees or the round trip on small cases.
 
 Distances in the map from the extra vertex coincide with the tree labels,
 which is what makes the encoding useful for metric questions.
+
+The pointed form of the same construction (Chassaing & Schaeffer, PTRF
+128, 2004) drops the root-label rule.  A tree with n edges and any integer
+labels changing by at most 1 along edges, plus a sign, is shifted by
+1 - min label so that the minimum is 1, and the extra vertex becomes the
+point of the map.  The root edge is the arc of the root corner: sign +1
+roots it at the tree root, sign -1 at the other end of that arc (the point
+itself when the root holds the minimum).  Pairs (labelled tree up to a
+shift, sign) correspond one-to-one to rooted quadrangulations with a
+marked vertex, and each rooted map has n + 2 vertices to mark, so a
+uniform pair gives a uniform rooted map with no rejection.
 """
 
 from __future__ import annotations
@@ -39,17 +51,11 @@ import numpy as np
 from treesnake.gw_sampler import (
     OffspringDistribution,
     StepDistribution,
-    sample_conditioned_batch,
+    _row_labels,
+    _sized_count_rows,
 )
 from treesnake.plane_tree import PlaneTree, enumerate_trees
 from treesnake.spatial_tree import SpatialTree
-
-# Handedness conventions, pinned by the exhaustive validation battery in the
-# tests: flipping any one of them breaks face degrees or the round trip on
-# trees with up to four edges, and flipping all three builds the mirror image.
-_MIRROR = False  # False keeps child order; True would build the mirror image
-_SCAN_FORWARD = True  # inverse reads edge fans by ascending angular offset
-_SIMPLE_EDGE_AT_MAX = False  # simple faces: tree edge enters the highest corner
 
 
 class NotWellLabelled(ValueError):
@@ -142,12 +148,11 @@ class PlanarQuadrangulation:
             raise NotAQuadrangulation("Euler count fails, the map is not planar")
 
 
-def _well_labelled_or_raise(wt: SpatialTree) -> None:
+def _labels_or_raise(wt: SpatialTree) -> None:
+    """Every well-labelled check except the root-label-1 rule."""
     labels = wt.labels
     if wt.tree.n_edges < 1:
         raise NotWellLabelled("need at least one edge")
-    if labels[0] != 1:
-        raise NotWellLabelled(f"root label {labels[0]}, want 1")
     parent = wt.tree.parent_index
     for i in range(wt.tree.size):
         l = labels[i]
@@ -157,6 +162,12 @@ def _well_labelled_or_raise(wt: SpatialTree) -> None:
             raise NotWellLabelled(
                 f"labels jump by {abs(l - labels[parent[i]])} along an edge"
             )
+
+
+def _well_labelled_or_raise(wt: SpatialTree) -> None:
+    _labels_or_raise(wt)
+    if wt.labels[0] != 1:
+        raise NotWellLabelled(f"root label {wt.labels[0]}, want 1")
 
 
 def enumerate_well_labelled(n: int) -> Iterator[SpatialTree]:
@@ -176,19 +187,42 @@ def enumerate_well_labelled(n: int) -> Iterator[SpatialTree]:
                 yield SpatialTree(tree, tuple(labels))
 
 
-def cvs_build(wt: SpatialTree, n: Optional[int] = None) -> PlanarQuadrangulation:
-    """Quadrangulation encoded by a well-labelled tree with n faces... edges.
+def cvs_build(
+    wt: SpatialTree, n: Optional[int] = None, *, sign: Optional[int] = None
+) -> PlanarQuadrangulation:
+    """Quadrangulation encoded by a labelled tree with n edges, hence n faces.
 
-    Arc j belongs to corner j and carries darts 2j (at the corner) and
-    2j+1 (at the successor corner, or at the extra vertex for label-1
-    corners).  The root dart is the extra-vertex end of the root corner's
-    arc, so the root vertex of the map is the extra vertex.
+    Without a sign the tree must be well-labelled (root label 1) and the
+    root vertex of the map is the extra vertex.  With sign +1 or -1 the
+    tree is read as the pointed encoding: its labels need only be integers
+    changing by at most 1 along edges, they are shifted to minimum 1, and
+    the root dart is the tree-root end (+1) or the far end (-1) of the
+    root corner's arc.
     """
-    _well_labelled_or_raise(wt)
+    if sign is None:
+        _well_labelled_or_raise(wt)
+        root_dart = 1
+    elif sign in (1, -1):
+        shift = 1 - min(wt.labels)
+        wt = SpatialTree(wt.tree, tuple(l + shift for l in wt.labels))
+        _labels_or_raise(wt)
+        root_dart = 0 if sign == 1 else 1
+    else:
+        raise ValueError(f"sign must be +1 or -1, not {sign!r}")
     if n is None:
         n = wt.tree.n_edges
     elif n != wt.tree.n_edges:
         raise ValueError(f"tree has {wt.tree.n_edges} edges, not {n}")
+    return _successor_arcs(wt, n, root_dart)
+
+
+def _successor_arcs(wt: SpatialTree, n: int, root_dart: int) -> PlanarQuadrangulation:
+    """The successor-arc map of a checked tree with labels of minimum 1.
+
+    Arc j belongs to corner j and carries darts 2j (at the corner) and
+    2j+1 (at the successor corner, or at the extra vertex for label-1
+    corners).  Root dart 1 is the far end of the root corner's arc.
+    """
     two_n = 2 * n
     order = wt.tree.contour_order
     cv = [order[t] for t in range(two_n)]  # vertex index per corner
@@ -226,8 +260,6 @@ def cvs_build(wt: SpatialTree, n: Optional[int] = None) -> PlanarQuadrangulation
     sigma = [-1] * m
 
     def close_cycle(darts: list[int]) -> None:
-        if _MIRROR:
-            darts = darts[::-1]
         for i, d in enumerate(darts):
             sigma[d] = darts[(i + 1) % len(darts)]
 
@@ -243,7 +275,7 @@ def cvs_build(wt: SpatialTree, n: Optional[int] = None) -> PlanarQuadrangulation
         close_cycle(rot)
     close_cycle(to_a0[::-1])
 
-    return PlanarQuadrangulation(n, tuple(sigma), tuple(alpha_of(m)), 1)
+    return PlanarQuadrangulation(n, tuple(sigma), tuple(alpha_of(m)), root_dart)
 
 
 def alpha_of(m: int) -> tuple[int, ...]:
@@ -382,7 +414,7 @@ def cvs_inverse(q: PlanarQuadrangulation) -> SpatialTree:
         rot = [face[(imin + i) % 4] for i in range(4)]
         pattern = [labs[(imin + i) % 4] for i in range(4)]
         if pattern == [l, l + 1, l + 2, l + 1]:
-            d = rot[2] if _SIMPLE_EDGE_AT_MAX else rot[1]
+            d = rot[1]
             edges.append(
                 (
                     (origin[d], float(pos[d])),
@@ -413,12 +445,8 @@ def cvs_inverse(q: PlanarQuadrangulation) -> SpatialTree:
         items = fan.get(v, [])
         period = cycle_len[v]
 
-        def angle(key: float) -> float:
-            delta = (key - start) % period
-            return delta if _SCAN_FORWARD else period - delta
-
         out = sorted(
-            (angle(key), eid, w) for key, eid, w in items if eid != skip_eid
+            ((key - start) % period, eid, w) for key, eid, w in items if eid != skip_eid
         )
         return [(eid, w) for _, eid, w in out]
 
@@ -511,22 +539,34 @@ _GEO = OffspringDistribution.geometric_half()
 _U3 = StepDistribution.uniform3()
 
 
-def sample_uniform_quad(
-    n: int,
-    rng: np.random.Generator,
-    max_rejections: int = 50_000_000,
-) -> PlanarQuadrangulation:
-    """One uniform rooted quadrangulation with n faces.
+def sample_uniform_quads(
+    n: int, count: int, rng: np.random.Generator
+) -> Iterator[PlanarQuadrangulation]:
+    """Independent uniform rooted quadrangulations with n faces, no rejection.
 
-    The geometric offspring law makes the size-conditioned tree uniform
-    over shapes and the label steps uniform, so conditioning labels to
-    stay positive is exactly the uniform well-labelled tree, and the
-    encoding pushes that to the uniform quadrangulation.
+    Each map is the pointed encoding of a uniform (labelled tree, sign)
+    pair: a size-conditioned geometric tree (uniform over shapes) with
+    root label 0 and uniform steps in {-1, 0, 1}, and a fair sign.  The
+    pairs are in bijection with rooted maps carrying one of their n + 2
+    vertices as a point, so forgetting the point leaves the uniform law.
+    Trees are drawn in chunks of about a million vertices.
     """
-    trees, _ = sample_conditioned_batch(
-        _GEO, _U3, n, 1, 1, rng, strict=True, max_attempts=max_rejections
-    )
-    return cvs_build(trees[0], n)
+    if n < 1:
+        raise ValueError(f"need at least one face, not n={n}")
+    chunk = max(1, 1_000_000 // (n + 1))
+    for start in range(0, count, chunk):
+        take = min(chunk, count - start)
+        rows = _sized_count_rows(_GEO, n, rng, take).tolist()
+        incs = _U3.sample(rng, (take, n)).tolist()
+        signs = (1 - 2 * rng.integers(0, 2, size=take)).tolist()
+        for counts, inc, sign in zip(rows, incs, signs):
+            wt = SpatialTree(PlaneTree(tuple(counts)), tuple(_row_labels(counts, inc, 0)))
+            yield cvs_build(wt, n, sign=sign)
+
+
+def sample_uniform_quad(n: int, rng: np.random.Generator) -> PlanarQuadrangulation:
+    """One uniform rooted quadrangulation with n faces."""
+    return next(sample_uniform_quads(n, 1, rng))
 
 
 def sample_radius_and_distance(
@@ -538,19 +578,15 @@ def sample_radius_and_distance(
 
     Returns (radii, distances, attempts): one radius and one distance from
     the root vertex to a uniformly chosen other vertex per sampled map,
-    plus the number of rejection attempts behind the accepted sample.
+    plus the number of trees drawn, which is one per map.
     """
-    trees, attempts = sample_conditioned_batch(
-        _GEO, _U3, n, 1, samples, rng, strict=True
-    )
     radii = np.empty(samples, dtype=np.int64)
     dists = np.empty(samples, dtype=np.int64)
     picks = rng.integers(0, n + 1, size=samples)
-    for i, wt in enumerate(trees):
-        q = cvs_build(wt, n)
+    for i, q in enumerate(sample_uniform_quads(n, samples, rng)):
         root = q.vertex_of[q.root_dart]
         dist = _bfs_distances(q, root)
         radii[i] = dist.max()
         k = picks[i]
         dists[i] = dist[k if k < root else k + 1]
-    return radii, dists, attempts
+    return radii, dists, samples

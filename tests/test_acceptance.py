@@ -82,7 +82,7 @@ def continuum():
 
 
 @pytest.fixture(scope="module")
-def rejection_500():
+def quad_500():
     """Radius and uniform non-root distance over 5000 maps with 500 faces."""
     return sample_radius_and_distance(500, 5000, np.random.default_rng(20240818))
 
@@ -185,9 +185,9 @@ def test_criterion_07_contour_range_law(continuum):
     assert ok, line
 
 
-def test_criterion_08_radius_law(continuum, rejection_500):
+def test_criterion_08_radius_law(continuum, quad_500):
     sups, infs = continuum
-    radii, _, _ = rejection_500
+    radii, _, _ = quad_500
     ks, raw, floor = lattice_comparison(radii, (sups - infs) / KAPPA, 500)
     ok = ks <= 0.07
     line = report(
@@ -197,9 +197,9 @@ def test_criterion_08_radius_law(continuum, rejection_500):
     assert ok, line
 
 
-def test_criterion_09_distance_law(continuum, rejection_500):
+def test_criterion_09_distance_law(continuum, quad_500):
     sups, _ = continuum
-    _, dists, _ = rejection_500
+    _, dists, _ = quad_500
     ks, raw, floor = lattice_comparison(dists, sups / KAPPA, 500)
     ok = ks <= 0.07
     line = report(

@@ -12,7 +12,9 @@ import json
 
 import pytest
 
+from treesnake import cli
 from treesnake.cli import run
+from treesnake.gw_sampler import RejectionBudgetExhausted
 from treesnake.plane_tree import tree_from_line
 
 
@@ -100,6 +102,32 @@ class TestSampleSubcommand:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_output_does_not_depend_on_workers(self, tmp_path, capsys):
+        outs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}.csv"
+            assert run(["sample", "--measure", "Pi-n", "--n", "5", "--samples", "6",
+                        "--seed", "1", "--workers", str(workers),
+                        "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_domain_error_is_one_line_with_status_2(self, capsys):
+        assert run(["sample", "--measure", "Pbar-n-x", "--n", "5", "--x", "-1",
+                    "--samples", "2", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_spent_budget_is_one_line_with_status_1(self, capsys, monkeypatch):
+        def spent(*_args):
+            raise RejectionBudgetExhausted("budget spent")
+
+        monkeypatch.setattr(cli, "draw_measure", spent)
+        assert run(["sample", "--measure", "Qbar-n", "--n", "5", "--samples", "2",
+                    "--seed", "1"]) == 1
+        assert capsys.readouterr().err == "error: budget spent\n"
+
     def test_worker_split_covers_budget(self, tmp_path, capsys):
         out = tmp_path / "w.csv"
         assert run(["sample", "--measure", "Pi-n", "--n", "3", "--samples", "5",
@@ -141,6 +169,22 @@ class TestQuadSubcommand:
         assert run(argv + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_output_does_not_depend_on_workers(self, tmp_path, capsys):
+        # 600 maps are three blocks, so two and three workers run a pool
+        outs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}.csv"
+            assert run(["quad", "--n", "2", "--samples", "600", "--seed", "13",
+                        "--workers", str(workers), "--out", str(out)]) == 0
+            assert read_json_stdout(capsys)["summary"]["attempts"] == 600
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_no_faces_is_one_line_with_status_2(self, capsys):
+        assert run(["quad", "--n", "0", "--samples", "2", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSnakeSubcommand:

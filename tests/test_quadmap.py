@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -12,13 +13,16 @@ from treesnake.gw_sampler import (
     OffspringDistribution,
     StepDistribution,
     sample_conditioned_batch,
+    sample_gw_sized,
+    sample_spatial,
 )
-from treesnake.plane_tree import build_tree
+from treesnake.plane_tree import build_tree, enumerate_trees
 from treesnake.quadmap import (
     DistanceProfile,
     NotAQuadrangulation,
     NotWellLabelled,
     PlanarQuadrangulation,
+    _bfs_distances,
     canonical_code,
     cvs_build,
     cvs_inverse,
@@ -30,6 +34,7 @@ from treesnake.quadmap import (
     sample_radius_and_distance,
     sample_uniform_quad,
 )
+from treesnake.snake_limit import ks_two_sample
 from treesnake.spatial_tree import SpatialTree
 
 GEO = OffspringDistribution.geometric_half()
@@ -38,6 +43,24 @@ U3 = StepDistribution.uniform3()
 
 def one_edge_tree(child_label):
     return SpatialTree(build_tree((1, 0)), (1, child_label))
+
+
+def labelled_trees(n):
+    """Every tree with n edges, root label 0 and steps in {-1, 0, 1}."""
+    for tree in enumerate_trees(n + 1):
+        parent = tree.parent_index
+        for incs in itertools.product((-1, 0, 1), repeat=n):
+            labels = [0] * (n + 1)
+            for i in range(1, n + 1):
+                labels[i] = labels[parent[i]] + incs[i - 1]
+            yield SpatialTree(tree, tuple(labels))
+
+
+def radius_and_distance(q, pick):
+    """Radius from the root vertex, and the distance to non-root vertex pick."""
+    root = q.vertex_of[q.root_dart]
+    dist = _bfs_distances(q, root)
+    return dist.max(), dist[pick if pick < root else pick + 1]
 
 
 class TestWellLabelledValidation:
@@ -119,6 +142,81 @@ class TestEncodingBattery:
     def test_codes_are_injective(self, n, count):
         codes = {canonical_code(cvs_build(wt, n)) for wt in enumerate_well_labelled(n)}
         assert len(codes) == count
+
+
+class TestPointedEncoding:
+    """Labelled trees with a sign against rooted maps with a marked vertex."""
+
+    @pytest.mark.parametrize("n,maps", [(1, 2), (2, 9), (3, 54), (4, 378), (5, 2916)])
+    def test_each_rooted_map_is_hit_n_plus_2_times(self, n, maps):
+        codes = Counter()
+        for wt in labelled_trees(n):
+            for sign in (1, -1):
+                q = cvs_build(wt, n, sign=sign)
+                q.validate()
+                codes[canonical_code(q)] += 1
+        assert len(codes) == maps
+        assert set(codes.values()) == {n + 2}
+        assert set(codes) == {canonical_code(cvs_build(wt, n)) for wt in enumerate_well_labelled(n)}
+
+    @staticmethod
+    def check_point_distances(wt, sign):
+        q = cvs_build(wt, sign=sign)
+        shifted = [l - min(wt.labels) + 1 for l in wt.labels]
+        order = wt.tree.contour_order[:-1]
+        corner_of = {v: t for t, v in enumerate(order)}  # dart 2t leaves vertex v
+        point = q.vertex_of[2 * corner_of[shifted.index(1)] + 1]
+        dist = _bfs_distances(q, point)
+        assert dist[point] == 0
+        for v, t in corner_of.items():
+            assert dist[q.vertex_of[2 * t]] == shifted[v]
+        root_label = dist[q.vertex_of[q.root_dart]]
+        assert root_label == (shifted[0] if sign == 1 else shifted[0] - 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_point_distances_are_the_shifted_labels(self, n):
+        for wt in labelled_trees(n):
+            for sign in (1, -1):
+                self.check_point_distances(wt, sign)
+
+    def test_point_distances_on_large_random_trees(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            wt = sample_spatial(sample_gw_sized(GEO, 300, rng), U3, 0, rng)
+            self.check_point_distances(wt, int(rng.choice((1, -1))))
+
+    def test_sign_must_be_plus_or_minus_one(self):
+        with pytest.raises(ValueError, match="sign"):
+            cvs_build(one_edge_tree(1), sign=0)
+
+    def test_pointed_labels_may_not_jump(self):
+        with pytest.raises(NotWellLabelled):
+            cvs_build(SpatialTree(build_tree((1, 0)), (0, 2)), sign=1)
+
+    def test_pointed_labels_must_be_integers(self):
+        with pytest.raises(NotWellLabelled):
+            cvs_build(SpatialTree(build_tree((1, 0)), (0, 0.5)), sign=1)
+
+    def test_minus_sign_on_a_well_labelled_tree_is_the_plain_encoding(self):
+        for wt in enumerate_well_labelled(3):
+            assert cvs_build(wt, sign=-1) == cvs_build(wt)
+
+    def test_radius_and_distance_law_matches_rejection(self):
+        # two-sample KS at 2000 maps a side; the 1% critical value is 0.0515,
+        # and fixing the sign to +1 or -1 gives 0.07 to 0.12
+        n, maps = 100, 2000
+        radii, dists, attempts = sample_radius_and_distance(
+            n, maps, np.random.default_rng(100)
+        )
+        assert attempts == maps
+        rng = np.random.default_rng(101)
+        trees, _ = sample_conditioned_batch(GEO, U3, n, 1, maps, rng, strict=True)
+        picks = rng.integers(0, n + 1, size=maps)
+        ref = np.array(
+            [radius_and_distance(cvs_build(wt, n), k) for wt, k in zip(trees, picks)]
+        )
+        assert ks_two_sample(radii, ref[:, 0]) < 0.0515
+        assert ks_two_sample(dists, ref[:, 1]) < 0.0515
 
 
 class TestCanonicalCode:
@@ -225,7 +323,11 @@ class TestUniformSampling:
         rng = np.random.default_rng(5)
         radii, dists, attempts = sample_radius_and_distance(40, 50, rng)
         assert radii.shape == dists.shape == (50,)
-        assert attempts >= 50
+        assert attempts == 50
         assert (radii >= 1).all()
-        assert (dists >= 0).all()
+        assert (dists >= 1).all()
         assert (dists <= radii).all()
+
+    def test_no_faces_is_rejected(self):
+        with pytest.raises(ValueError, match="face"):
+            sample_uniform_quad(0, np.random.default_rng(1))
