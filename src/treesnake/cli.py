@@ -3,16 +3,17 @@
 Every randomized subcommand takes an explicit --seed so that a run is
 fully determined by its flags; there is no wall-clock fallback.  `sample`
 and `quad` cut the sample budget into blocks of SAMPLE_BLOCK draws, block
-k drawing from child k of SeedSequence(seed); --workers only sets how many
-processes share the blocks, so their data files are byte-identical for a
-given seed whatever the worker count.  `snake` and `compare` split the
-budget over one generator stream per worker instead.  Timing lives only in
+k drawing from child k of SeedSequence(seed), and run the blocks in order
+in one process, so their data files are byte-identical for a given seed
+whatever --workers says.  `snake` and `compare` split the budget over one
+generator stream per worker instead.  Timing lives only in
 the manifest printed to stdout, never in the files written to --out.
 
 Exit status: 0 when the requested checks pass (or a pure sampling run
 completes), 1 when a verification or comparison fails or a sampler runs
 out of its rejection or size budget, 2 for usage errors and inputs outside
-a sampler's domain.  Errors print one line, never a traceback.
+a sampler's domain.  Those errors print one line; any other exception
+keeps its traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 from collections import Counter
@@ -32,6 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from treesnake.exact_enum import (
+    UnreachableSizeError,
     count_well_labelled,
     verify_reroot_identity,
     verify_reroot_identity_closed,
@@ -39,17 +40,20 @@ from treesnake.exact_enum import (
 )
 from treesnake.gw_sampler import (
     MEASURES,
+    NegativeRootLabel,
     OffspringDistribution,
     RejectionBudgetExhausted,
     SampleConfig,
     SizeOverflow,
     StepDistribution,
+    UnreachableSize,
     draw_measure,
     sample_label_extrema,
     spawn_rngs,
 )
 from treesnake.plane_tree import PlaneTree, tree_to_line
 from treesnake.quadmap import (
+    NotWellLabelled,
     canonical_code,
     cvs_build,
     cvs_inverse,
@@ -67,6 +71,7 @@ SIZED_MEASURES = {"Pi-n", "P-n-x", "Pbar-n-x", "Q-n", "Qbar-n"}
 
 # Draws per RNG block of `sample` and `quad`; changing it changes their output.
 SAMPLE_BLOCK = 256
+BLOCKS_HELP = "accepted for a uniform interface; the blocks run in order in one process"
 
 
 class UsageError(ValueError):
@@ -117,25 +122,15 @@ def _run_blocks(fn, args, total: int, seed: int, workers: int) -> list:
     """fn(*args, size, seed_sequence) for each block of the budget, in order.
 
     Block k gets child k of SeedSequence(seed), so the results do not
-    depend on how many worker processes share the blocks.
+    depend on the worker count, which is checked but not used.
     """
     if total < 1:
         raise UsageError("need a positive sample count")
     if workers < 1:
         raise UsageError("need at least one worker")
     sizes = [min(SAMPLE_BLOCK, total - s) for s in range(0, total, SAMPLE_BLOCK)]
-    jobs = [(*args, size, seq) for size, seq in
-            zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes)))]
-    procs = min(workers, len(jobs), os.cpu_count() or 1)
-    if procs == 1:
-        return [fn(*job) for job in jobs]
-    # imported here so that single-process runs skip their import time;
-    # spawned workers, because forking a process that may hold threads is unsafe
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(fn, *zip(*jobs)))
+    seqs = np.random.SeedSequence(seed).spawn(len(sizes))
+    return [fn(*args, size, seq) for size, seq in zip(sizes, seqs)]
 
 
 def _write_text(path: str, text: str) -> None:
@@ -287,6 +282,8 @@ def _quad_block(n: int, size: int, seq) -> Counter:
 
 def _cmd_quad(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
+    if args.n < 1:
+        raise UsageError("need --n at least 1")
     codes = sum(_run_blocks(_quad_block, (args.n,), args.samples, args.seed, args.workers),
                 Counter())
 
@@ -370,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", default="uniform3", choices=["uniform3", "pm1", "normal"])
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=BLOCKS_HELP)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sample)
 
@@ -393,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--mu", default="geometric", choices=["geometric"])
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=BLOCKS_HELP)
     p.add_argument("--out", help="frequency table CSV over canonical codes")
     p.set_defaults(func=_cmd_quad)
 
@@ -425,7 +422,8 @@ def run(argv=None) -> int:
     except (RejectionBudgetExhausted, SizeOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # UsageError and the samplers' domain errors
+    except (UsageError, NegativeRootLabel, NotWellLabelled, UnreachableSize,
+            UnreachableSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,6 +42,10 @@ class UnreachableSize(ValueError):
     """The offspring law gives the requested size probability zero."""
 
 
+class NegativeRootLabel(ValueError):
+    """Positivity conditioning asked for a negative root label."""
+
+
 class RejectionBudgetExhausted(RuntimeError):
     """Conditioned sampler used up its rejection budget."""
 
@@ -520,7 +524,7 @@ def sample_conditioned(
     a zero-edge draw is vacuously accepted.
     """
     if x < 0:
-        raise ValueError("root label must be nonnegative for positivity conditioning")
+        raise NegativeRootLabel("root label must be nonnegative for positivity conditioning")
     batch, attempts = _conditioned_rows(
         mu, gamma, n, x, 1, rng, strict=strict, max_attempts=max_rejections
     )

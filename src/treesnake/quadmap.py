@@ -187,33 +187,34 @@ def enumerate_well_labelled(n: int) -> Iterator[SpatialTree]:
                 yield SpatialTree(tree, tuple(labels))
 
 
-def cvs_build(
-    wt: SpatialTree, n: Optional[int] = None, *, sign: Optional[int] = None
-) -> PlanarQuadrangulation:
-    """Quadrangulation encoded by a labelled tree with n edges, hence n faces.
+def cvs_build(wt: SpatialTree, n: Optional[int] = None) -> PlanarQuadrangulation:
+    """Quadrangulation encoded by a well-labelled tree with n faces... edges.
 
-    Without a sign the tree must be well-labelled (root label 1) and the
-    root vertex of the map is the extra vertex.  With sign +1 or -1 the
-    tree is read as the pointed encoding: its labels need only be integers
-    changing by at most 1 along edges, they are shifted to minimum 1, and
-    the root dart is the tree-root end (+1) or the far end (-1) of the
-    root corner's arc.
+    The root dart is the extra-vertex end of the root corner's arc, so the
+    root vertex of the map is the extra vertex.
     """
-    if sign is None:
-        _well_labelled_or_raise(wt)
-        root_dart = 1
-    elif sign in (1, -1):
-        shift = 1 - min(wt.labels)
-        wt = SpatialTree(wt.tree, tuple(l + shift for l in wt.labels))
-        _labels_or_raise(wt)
-        root_dart = 0 if sign == 1 else 1
-    else:
-        raise ValueError(f"sign must be +1 or -1, not {sign!r}")
+    _well_labelled_or_raise(wt)
     if n is None:
         n = wt.tree.n_edges
     elif n != wt.tree.n_edges:
         raise ValueError(f"tree has {wt.tree.n_edges} edges, not {n}")
-    return _successor_arcs(wt, n, root_dart)
+    return _successor_arcs(wt, n, 1)
+
+
+def _pointed_build(wt: SpatialTree, sign: int) -> PlanarQuadrangulation:
+    """Pointed encoding of a labelled tree and a sign +1 or -1.
+
+    The labels need only be integers changing by at most 1 along edges;
+    they are shifted to minimum 1, so the extra vertex is the point.  The
+    root dart is the tree-root end (+1) or the far end (-1) of the root
+    corner's arc.
+    """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, not {sign!r}")
+    shift = 1 - min(wt.labels)
+    wt = SpatialTree(wt.tree, tuple(l + shift for l in wt.labels))
+    _labels_or_raise(wt)
+    return _successor_arcs(wt, wt.tree.n_edges, 0 if sign == 1 else 1)
 
 
 def _successor_arcs(wt: SpatialTree, n: int, root_dart: int) -> PlanarQuadrangulation:
@@ -561,7 +562,7 @@ def sample_uniform_quads(
         signs = (1 - 2 * rng.integers(0, 2, size=take)).tolist()
         for counts, inc, sign in zip(rows, incs, signs):
             wt = SpatialTree(PlaneTree(tuple(counts)), tuple(_row_labels(counts, inc, 0)))
-            yield cvs_build(wt, n, sign=sign)
+            yield _pointed_build(wt, sign)
 
 
 def sample_uniform_quad(n: int, rng: np.random.Generator) -> PlanarQuadrangulation:

@@ -106,7 +106,7 @@ class TestSampleSubcommand:
         outs = []
         for workers in (1, 2, 3):
             out = tmp_path / f"w{workers}.csv"
-            assert run(["sample", "--measure", "Pi-n", "--n", "5", "--samples", "6",
+            assert run(["sample", "--measure", "Pi-n", "--n", "5", "--samples", "600",
                         "--seed", "1", "--workers", str(workers),
                         "--out", str(out)]) == 0
             outs.append(out.read_bytes())
@@ -127,6 +127,14 @@ class TestSampleSubcommand:
         assert run(["sample", "--measure", "Qbar-n", "--n", "5", "--samples", "2",
                     "--seed", "1"]) == 1
         assert capsys.readouterr().err == "error: budget spent\n"
+
+    def test_other_value_errors_keep_their_traceback(self, monkeypatch):
+        def broken(*_args):
+            raise ValueError("a bug, not a usage error")
+
+        monkeypatch.setattr(cli, "draw_measure", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            run(["sample", "--measure", "Pi-n", "--n", "5", "--samples", "2", "--seed", "1"])
 
     def test_worker_split_covers_budget(self, tmp_path, capsys):
         out = tmp_path / "w.csv"
@@ -171,7 +179,7 @@ class TestQuadSubcommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_output_does_not_depend_on_workers(self, tmp_path, capsys):
-        # 600 maps are three blocks, so two and three workers run a pool
+        # 600 maps are three blocks
         outs = []
         for workers in (1, 2, 3):
             out = tmp_path / f"w{workers}.csv"

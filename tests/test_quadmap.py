@@ -23,6 +23,7 @@ from treesnake.quadmap import (
     NotWellLabelled,
     PlanarQuadrangulation,
     _bfs_distances,
+    _pointed_build,
     canonical_code,
     cvs_build,
     cvs_inverse,
@@ -33,6 +34,7 @@ from treesnake.quadmap import (
     quad_to_json,
     sample_radius_and_distance,
     sample_uniform_quad,
+    sample_uniform_quads,
 )
 from treesnake.snake_limit import ks_two_sample
 from treesnake.spatial_tree import SpatialTree
@@ -152,7 +154,7 @@ class TestPointedEncoding:
         codes = Counter()
         for wt in labelled_trees(n):
             for sign in (1, -1):
-                q = cvs_build(wt, n, sign=sign)
+                q = _pointed_build(wt, sign)
                 q.validate()
                 codes[canonical_code(q)] += 1
         assert len(codes) == maps
@@ -161,7 +163,7 @@ class TestPointedEncoding:
 
     @staticmethod
     def check_point_distances(wt, sign):
-        q = cvs_build(wt, sign=sign)
+        q = _pointed_build(wt, sign)
         shifted = [l - min(wt.labels) + 1 for l in wt.labels]
         order = wt.tree.contour_order[:-1]
         corner_of = {v: t for t, v in enumerate(order)}  # dart 2t leaves vertex v
@@ -187,19 +189,19 @@ class TestPointedEncoding:
 
     def test_sign_must_be_plus_or_minus_one(self):
         with pytest.raises(ValueError, match="sign"):
-            cvs_build(one_edge_tree(1), sign=0)
+            _pointed_build(one_edge_tree(1), 0)
 
     def test_pointed_labels_may_not_jump(self):
         with pytest.raises(NotWellLabelled):
-            cvs_build(SpatialTree(build_tree((1, 0)), (0, 2)), sign=1)
+            _pointed_build(SpatialTree(build_tree((1, 0)), (0, 2)), 1)
 
     def test_pointed_labels_must_be_integers(self):
         with pytest.raises(NotWellLabelled):
-            cvs_build(SpatialTree(build_tree((1, 0)), (0, 0.5)), sign=1)
+            _pointed_build(SpatialTree(build_tree((1, 0)), (0, 0.5)), 1)
 
     def test_minus_sign_on_a_well_labelled_tree_is_the_plain_encoding(self):
         for wt in enumerate_well_labelled(3):
-            assert cvs_build(wt, sign=-1) == cvs_build(wt)
+            assert _pointed_build(wt, -1) == cvs_build(wt)
 
     def test_radius_and_distance_law_matches_rejection(self):
         # two-sample KS at 2000 maps a side; the 1% critical value is 0.0515,
@@ -302,11 +304,16 @@ class TestRescaledProfile:
 
 
 class TestUniformSampling:
-    def test_two_face_frequencies_are_uniform(self):
+    @pytest.mark.parametrize("route", ["rejection", "pointed"])
+    def test_two_face_frequencies_are_uniform(self, route):
         rng = np.random.default_rng(2026)
         draws = 100_000
-        trees, _ = sample_conditioned_batch(GEO, U3, 2, 1, draws, rng, strict=True)
-        freq = Counter(canonical_code(cvs_build(wt, 2)) for wt in trees)
+        if route == "rejection":
+            trees, _ = sample_conditioned_batch(GEO, U3, 2, 1, draws, rng, strict=True)
+            maps = (cvs_build(wt, 2) for wt in trees)
+        else:
+            maps = sample_uniform_quads(2, draws, rng)
+        freq = Counter(canonical_code(q) for q in maps)
         assert len(freq) == 9
         se = (draws * (1 / 9) * (8 / 9)) ** 0.5
         for count in freq.values():
