@@ -304,20 +304,20 @@ class TestRescaledProfile:
 
 
 class TestUniformSampling:
-    @pytest.mark.parametrize("route", ["rejection", "pointed"])
-    def test_two_face_frequencies_are_uniform(self, route):
-        rng = np.random.default_rng(2026)
+    def test_two_face_frequencies_are_uniform(self):
+        # the rejection oracle and the pointed draw, each against the same bound
         draws = 100_000
-        if route == "rejection":
-            trees, _ = sample_conditioned_batch(GEO, U3, 2, 1, draws, rng, strict=True)
-            maps = (cvs_build(wt, 2) for wt in trees)
-        else:
-            maps = sample_uniform_quads(2, draws, rng)
-        freq = Counter(canonical_code(q) for q in maps)
-        assert len(freq) == 9
+        trees, _ = sample_conditioned_batch(
+            GEO, U3, 2, 1, draws, np.random.default_rng(2026), strict=True
+        )
+        rejection = (cvs_build(wt, 2) for wt in trees)
+        pointed = sample_uniform_quads(2, draws, np.random.default_rng(2026))
         se = (draws * (1 / 9) * (8 / 9)) ** 0.5
-        for count in freq.values():
-            assert abs(count - draws / 9) < 4 * se
+        for maps in (rejection, pointed):
+            freq = Counter(canonical_code(q) for q in maps)
+            assert len(freq) == 9
+            for count in freq.values():
+                assert abs(count - draws / 9) < 4 * se
 
     def test_sample_uniform_quad_is_valid_and_reproducible(self):
         q1 = sample_uniform_quad(25, np.random.default_rng(99))
