@@ -171,13 +171,6 @@ def _n_leaves(t: PlaneTree) -> int:
     return len(leaves(t))
 
 
-def _measure_value(measure: dict[Atom, Fraction], fn) -> Fraction:
-    total = Fraction(0)
-    for key, w in measure.items():
-        total += w * fn(_atom_tree(key))
-    return total
-
-
 def default_functionals(measure: dict[Atom, Fraction]) -> list[Functional]:
     """A mechanical functional family read off a measure's support.
 
@@ -234,10 +227,12 @@ def _functional_report(
 ) -> list[dict]:
     if functionals is None:
         functionals = default_functionals(rhs if rhs else lhs)
+    lhs_atoms = [(_atom_tree(key), w) for key, w in lhs.items()]
+    rhs_atoms = [(_atom_tree(key), w) for key, w in rhs.items()]
     rows = []
     for name, fn in functionals:
-        a = _measure_value(lhs, fn)
-        b = _measure_value(rhs, fn)
+        a = sum((w * fn(s) for s, w in lhs_atoms), Fraction(0))
+        b = sum((w * fn(s) for s, w in rhs_atoms), Fraction(0))
         rows.append({"name": name, "lhs": _frac(a), "rhs": _frac(b), "equal": a == b})
     return rows
 

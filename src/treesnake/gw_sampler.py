@@ -127,10 +127,6 @@ class OffspringDistribution:
             g = math.gcd(g, k - ks[0])
         return g == 1
 
-    @property
-    def has_exponential_moments(self) -> bool:
-        return True  # geometric or finitely supported
-
     def exact_pmf(self, k: int) -> Fraction:
         if k < 0:
             return Fraction(0)
@@ -228,10 +224,6 @@ class StepDistribution:
     @property
     def rho(self) -> float:
         return math.sqrt(float(self.variance))
-
-    @property
-    def fourth_power_tail_vanishes(self) -> bool:
-        return True  # finite support or gaussian tails
 
     def exact_items(self) -> list[tuple[Numeric, Fraction]]:
         if not self.exact:

@@ -57,6 +57,32 @@ def _check_counts(counts: tuple[int, ...]) -> None:
         )
 
 
+def contour_arrays(counts: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """Parent index, depth and contour order of valid preorder counts, in one stack pass.
+
+    The contour order lists the vertex index under the particle at each
+    time 0..zeta; the counts are not checked.
+    """
+    parent = [-1] * len(counts)
+    depth = [0] * len(counts)
+    order = [0]
+    path = [0]  # the current vertex and its ancestors
+    owed = [counts[0]]  # children still to visit, per path entry
+    for i in range(1, len(counts)):
+        while not owed[-1]:
+            path.pop()
+            owed.pop()
+            order.append(path[-1])
+        owed[-1] -= 1
+        parent[i] = path[-1]
+        depth[i] = len(path)
+        order.append(i)
+        path.append(i)
+        owed.append(counts[i])
+    order.extend(reversed(path[:-1]))
+    return parent, depth, order
+
+
 @dataclass(frozen=True)
 class PlaneTree:
     """A plane tree, canonically stored as preorder child counts."""
@@ -101,49 +127,29 @@ class PlaneTree:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
+    def _arrays(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        return tuple(tuple(a) for a in contour_arrays(self.counts))
+
+    @property
     def parent_index(self) -> tuple[int, ...]:
-        idx = self.index_of
-        return tuple(
-            -1 if v == ROOT else idx[v[:-1]] for v in self.vertices
-        )
+        return self._arrays[0]
 
-    @cached_property
+    @property
     def depth(self) -> tuple[int, ...]:
-        return tuple(len(v) for v in self.vertices)
-
-    @cached_property
-    def children_index(self) -> tuple[tuple[int, ...], ...]:
-        kids: list[list[int]] = [[] for _ in self.counts]
-        for i, p in enumerate(self.parent_index):
-            if p >= 0:
-                kids[p].append(i)
-        return tuple(tuple(k) for k in kids)
+        return self._arrays[1]
 
     @cached_property
     def subtree_sizes(self) -> tuple[int, ...]:
+        parent = self.parent_index
         sizes = [1] * len(self.counts)
         for i in range(len(self.counts) - 1, 0, -1):
-            sizes[self.parent_index[i]] += sizes[i]
+            sizes[parent[i]] += sizes[i]
         return tuple(sizes)
 
-    @cached_property
+    @property
     def contour_order(self) -> tuple[int, ...]:
         """Vertex index under the particle at each contour time 0..zeta."""
-        order = [0]
-        stack: list[list[int]] = [[0, 0]]  # vertex index, next child slot
-        kids = self.children_index
-        while stack:
-            top = stack[-1]
-            if top[1] < len(kids[top[0]]):
-                w = kids[top[0]][top[1]]
-                top[1] += 1
-                order.append(w)
-                stack.append([w, 0])
-            else:
-                stack.pop()
-                if stack:
-                    order.append(stack[-1][0])
-        return tuple(order)
+        return self._arrays[2]
 
     @cached_property
     def _visits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

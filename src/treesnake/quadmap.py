@@ -35,6 +35,12 @@ itself when the root holds the minimum).  Pairs (labelled tree up to a
 shift, sign) correspond one-to-one to rooted quadrangulations with a
 marked vertex, and each rooted map has n + 2 vertices to mark, so a
 uniform pair gives a uniform rooted map with no rejection.
+
+Radii and root distances of sampled maps need only the arcs, not the
+rotation system.  sample_radius_and_distance reads them off batches of
+drawn (tree, sign) arrays: corner labels from the contour, every
+successor corner at once from one sort of (map, label, time) keys, and one
+breadth-first search from all root vertices together.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from treesnake.gw_sampler import (
     _row_labels,
     _sized_count_rows,
 )
-from treesnake.plane_tree import PlaneTree, enumerate_trees
+from treesnake.plane_tree import PlaneTree, contour_arrays, enumerate_trees
 from treesnake.spatial_tree import SpatialTree
 
 
@@ -188,7 +194,7 @@ def enumerate_well_labelled(n: int) -> Iterator[SpatialTree]:
 
 
 def cvs_build(wt: SpatialTree, n: Optional[int] = None) -> PlanarQuadrangulation:
-    """Quadrangulation encoded by a well-labelled tree with n faces... edges.
+    """Quadrangulation with n faces encoded by a well-labelled tree with n edges.
 
     The root dart is the extra-vertex end of the root corner's arc, so the
     root vertex of the map is the extra vertex.
@@ -352,7 +358,6 @@ def canonical_code(q: PlanarQuadrangulation) -> bytes:
     num = {origin[q.root_dart]: 0}
     queue = deque([q.root_dart])
     chunks: list[str] = []
-    seen_vertex = {origin[q.root_dart]}
     while queue:
         d0 = queue.popleft()
         row = []
@@ -362,7 +367,6 @@ def canonical_code(q: PlanarQuadrangulation) -> bytes:
             if w not in num:
                 num[w] = len(num)
                 queue.append(q.alpha[d])
-                seen_vertex.add(w)
             row.append(num[w])
             d = q.sigma[d]
             if d == d0:
@@ -538,6 +542,28 @@ def quad_from_json(text: str) -> PlanarQuadrangulation:
 
 _GEO = OffspringDistribution.geometric_half()
 _U3 = StepDistribution.uniform3()
+_CORNER_BUDGET = 10_000  # tree corners per kernel batch, which bounds its memory
+
+
+def _pointed_draws(
+    n: int, count: int, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Uniform (labelled tree, sign) pairs with n edges as arrays, in chunks.
+
+    Each chunk holds preorder count rows of size-conditioned geometric
+    trees (uniform over shapes), their uniform steps in {-1, 0, 1} indexed
+    by vertex - 1 (the root label is 0), and fair signs.  Chunks hold about
+    a million vertices.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one face, not n={n}")
+    chunk = max(1, 1_000_000 // (n + 1))
+    for start in range(0, count, chunk):
+        take = min(chunk, count - start)
+        rows = _sized_count_rows(_GEO, n, rng, take)
+        incs = _U3.sample(rng, (take, n))
+        signs = 1 - 2 * rng.integers(0, 2, size=take)
+        yield rows, incs, signs
 
 
 def sample_uniform_quads(
@@ -550,17 +576,9 @@ def sample_uniform_quads(
     root label 0 and uniform steps in {-1, 0, 1}, and a fair sign.  The
     pairs are in bijection with rooted maps carrying one of their n + 2
     vertices as a point, so forgetting the point leaves the uniform law.
-    Trees are drawn in chunks of about a million vertices.
     """
-    if n < 1:
-        raise ValueError(f"need at least one face, not n={n}")
-    chunk = max(1, 1_000_000 // (n + 1))
-    for start in range(0, count, chunk):
-        take = min(chunk, count - start)
-        rows = _sized_count_rows(_GEO, n, rng, take).tolist()
-        incs = _U3.sample(rng, (take, n)).tolist()
-        signs = (1 - 2 * rng.integers(0, 2, size=take)).tolist()
-        for counts, inc, sign in zip(rows, incs, signs):
+    for rows, incs, signs in _pointed_draws(n, count, rng):
+        for counts, inc, sign in zip(rows.tolist(), incs.tolist(), signs.tolist()):
             wt = SpatialTree(PlaneTree(tuple(counts)), tuple(_row_labels(counts, inc, 0)))
             yield _pointed_build(wt, sign)
 
@@ -568,6 +586,78 @@ def sample_uniform_quads(
 def sample_uniform_quad(n: int, rng: np.random.Generator) -> PlanarQuadrangulation:
     """One uniform rooted quadrangulation with n faces."""
     return next(sample_uniform_quads(n, 1, rng))
+
+
+def _arc_distances(
+    rows: np.ndarray, incs: np.ndarray, signs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Root-vertex distances in the pointed maps of a batch of draws.
+
+    Takes what _pointed_draws yields and returns (dist, root): dist[b, k]
+    is the distance from the root vertex of map b to its vertex number k,
+    vertices numbered as PlanarQuadrangulation.vertex_of numbers them, and
+    root[b] is the root vertex's number.  Only the arcs of the maps are
+    built, all maps at once, and one breadth-first search runs from every
+    root together.
+    """
+    if np.abs(incs).max(initial=0) > 1:
+        raise NotWellLabelled("labels jump by more than 1 along an edge")
+    b, n1 = rows.shape
+    m = 2 * (n1 - 1)  # corners per map
+    nv = n1 + 1  # vertices per map: tree vertex i is vertex i, the point is n + 1
+    base = np.arange(b)[:, None]
+
+    # corner t sits at tree vertex cv[t]; from one corner to the next the
+    # label gains the increment of the edge walked into a child (preorder
+    # indices grow away from the root) and loses it walking back out
+    cv = np.array([contour_arrays(r)[2][:m] for r in rows.tolist()], dtype=np.int64)
+    into = cv[:, 1:] > cv[:, :-1]
+    walked = np.where(into, cv[:, 1:], cv[:, :-1]) - 1
+    steps = np.take_along_axis(incs, walked, axis=1)
+    lab = np.zeros((b, m), dtype=np.int64)
+    lab[:, 1:] = np.cumsum(np.where(into, steps, -steps), axis=1)
+    lab -= lab.min(axis=1, keepdims=True) - 1  # minimum 1, the point at 0
+
+    # successor of corner t: the next corner cyclically with label one lower,
+    # found among the corners sorted by (map, label, time); the first such
+    # corner when none follows, the point when the label is 1
+    group = (base * nv + lab).ravel()
+    times = np.tile(np.arange(m), b)
+    order = np.argsort(group, kind="stable")
+    start = np.zeros(b * nv + 1, dtype=np.int64)
+    np.cumsum(np.bincount(group, minlength=b * nv), out=start[1:])
+    below, own = start[group - 1], start[group]
+    nxt = np.searchsorted(group[order] * m + times[order], (group - 1) * m + times, side="right")
+    nxt = np.where(nxt < own, nxt, below)
+    target = np.where(below < own, cv.ravel()[order[nxt]], nv - 1).reshape(b, m)
+
+    # dart 2t leaves corner t's vertex and dart 2t + 1 its arc's target;
+    # vertex_of numbers vertices by their first dart
+    origin = np.empty((b, 2 * m), dtype=np.int64)
+    origin[:, 0::2] = cv
+    origin[:, 1::2] = target
+    first = np.unique((base * nv + origin).ravel(), return_index=True)[1].reshape(b, nv)
+    by_number = np.argsort(first, axis=1)
+    root = np.where(signs == 1, 0, target[:, 0])
+    root_number = (first < first[np.arange(b), root][:, None]).sum(axis=1)
+
+    # level-synchronous BFS from every root at once, over the arcs both ways
+    tail = (base * nv + cv).ravel()
+    head = (base * nv + target).ravel()
+    src = np.concatenate([tail, head])
+    dst = np.concatenate([head, tail])
+    dist = np.full(b * nv, -1, dtype=np.int64)
+    dist[np.arange(b) * nv + root] = 0
+    level = 0
+    while True:
+        reached = dst[(dist[src] == level) & (dist[dst] < 0)]
+        if not reached.size:
+            break
+        level += 1
+        dist[reached] = level
+    if (dist < 0).any():
+        raise NotAQuadrangulation("map is not connected")
+    return np.take_along_axis(dist.reshape(b, nv), by_number, axis=1), root_number
 
 
 def sample_radius_and_distance(
@@ -579,15 +669,20 @@ def sample_radius_and_distance(
 
     Returns (radii, distances, attempts): one radius and one distance from
     the root vertex to a uniformly chosen other vertex per sampled map,
-    plus the number of trees drawn, which is one per map.
+    plus the number of trees drawn, which is one per map.  The maps are
+    never built as rotation systems: the kernel reads the arcs off the
+    drawn trees in batches of about _CORNER_BUDGET corners.
     """
     radii = np.empty(samples, dtype=np.int64)
     dists = np.empty(samples, dtype=np.int64)
     picks = rng.integers(0, n + 1, size=samples)
-    for i, q in enumerate(sample_uniform_quads(n, samples, rng)):
-        root = q.vertex_of[q.root_dart]
-        dist = _bfs_distances(q, root)
-        radii[i] = dist.max()
-        k = picks[i]
-        dists[i] = dist[k if k < root else k + 1]
+    done = 0
+    for rows, incs, signs in _pointed_draws(n, samples, rng):
+        step = max(1, _CORNER_BUDGET // (2 * n))
+        for s in range(0, len(rows), step):
+            dist, root = _arc_distances(rows[s : s + step], incs[s : s + step], signs[s : s + step])
+            k = picks[done : done + len(dist)]
+            radii[done : done + len(dist)] = dist.max(axis=1)
+            dists[done : done + len(dist)] = dist[np.arange(len(dist)), k + (k >= root)]
+            done += len(dist)
     return radii, dists, samples

@@ -52,7 +52,7 @@ class TestOffspringValidation:
         assert GEO.exact_pmf(3) == Fraction(1, 16)
         assert GEO.mean == 1 and GEO.variance == 2
         assert GEO.sigma == pytest.approx(math.sqrt(2))
-        assert GEO.aperiodic and GEO.has_exponential_moments
+        assert GEO.aperiodic
 
     def test_step_law(self):
         assert GEO.step_pmf(-1) == HALF

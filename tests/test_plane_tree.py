@@ -129,6 +129,25 @@ class TestContour:
     def test_accepts_plain_sequences(self):
         assert tree_of_contour(list(EX_CONTOUR)) == build_tree(EX_COUNTS)
 
+    def test_count_arrays_match_the_addresses(self):
+        # parent, depth and contour order come from one stack pass over the
+        # counts; here they are read off the tuple addresses instead
+        for n in range(1, 10):
+            for t in enumerate_trees(n):
+                idx = t.index_of
+                order: list[int] = []
+
+                def walk(v):
+                    order.append(idx[v])
+                    for j in range(1, t.counts[idx[v]] + 1):
+                        walk(v + (j,))
+                        order.append(idx[v])
+
+                walk(())
+                assert t.parent_index == tuple(-1 if not v else idx[v[:-1]] for v in t.vertices)
+                assert t.depth == tuple(len(v) for v in t.vertices)
+                assert t.contour_order == tuple(order)
+
 
 class TestVisitTimes:
     def test_example_times(self):

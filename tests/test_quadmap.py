@@ -22,6 +22,8 @@ from treesnake.quadmap import (
     NotAQuadrangulation,
     NotWellLabelled,
     PlanarQuadrangulation,
+    _CORNER_BUDGET,
+    _arc_distances,
     _bfs_distances,
     _pointed_build,
     canonical_code,
@@ -338,3 +340,46 @@ class TestUniformSampling:
     def test_no_faces_is_rejected(self):
         with pytest.raises(ValueError, match="face"):
             sample_uniform_quad(0, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="face"):
+            sample_radius_and_distance(0, 5, np.random.default_rng(1))
+
+
+class TestArcKernel:
+    """Distances from arc lists against the rotation-system route."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_distances_match_the_rotation_system(self, n):
+        pairs = [(wt, sign) for wt in labelled_trees(n) for sign in (1, -1)]
+        rows = np.array([wt.tree.counts for wt, _ in pairs])
+        incs = np.array(
+            [
+                [wt.labels[i] - wt.labels[wt.tree.parent_index[i]] for i in range(1, n + 1)]
+                for wt, _ in pairs
+            ]
+        )
+        dist, root = _arc_distances(rows, incs, np.array([sign for _, sign in pairs]))
+        for (wt, sign), d, r in zip(pairs, dist, root):
+            q = _pointed_build(wt, sign)
+            assert r == q.vertex_of[q.root_dart]
+            assert d.tolist() == _bfs_distances(q, r).tolist()
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("n,maps", [(1, 40), (2, 40), (3, 40), (50, 40), (500, 25)])
+    def test_sampler_matches_per_map_reference(self, n, maps, seed):
+        # at n = 500 the maps span three kernel batches
+        assert n < 500 or maps > 2 * (_CORNER_BUDGET // (2 * n))
+        radii, dists, attempts = sample_radius_and_distance(
+            n, maps, np.random.default_rng(seed)
+        )
+        rng = np.random.default_rng(seed)
+        picks = rng.integers(0, n + 1, size=maps)
+        ref = np.array(
+            [radius_and_distance(q, k) for q, k in zip(sample_uniform_quads(n, maps, rng), picks)]
+        )
+        assert attempts == maps
+        assert radii.tolist() == ref[:, 0].tolist()
+        assert dists.tolist() == ref[:, 1].tolist()
+
+    def test_steps_must_stay_within_one(self):
+        with pytest.raises(NotWellLabelled):
+            _arc_distances(np.array([[1, 0]]), np.array([[2]]), np.array([1]))
