@@ -171,6 +171,18 @@ def _n_leaves(t: PlaneTree) -> int:
     return len(leaves(t))
 
 
+def _measure_values(
+    measure: dict[Atom, Fraction], functionals: Sequence[Functional]
+) -> list[Fraction]:
+    """Every functional integrated against a measure, each atom's tree built once."""
+    totals = [Fraction(0)] * len(functionals)
+    for key, w in measure.items():
+        s = _atom_tree(key)
+        for i, (_, fn) in enumerate(functionals):
+            totals[i] += w * fn(s)
+    return totals
+
+
 def default_functionals(measure: dict[Atom, Fraction]) -> list[Functional]:
     """A mechanical functional family read off a measure's support.
 
@@ -227,12 +239,10 @@ def _functional_report(
 ) -> list[dict]:
     if functionals is None:
         functionals = default_functionals(rhs if rhs else lhs)
-    lhs_atoms = [(_atom_tree(key), w) for key, w in lhs.items()]
-    rhs_atoms = [(_atom_tree(key), w) for key, w in rhs.items()]
     rows = []
-    for name, fn in functionals:
-        a = sum((w * fn(s) for s, w in lhs_atoms), Fraction(0))
-        b = sum((w * fn(s) for s, w in rhs_atoms), Fraction(0))
+    for (name, _), a, b in zip(
+        functionals, _measure_values(lhs, functionals), _measure_values(rhs, functionals)
+    ):
         rows.append({"name": name, "lhs": _frac(a), "rhs": _frac(b), "equal": a == b})
     return rows
 
