@@ -3,11 +3,10 @@
 Every randomized subcommand takes an explicit --seed so that a run is
 fully determined by its flags; there is no wall-clock fallback.  `sample`
 and `quad` cut the sample budget into blocks of SAMPLE_BLOCK draws, block
-k drawing from child k of SeedSequence(seed), and run the blocks in order
-in one process, so their data files are byte-identical for a given seed
-whatever --workers says.  `snake` and `compare` split the budget over one
-generator stream per worker instead.  Timing lives only in
-the manifest printed to stdout, never in the files written to --out.
+k drawing from child k of SeedSequence(seed); `snake` draws from child 0
+of the seed, and `compare` its trees from child 0 and its snakes from
+child 1.  Everything runs in one process.  Timing lives only in the
+manifest printed to stdout, never in the files written to --out.
 
 Exit status: 0 when the requested checks pass (or a pure sampling run
 completes), 1 when a verification or comparison fails or a sampler runs
@@ -63,15 +62,12 @@ from treesnake.quadmap import (
 )
 from treesnake.snake_limit import ks_report, sample_extrema, samples_csv, to_lattice
 
-CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430)
-
 KS_THRESHOLD = 0.05
 
 SIZED_MEASURES = {"Pi-n", "P-n-x", "Pbar-n-x", "Q-n", "Qbar-n"}
 
 # Draws per RNG block of `sample` and `quad`; changing it changes their output.
 SAMPLE_BLOCK = 256
-BLOCKS_HELP = "accepted for a uniform interface; the blocks run in order in one process"
 
 
 class UsageError(ValueError):
@@ -109,25 +105,21 @@ def _step(name: str) -> StepDistribution:
     raise UsageError(f"unknown step law {name!r}")
 
 
-def _split_budget(total: int, workers: int) -> list[int]:
+def _check_samples(total: int) -> None:
     if total < 1:
         raise UsageError("need a positive sample count")
-    if workers < 1:
-        raise UsageError("need at least one worker")
-    base, extra = divmod(total, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
 
 
-def _run_blocks(fn, args, total: int, seed: int, workers: int) -> list:
+def _catalan(k: int) -> int:
+    return math.comb(2 * k, k) // (k + 1)
+
+
+def _run_blocks(fn, args, total: int, seed: int) -> list:
     """fn(*args, size, seed_sequence) for each block of the budget, in order.
 
-    Block k gets child k of SeedSequence(seed), so the results do not
-    depend on the worker count, which is checked but not used.
+    Block k gets child k of SeedSequence(seed).
     """
-    if total < 1:
-        raise UsageError("need a positive sample count")
-    if workers < 1:
-        raise UsageError("need at least one worker")
+    _check_samples(total)
     sizes = [min(SAMPLE_BLOCK, total - s) for s in range(0, total, SAMPLE_BLOCK)]
     seqs = np.random.SeedSequence(seed).spawn(len(sizes))
     return [fn(*args, size, seq) for size, seq in zip(sizes, seqs)]
@@ -181,13 +173,16 @@ def _sample_block(config, mu, gamma, size: int, seq) -> list[tuple[str, ...]]:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    if args.measure in SIZED_MEASURES and args.n is None:
-        raise UsageError(f"measure {args.measure} needs --n")
+    if args.measure in SIZED_MEASURES:
+        if args.n is None:
+            raise UsageError(f"measure {args.measure} needs --n")
+        least = 1 if args.measure.startswith("Q") else 0  # a single-child root
+        if args.n < least:
+            raise UsageError(f"measure {args.measure} needs --n at least {least}")
     mu = _offspring(args.mu)
     gamma = _step(args.gamma)
     config = SampleConfig(measure=args.measure, seed=args.seed, n=args.n, x=args.x)
-    blocks = _run_blocks(_sample_block, (config, mu, gamma), args.samples,
-                         args.seed, args.workers)
+    blocks = _run_blocks(_sample_block, (config, mu, gamma), args.samples, args.seed)
     rows = [row for block in blocks for row in block]
 
     buf = io.StringIO()
@@ -197,7 +192,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     _finish(
         args, "sample",
         {"measure": args.measure, "n": args.n, "x": args.x, "mu": args.mu,
-         "gamma": args.gamma, "samples": args.samples, "workers": args.workers},
+         "gamma": args.gamma, "samples": args.samples},
         buf.getvalue(), t0, {"rows": len(rows)},
     )
     return 0
@@ -207,7 +202,7 @@ def _census_report(n: int) -> dict:
     entries = []
     for k in range(1, n + 1):
         total, positive, ratio = count_well_labelled(k)
-        want_total = 3**k * CATALAN[k]
+        want_total = 3**k * _catalan(k)
         entries.append(
             {
                 "n": k,
@@ -284,8 +279,7 @@ def _cmd_quad(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if args.n < 1:
         raise UsageError("need --n at least 1")
-    codes = sum(_run_blocks(_quad_block, (args.n,), args.samples, args.seed, args.workers),
-                Counter())
+    codes = sum(_run_blocks(_quad_block, (args.n,), args.samples, args.seed), Counter())
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -294,7 +288,7 @@ def _cmd_quad(args: argparse.Namespace) -> int:
         writer.writerow((code, codes[code]))
     _finish(
         args, "quad",
-        {"n": args.n, "samples": args.samples, "workers": args.workers},
+        {"n": args.n, "samples": args.samples},
         buf.getvalue(), t0,
         {"distinct_codes": len(codes), "attempts": args.samples},
     )
@@ -305,15 +299,12 @@ def _cmd_snake(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if args.grid < 2:
         raise UsageError("need --grid at least 2")
-    parts = []
-    for rng, share in zip(spawn_rngs(args.seed, args.workers),
-                          _split_budget(args.samples, args.workers)):
-        sups, infs = sample_extrema(args.grid, share, rng)
-        parts.append(sups - infs)
-    ranges = np.concatenate(parts)
+    _check_samples(args.samples)
+    sups, infs = sample_extrema(args.grid, args.samples, spawn_rngs(args.seed, 1)[0])
+    ranges = sups - infs
     _finish(
         args, "snake",
-        {"grid": args.grid, "samples": args.samples, "workers": args.workers},
+        {"grid": args.grid, "samples": args.samples},
         samples_csv(ranges), t0,
         {"mean_range": float(ranges.mean()), "sd_range": float(ranges.std())},
     )
@@ -321,27 +312,23 @@ def _cmd_snake(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    if args.discrete_n < 1 or args.grid < 2:
+        raise UsageError("need --discrete-n at least 1 and --grid at least 2")
+    _check_samples(args.samples)
     mu = _offspring(args.mu)
     gamma = _step("uniform3")
     sigma = math.sqrt(float(mu.variance))
     kappa = math.sqrt(sigma / 2.0) / gamma.rho
-    workers = args.workers
-    streams = spawn_rngs(args.seed, 2 * workers)
-    shares = _split_budget(args.samples, workers)
+    tree_rng, snake_rng = spawn_rngs(args.seed, 2)
 
     # The label ranges are integers, so the continuum ranges are mapped onto
     # the same lattice before the KS: a raw KS of integers against a
     # continuous law is floored at half the largest point mass.
-    disc_parts = []
-    for rng, share in zip(streams[:workers], shares):
-        mins, maxs = sample_label_extrema(mu, gamma, args.discrete_n, 0, share, rng)
-        disc_parts.append(maxs - mins)
-    cont_parts = []
-    for rng, share in zip(streams[workers:], shares):
-        sups, infs = sample_extrema(args.grid, share, rng)
-        cont_parts.append(to_lattice((sups - infs) / kappa, args.discrete_n**0.25))
+    mins, maxs = sample_label_extrema(mu, gamma, args.discrete_n, 0, args.samples, tree_rng)
+    sups, infs = sample_extrema(args.grid, args.samples, snake_rng)
+    cont = to_lattice((sups - infs) / kappa, args.discrete_n**0.25)
 
-    report = ks_report(np.concatenate(disc_parts), np.concatenate(cont_parts), KS_THRESHOLD)
+    report = ks_report(maxs - mins, cont, KS_THRESHOLD)
     report["discrete_n"] = args.discrete_n
     report["grid"] = args.grid
     text = json.dumps(report, indent=2, default=str) + "\n"
@@ -367,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", default="uniform3", choices=["uniform3", "pm1", "normal"])
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1, help=BLOCKS_HELP)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sample)
 
@@ -390,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--mu", default="geometric", choices=["geometric"])
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1, help=BLOCKS_HELP)
     p.add_argument("--out", help="frequency table CSV over canonical codes")
     p.set_defaults(func=_cmd_quad)
 
@@ -398,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=4096)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="single-column CSV of range samples")
     p.set_defaults(func=_cmd_snake)
 
@@ -408,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--mu", default="geometric", choices=["geometric"])
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_compare)
 

@@ -13,10 +13,14 @@ law the conditioned count vector is uniform over weak compositions of n
 into n+1 parts, so it is drawn directly by stars and bars; other laws
 resample i.i.d. blocks until the sum condition holds.
 
-The module keeps two routes deliberately: readable per-tree samplers
-returning PlaneTree/SpatialTree objects, and batched array pipelines used
-by the heavy Monte Carlo checks.  Tests hold the two routes to the same
-law.
+Labels are root-path sums of edge increments.  A single tree gets them
+on the object route (sample_spatial, one Python pass over the PlaneTree's
+parents); a batch of count rows gets them from _label_rows, on the numpy
+kernel of plane_tree, which the Monte Carlo pipelines use.  The split
+follows the input: the exact checks build many tiny trees, for which a
+numpy call costs far more than the Python pass, while the pipelines label
+thousands of large rows at once.  Tests hold the two routes to the same
+labels.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from treesnake.plane_tree import PlaneTree, leaves
+from treesnake.plane_tree import PlaneTree, _path_sums, _subtree_ends, leaves
 from treesnake.spatial_tree import Label, SpatialTree, min_label, reroot_at
 
 Numeric = Union[int, float, Fraction]
@@ -436,68 +440,21 @@ def sample_spatial(
     return SpatialTree(t, tuple(labels))
 
 
-def _row_labels(counts, incs, x) -> list:
-    """Labels in preorder for one count row; increments indexed by vertex - 1."""
-    n1 = len(counts)
-    labels = [x] * n1
-    if n1 == 1:
-        return labels
-    stack_rem = [counts[0]]
-    stack_lab = [x]
-    for i in range(1, n1):
-        while stack_rem[-1] == 0:
-            stack_rem.pop()
-            stack_lab.pop()
-        lab = stack_lab[-1] + incs[i - 1]
-        labels[i] = lab
-        stack_rem[-1] -= 1
-        stack_rem.append(counts[i])
-        stack_lab.append(lab)
-    return labels
+def _label_rows(rows: np.ndarray, incs: np.ndarray, x: Label) -> np.ndarray:
+    """Preorder labels of a batch of count rows, root label x.
+
+    incs[:, k - 1] is the increment on the edge into vertex k; columns past
+    the rows' edge count are ignored.
+    """
+    w = np.empty(rows.shape, dtype=np.result_type(incs, x))
+    w[:, 0] = x
+    w[:, 1:] = incs[:, : rows.shape[1] - 1]
+    return _path_sums(_subtree_ends(rows), w)
 
 
-def _row_min_ok(counts, incs, x, strict: bool) -> bool:
-    """Early-exit check that all non-root labels stay positive (or nonnegative)."""
-    n1 = len(counts)
-    if n1 == 1:
-        return True
-    bound = 0 if strict else -1
-    stack_rem = [counts[0]]
-    stack_lab = [x]
-    for i in range(1, n1):
-        while stack_rem[-1] == 0:
-            stack_rem.pop()
-            stack_lab.pop()
-        lab = stack_lab[-1] + incs[i - 1]
-        if lab <= bound:
-            return False
-        stack_rem[-1] -= 1
-        stack_rem.append(counts[i])
-        stack_lab.append(lab)
-    return True
-
-
-def _row_extrema(counts, incs, x) -> tuple:
-    """(min, max) label over all vertices, root included."""
-    n1 = len(counts)
-    if n1 == 1:
-        return x, x
-    lo = hi = x
-    stack_rem = [counts[0]]
-    stack_lab = [x]
-    for i in range(1, n1):
-        while stack_rem[-1] == 0:
-            stack_rem.pop()
-            stack_lab.pop()
-        lab = stack_lab[-1] + incs[i - 1]
-        if lab < lo:
-            lo = lab
-        elif lab > hi:
-            hi = lab
-        stack_rem[-1] -= 1
-        stack_rem.append(counts[i])
-        stack_lab.append(lab)
-    return lo, hi
+def _positive(labels: np.ndarray, strict: bool) -> np.ndarray:
+    """Rows whose non-root labels are all positive (or all nonnegative)."""
+    return labels[:, 1:].min(axis=1) > (0 if strict else -1)
 
 
 def sample_conditioned(
@@ -549,18 +506,12 @@ def _conditioned_rows(
             break
         chunk = max(16, min(cap, 2 * (count - len(out))))
         rows = _sized_count_rows(mu, n, rng, chunk)
-        incs = gamma.sample(rng, (chunk, n))
-        rows_l = rows.tolist()
-        incs_l = incs.tolist()
-        for r, inc in zip(rows_l, incs_l):
-            attempts += 1
-            if _row_min_ok(r, inc, x, strict):
-                labels = _row_labels(r, inc, x)
-                out.append((tuple(r), tuple(labels)))
-                if len(out) == count:
-                    break
-            if max_attempts is not None and attempts >= max_attempts and len(out) < count:
-                break
+        labels = _label_rows(rows, gamma.sample(rng, (chunk, n)), x)
+        # rows are attempts in order, up to the wanted count or the budget
+        look = chunk if max_attempts is None else min(chunk, max_attempts - attempts)
+        hits = np.flatnonzero(_positive(labels[:look], strict))[: count - len(out)]
+        attempts += int(hits[-1]) + 1 if len(out) + len(hits) == count else look
+        out.extend((tuple(rows[i].tolist()), (x, *labels[i, 1:].tolist())) for i in hits)
     return out, attempts
 
 
@@ -603,10 +554,8 @@ def estimate_positive_probability(
     while done < attempts:
         take = min(chunk, attempts - done)
         rows = _sized_count_rows(mu, n, rng, take)
-        incs = gamma.sample(rng, (take, n))
-        for r, inc in zip(rows.tolist(), incs.tolist()):
-            if _row_min_ok(r, inc, x, strict):
-                accepted += 1
+        labels = _label_rows(rows, gamma.sample(rng, (take, n)), x)
+        accepted += int(_positive(labels, strict).sum())
         done += take
     return accepted
 
@@ -620,6 +569,8 @@ def sample_label_extrema(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample (min, max) label over the whole tree under the sized law."""
+    if n < 0:
+        raise ValueError("edge count must be nonnegative")
     mins = np.empty(samples)
     maxs = np.empty(samples)
     done = 0
@@ -627,11 +578,9 @@ def sample_label_extrema(
     while done < samples:
         take = min(chunk, samples - done)
         rows = _sized_count_rows(mu, n, rng, take)
-        incs = gamma.sample(rng, (take, max(1, n)))
-        for j, (r, inc) in enumerate(zip(rows.tolist(), incs.tolist())):
-            lo, hi = _row_extrema(r, inc, x)
-            mins[done + j] = lo
-            maxs[done + j] = hi
+        labels = _label_rows(rows, gamma.sample(rng, (take, max(1, n))), x)
+        mins[done : done + take] = labels.min(axis=1)
+        maxs[done : done + take] = labels.max(axis=1)
         done += take
     return mins, maxs
 
@@ -735,6 +684,6 @@ def draw_measure(
     raise ValueError(f"unknown measure {m!r}")
 
 
-def spawn_rngs(seed: int, workers: int) -> list[np.random.Generator]:
-    """Independent child generators for worker processes, derived from one seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(workers)]
+def spawn_rngs(seed: int, streams: int) -> list[np.random.Generator]:
+    """Independent child generators derived from one seed, one per stream."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(streams)]

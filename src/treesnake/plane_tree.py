@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
+import numpy as np
+
 Vertex = tuple[int, ...]
 
 ROOT: Vertex = ()
@@ -81,6 +83,74 @@ def contour_arrays(counts: Sequence[int]) -> tuple[list[int], list[int], list[in
         owed.append(counts[i])
     order.extend(reversed(path[:-1]))
     return parent, depth, order
+
+
+# ---------------------------------------------------------------------------
+# the same arrays for a batch of count rows at once
+
+
+def _first_returns(walk: np.ndarray) -> np.ndarray:
+    """For each time i of a walk stepping down by at most 1, the first later
+    time at walk[i] - 1; arbitrary where the walk never gets there.
+
+    A step down of at most 1 cannot jump over that level, so the answer is
+    the next time in its level among the (level, time) keys sorted once.
+    """
+    t = walk.size
+    keys = np.sort((walk - walk.min()) * t + np.arange(t))
+    found = keys[np.minimum(np.searchsorted(keys, keys - t, side="right"), t - 1)] % t
+    out = np.empty(t, dtype=np.int64)
+    out[keys % t] = found
+    return out
+
+
+def _subtree_ends(rows: np.ndarray) -> np.ndarray:
+    """One past the last preorder index of each vertex's subtree, for
+    valid count rows of shape (b, n+1).
+
+    Read one after another the rows are a forest, whose Lukasiewicz walk
+    (partial sums of count - 1) leaves vertex k's subtree when it first
+    returns one below its level at k.
+    """
+    b, n1 = rows.shape
+    walk = np.zeros(b * n1 + 1, dtype=np.int64)
+    np.cumsum(rows.ravel() - 1, out=walk[1:])
+    return _first_returns(walk)[:-1].reshape(b, n1) - n1 * np.arange(b)[:, None]
+
+
+def _path_sums(end: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum of w over each vertex and its ancestors, given the subtree ends.
+
+    w[k] is added at k and taken back at end[k], so a running sum holds at
+    each vertex exactly the weights of the subtrees that contain it: w = 1
+    gives depth + 1, the root label and the edge increments give labels.
+    """
+    b, n1 = end.shape
+    acc = np.zeros((b, n1 + 1), dtype=w.dtype)
+    acc[:, :n1] = w
+    np.subtract.at(acc, (np.arange(b)[:, None], end), w)
+    return np.cumsum(acc[:, :n1], axis=1)
+
+
+def _row_contours(end: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Depth, parent index and contour order of a batch, from its subtree ends.
+
+    The batch form of contour_arrays: the particle first reaches vertex k
+    at time 2k - depth[k] and is back at its parent at 2 end[k] - depth[k] - 1.
+    """
+    b, n1 = end.shape
+    rows = np.arange(b)[:, None]
+    depth = _path_sums(end, np.ones((b, n1), dtype=np.int64)) - 1
+    # the parent is the last vertex before k one level up: the first return
+    # of the depths read backwards, which step down by at most 1
+    back = _first_returns(depth.ravel()[::-1])[::-1].reshape(b, n1)
+    parent = b * n1 - 1 - back - n1 * rows
+    parent[:, 0] = -1
+    k = np.arange(n1)
+    contour = np.empty((b, 2 * n1 - 1), dtype=np.int64)
+    contour[rows, 2 * k - depth] = k
+    contour[rows, 2 * end[:, 1:] - depth[:, 1:] - 1] = parent[:, 1:]
+    return depth, parent, contour
 
 
 @dataclass(frozen=True)

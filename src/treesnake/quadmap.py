@@ -57,10 +57,10 @@ import numpy as np
 from treesnake.gw_sampler import (
     OffspringDistribution,
     StepDistribution,
-    _row_labels,
+    _label_rows,
     _sized_count_rows,
 )
-from treesnake.plane_tree import PlaneTree, contour_arrays, enumerate_trees
+from treesnake.plane_tree import PlaneTree, _row_contours, _subtree_ends, enumerate_trees
 from treesnake.spatial_tree import SpatialTree
 
 
@@ -578,9 +578,9 @@ def sample_uniform_quads(
     vertices as a point, so forgetting the point leaves the uniform law.
     """
     for rows, incs, signs in _pointed_draws(n, count, rng):
-        for counts, inc, sign in zip(rows.tolist(), incs.tolist(), signs.tolist()):
-            wt = SpatialTree(PlaneTree(tuple(counts)), tuple(_row_labels(counts, inc, 0)))
-            yield _pointed_build(wt, sign)
+        labels = _label_rows(rows, incs, 0)
+        for counts, labs, sign in zip(rows.tolist(), labels.tolist(), signs.tolist()):
+            yield _pointed_build(SpatialTree(PlaneTree(tuple(counts)), tuple(labs)), sign)
 
 
 def sample_uniform_quad(n: int, rng: np.random.Generator) -> PlanarQuadrangulation:
@@ -607,15 +607,9 @@ def _arc_distances(
     nv = n1 + 1  # vertices per map: tree vertex i is vertex i, the point is n + 1
     base = np.arange(b)[:, None]
 
-    # corner t sits at tree vertex cv[t]; from one corner to the next the
-    # label gains the increment of the edge walked into a child (preorder
-    # indices grow away from the root) and loses it walking back out
-    cv = np.array([contour_arrays(r)[2][:m] for r in rows.tolist()], dtype=np.int64)
-    into = cv[:, 1:] > cv[:, :-1]
-    walked = np.where(into, cv[:, 1:], cv[:, :-1]) - 1
-    steps = np.take_along_axis(incs, walked, axis=1)
-    lab = np.zeros((b, m), dtype=np.int64)
-    lab[:, 1:] = np.cumsum(np.where(into, steps, -steps), axis=1)
+    # corner t sits at tree vertex cv[t] and carries its label
+    cv = _row_contours(_subtree_ends(rows))[2][:, :m]
+    lab = np.take_along_axis(_label_rows(rows, incs, 0), cv, axis=1)
     lab -= lab.min(axis=1, keepdims=True) - 1  # minimum 1, the point at 0
 
     # successor of corner t: the next corner cyclically with label one lower,

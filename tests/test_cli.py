@@ -60,6 +60,14 @@ class TestVerifySubcommand:
         assert run(["verify", "--identity", "census", "--n", "0"]) == 2
         capsys.readouterr()
 
+    def test_catalan_numbers_past_the_census_sizes(self):
+        # Segner's recurrence, beyond the n <= 8 the census used to stop at
+        cat = [1]
+        for k in range(1, 31):
+            cat.append(sum(cat[i] * cat[k - 1 - i] for i in range(k)))
+        assert [cli._catalan(k) for k in range(31)] == cat
+        assert cli._catalan(9) == 4862
+
 
 class TestSampleSubcommand:
     def test_plain_trees_parse_back(self, tmp_path, capsys):
@@ -102,17 +110,6 @@ class TestSampleSubcommand:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    def test_output_does_not_depend_on_workers(self, tmp_path, capsys):
-        outs = []
-        for workers in (1, 2, 3):
-            out = tmp_path / f"w{workers}.csv"
-            assert run(["sample", "--measure", "Pi-n", "--n", "5", "--samples", "600",
-                        "--seed", "1", "--workers", str(workers),
-                        "--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-        capsys.readouterr()
-        assert outs[0] == outs[1] == outs[2]
-
     def test_domain_error_is_one_line_with_status_2(self, capsys):
         assert run(["sample", "--measure", "Pbar-n-x", "--n", "5", "--x", "-1",
                     "--samples", "2", "--seed", "1"]) == 2
@@ -136,17 +133,19 @@ class TestSampleSubcommand:
         with pytest.raises(ValueError, match="a bug"):
             run(["sample", "--measure", "Pi-n", "--n", "5", "--samples", "2", "--seed", "1"])
 
-    def test_worker_split_covers_budget(self, tmp_path, capsys):
-        out = tmp_path / "w.csv"
-        assert run(["sample", "--measure", "Pi-n", "--n", "3", "--samples", "5",
-                    "--seed", "6", "--workers", "3", "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert len(out.read_text().splitlines()) == 6
-
     def test_sized_measure_requires_n(self, capsys):
         assert run(["sample", "--measure", "Pi-n", "--samples", "2",
                     "--seed", "1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("measure, n", [
+        ("Pi-n", -1), ("P-n-x", -1), ("Pbar-n-x", -1), ("Q-n", 0), ("Qbar-n", 0),
+    ])
+    def test_size_outside_the_measure_is_one_line_with_status_2(self, capsys, measure, n):
+        assert run(["sample", "--measure", measure, "--n", str(n), "--samples", "2",
+                    "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_seed_is_mandatory(self):
         with pytest.raises(SystemExit) as exc:
@@ -177,17 +176,6 @@ class TestQuadSubcommand:
         assert run(argv + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
-
-    def test_output_does_not_depend_on_workers(self, tmp_path, capsys):
-        # 600 maps are three blocks
-        outs = []
-        for workers in (1, 2, 3):
-            out = tmp_path / f"w{workers}.csv"
-            assert run(["quad", "--n", "2", "--samples", "600", "--seed", "13",
-                        "--workers", str(workers), "--out", str(out)]) == 0
-            assert read_json_stdout(capsys)["summary"]["attempts"] == 600
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1] == outs[2]
 
     def test_no_faces_is_one_line_with_status_2(self, capsys):
         assert run(["quad", "--n", "0", "--samples", "2", "--seed", "1"]) == 2
@@ -221,6 +209,14 @@ class TestCompareSubcommand:
         assert set(report) >= {"statistic", "n_a", "n_b", "threshold", "pass"}
         assert report["n_a"] == 400 and report["n_b"] == 400
         assert status == (0 if report["pass"] else 1)
+
+    @pytest.mark.parametrize("flags", [
+        ["--discrete-n", "-1"], ["--discrete-n", "0"], ["--discrete-n", "40", "--grid", "1"],
+    ])
+    def test_bad_sizes_are_one_line_with_status_2(self, capsys, flags):
+        assert run(["compare", *flags, "--samples", "20", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_report_file_matches_stdout(self, tmp_path, capsys):
         out = tmp_path / "ks.json"

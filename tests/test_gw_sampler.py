@@ -15,8 +15,7 @@ from treesnake.gw_sampler import (
     StepDistribution,
     UnreachableSize,
     _conditioned_rows,
-    _row_extrema,
-    _row_labels,
+    _label_rows,
     _rotate_rows,
     _sized_count_rows,
     draw_measure,
@@ -227,15 +226,37 @@ class TestLabels:
         for n in (1, 2, 5, 9):
             rows = _sized_count_rows(GEO, n, rng, 8)
             incs = U3.sample(rng, (8, n))
-            for row, inc in zip(rows.tolist(), incs.tolist()):
+            labels = _label_rows(rows, incs, 1)
+            for row, inc, got in zip(rows.tolist(), incs.tolist(), labels.tolist()):
                 t = PlaneTree(tuple(row))
-                labels = _row_labels(row, inc, 1)
                 expect = [1] * t.size
                 for i in range(1, t.size):
                     expect[i] = expect[t.parent_index[i]] + inc[i - 1]
-                assert labels == expect
-                lo, hi = _row_extrema(row, inc, 1)
-                assert lo == min(expect) and hi == max(expect)
+                assert got == expect
+
+    @pytest.mark.parametrize("gamma", [U3, PM1], ids=["uniform3", "pm1"])
+    def test_batch_labels_equal_sample_spatial_on_small_trees(self, gamma):
+        # all 2056 trees with at most 9 vertices, one batch per size; tree i
+        # gets the increments sample_spatial draws from generator i
+        for size in range(1, 10):
+            trees = list(enumerate_trees(size))
+            incs = np.array([gamma.sample(rng_of(i), size - 1) for i in range(len(trees))])
+            labels = _label_rows(np.array([t.counts for t in trees]), incs, 2)
+            for i, (t, got) in enumerate(zip(trees, labels.tolist())):
+                assert tuple(got) == sample_spatial(t, gamma, 2, rng_of(i)).labels
+
+    def test_normal_labels_agree_with_the_recursion(self):
+        rng = rng_of(8)
+        for n in (1, 10, 500, 2000):
+            rows = _sized_count_rows(GEO, n, rng, 10)
+            incs = StepDistribution.normal().sample(rng, (10, n))
+            labels = _label_rows(rows, incs, 0.5)
+            for row, inc, got in zip(rows.tolist(), incs.tolist(), labels):
+                parent = PlaneTree(tuple(row)).parent_index
+                expect = [0.5] * (n + 1)
+                for i in range(1, n + 1):
+                    expect[i] = expect[parent[i]] + inc[i - 1]
+                assert np.abs(got - expect).max() <= 1e-12
 
 
 class TestConditioned:
@@ -261,6 +282,16 @@ class TestConditioned:
     def test_budget_exhaustion(self):
         with pytest.raises(RejectionBudgetExhausted):
             sample_conditioned(GEO, U3, 100, 0, rng_of(1), max_rejections=3)
+
+    def test_attempts_end_at_the_last_acceptance(self):
+        # attempts count the rows up to the last accepted one, so a budget of
+        # exactly that many reproduces the draw and one fewer loses its last row
+        rows, attempts = _conditioned_rows(GEO, U3, 20, 1, 30, rng_of(5))
+        assert len(rows) == 30 and attempts > 30
+        assert _conditioned_rows(GEO, U3, 20, 1, 30, rng_of(5), max_attempts=attempts) == (
+            rows, attempts)
+        cut, spent = _conditioned_rows(GEO, U3, 20, 1, 30, rng_of(5), max_attempts=attempts - 1)
+        assert (cut, spent) == (rows[:-1], attempts - 1)
 
     def test_batch_route_matches_exact_law(self):
         # total variation against the enumerated conditional law at n=2
@@ -294,6 +325,10 @@ class TestPipelines:
         mins, maxs = sample_label_extrema(GEO, U3, 30, 0, 200, rng_of(3))
         assert mins.shape == (200,)
         assert np.all(mins <= 0) and np.all(maxs >= 0)
+
+    def test_extrema_reject_negative_size(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_label_extrema(GEO, U3, -1, 0, 5, rng_of(0))
 
     def test_leaf_counts_match_objects(self):
         rng = rng_of(14)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ from treesnake.plane_tree import (
     InvalidPreorder,
     PlaneTree,
     VertexNotInTree,
+    _row_contours,
+    _subtree_ends,
     build_tree,
     contour_of,
     enumerate_trees,
@@ -147,6 +150,18 @@ class TestContour:
                 assert t.parent_index == tuple(-1 if not v else idx[v[:-1]] for v in t.vertices)
                 assert t.depth == tuple(len(v) for v in t.vertices)
                 assert t.contour_order == tuple(order)
+
+    def test_batch_kernel_matches_the_stack_pass(self):
+        # one batch per size, all 2056 trees with at most 9 vertices
+        for n in range(1, 10):
+            trees = list(enumerate_trees(n))
+            end = _subtree_ends(np.array([t.counts for t in trees]))
+            depth, parent, contour = _row_contours(end)
+            for t, e, d, p, c in zip(trees, end, depth, parent, contour):
+                assert e.tolist() == [i + s for i, s in enumerate(t.subtree_sizes)]
+                assert tuple(d) == t.depth
+                assert tuple(p) == t.parent_index
+                assert tuple(c) == t.contour_order
 
 
 class TestVisitTimes:
