@@ -440,16 +440,17 @@ def sample_spatial(
     return SpatialTree(t, tuple(labels))
 
 
-def _label_rows(rows: np.ndarray, incs: np.ndarray, x: Label) -> np.ndarray:
-    """Preorder labels of a batch of count rows, root label x.
+def _label_rows(end: np.ndarray, incs: np.ndarray, x: Label) -> np.ndarray:
+    """Preorder labels of a batch of trees given by their subtree ends
+    (_subtree_ends of the count rows), root label x.
 
     incs[:, k - 1] is the increment on the edge into vertex k; columns past
-    the rows' edge count are ignored.
+    the trees' edge count are ignored.
     """
-    w = np.empty(rows.shape, dtype=np.result_type(incs, x))
+    w = np.empty(end.shape, dtype=np.result_type(incs, x))
     w[:, 0] = x
-    w[:, 1:] = incs[:, : rows.shape[1] - 1]
-    return _path_sums(_subtree_ends(rows), w)
+    w[:, 1:] = incs[:, : end.shape[1] - 1]
+    return _path_sums(end, w)
 
 
 def _positive(labels: np.ndarray, strict: bool) -> np.ndarray:
@@ -506,7 +507,7 @@ def _conditioned_rows(
             break
         chunk = max(16, min(cap, 2 * (count - len(out))))
         rows = _sized_count_rows(mu, n, rng, chunk)
-        labels = _label_rows(rows, gamma.sample(rng, (chunk, n)), x)
+        labels = _label_rows(_subtree_ends(rows), gamma.sample(rng, (chunk, n)), x)
         # rows are attempts in order, up to the wanted count or the budget
         look = chunk if max_attempts is None else min(chunk, max_attempts - attempts)
         hits = np.flatnonzero(_positive(labels[:look], strict))[: count - len(out)]
@@ -554,7 +555,7 @@ def estimate_positive_probability(
     while done < attempts:
         take = min(chunk, attempts - done)
         rows = _sized_count_rows(mu, n, rng, take)
-        labels = _label_rows(rows, gamma.sample(rng, (take, n)), x)
+        labels = _label_rows(_subtree_ends(rows), gamma.sample(rng, (take, n)), x)
         accepted += int(_positive(labels, strict).sum())
         done += take
     return accepted
@@ -578,7 +579,7 @@ def sample_label_extrema(
     while done < samples:
         take = min(chunk, samples - done)
         rows = _sized_count_rows(mu, n, rng, take)
-        labels = _label_rows(rows, gamma.sample(rng, (take, max(1, n))), x)
+        labels = _label_rows(_subtree_ends(rows), gamma.sample(rng, (take, max(1, n))), x)
         mins[done : done + take] = labels.min(axis=1)
         maxs[done : done + take] = labels.max(axis=1)
         done += take

@@ -578,7 +578,7 @@ def sample_uniform_quads(
     vertices as a point, so forgetting the point leaves the uniform law.
     """
     for rows, incs, signs in _pointed_draws(n, count, rng):
-        labels = _label_rows(rows, incs, 0)
+        labels = _label_rows(_subtree_ends(rows), incs, 0)
         for counts, labs, sign in zip(rows.tolist(), labels.tolist(), signs.tolist()):
             yield _pointed_build(SpatialTree(PlaneTree(tuple(counts)), tuple(labs)), sign)
 
@@ -608,8 +608,9 @@ def _arc_distances(
     base = np.arange(b)[:, None]
 
     # corner t sits at tree vertex cv[t] and carries its label
-    cv = _row_contours(_subtree_ends(rows))[2][:, :m]
-    lab = np.take_along_axis(_label_rows(rows, incs, 0), cv, axis=1)
+    end = _subtree_ends(rows)
+    cv = _row_contours(end)[2][:, :m]
+    lab = np.take_along_axis(_label_rows(end, incs, 0), cv, axis=1)
     lab -= lab.min(axis=1, keepdims=True) - 1  # minimum 1, the point at 0
 
     # successor of corner t: the next corner cyclically with label one lower,

@@ -10,6 +10,12 @@ Dropping to a level strictly between two anchors pins the value there by a
 Brownian bridge in the level variable, and rising from a level adds fresh
 centered Gaussian displacement.
 
+A batch of samples advances in lock step.  Its anchor stacks live in two
+flat slot-major arrays (anchor s of sample j at s * count + j) with one top
+pointer per sample, the two normals of each step are drawn for a block of
+steps at once in the order of two per-step calls, and only the samples
+whose lifetime steps down pay for popping anchors and for the bridge.
+
 Re-rooting at the spatial minimum turns the signed head into a nonnegative
 one while permuting head values, so path ranges are preserved sample by
 sample; the distribution of the re-rooted pair is the positive
@@ -27,6 +33,9 @@ import numpy as np
 
 from treesnake.plane_tree import ContourFunction
 from treesnake.spatial_tree import SpatialContour
+
+
+_HEAD_BLOCK = 128  # head steps per block of normals and per stack-growth check
 
 
 class NonUniqueMinimum(ValueError):
@@ -47,6 +56,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_lifetime(e: np.ndarray) -> None:
+    """Reject a lifetime that is not a grid excursion (0 at both ends, never
+    negative), which the head sampler's anchor stacks rely on."""
+    if len(e) < 2 or e[0] != 0.0 or e[-1] != 0.0 or (e < 0).any():
+        raise ValueError("lifetime must be a nonnegative excursion")
+
+
 @dataclass(frozen=True)
 class SnakePath:
     """Grid snake: lifetime e and head Z on times i/m, started at Z(0) = r."""
@@ -62,8 +78,7 @@ class SnakePath:
         m = self.grid_size
         if m < 1 or len(e) != m + 1 or len(z) != m + 1:
             raise LengthMismatch(f"want {m + 1} grid values, got {len(e)} and {len(z)}")
-        if e[0] != 0.0 or e[-1] != 0.0 or (e < 0).any():
-            raise ValueError("lifetime must be a nonnegative excursion")
+        _check_lifetime(e)
         if z[0] != self.initial:
             raise ValueError("head must start at the initial value")
         object.__setattr__(self, "excursion", e)
@@ -97,18 +112,27 @@ class RescaledPath:
 
 
 def _excursion_rows(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Rows of grid excursions: bridge, rotate at the argmin, shift to 0."""
-    walk = rng.standard_normal((count, m)) / math.sqrt(m)
+    """Rows of grid excursions: bridge, rotate at the argmin, shift to 0.
+
+    The walk is scaled, summed and turned into the bridge in place, and
+    each row is rotated by two slice copies, so the walk and the result are
+    the only arrays of the batch's size.
+    """
+    walk = rng.standard_normal((count, m))
+    walk /= math.sqrt(m)
     np.cumsum(walk, axis=1, out=walk)
-    drift = walk[:, -1:] * (np.arange(1, m + 1) / m)
-    bridge = np.empty((count, m + 1))
-    bridge[:, 0] = 0.0
-    bridge[:, 1:] = walk - drift
-    bridge[:, m] = 0.0
-    k = np.argmin(bridge[:, :m], axis=1)
-    idx = (k[:, None] + np.arange(m + 1)) % m
-    rows = np.take_along_axis(bridge[:, :m], idx, axis=1)
-    rows -= bridge[np.arange(count), k][:, None]
+    # walk[:, t] becomes the bridge at time t < m: 0, then the walk less its
+    # drift towards the end value, with the result rows as the drift's scratch
+    rows = np.empty((count, m + 1))
+    drift = rows[:, : m - 1]
+    np.multiply(walk[:, -1:], np.arange(1, m) / m, out=drift)
+    np.subtract(walk[:, :-1], drift, out=drift)
+    walk[:, 1:] = drift
+    walk[:, 0] = 0.0
+    k = np.argmin(walk, axis=1)
+    for row, b, kj in zip(rows, walk, k.tolist()):
+        np.subtract(b[kj:], b[kj], out=row[: m - kj])
+        np.subtract(b[:kj], b[kj], out=row[m - kj : m])
     rows[:, m] = 0.0
     return rows
 
@@ -131,81 +155,90 @@ def _snake_head_rows(
     With keep_paths the full (count, m+1) head array comes back; without it
     only the per-sample running (min, max) pair, which keeps memory flat
     for large batches.  Exactly two standard normals per sample per step
-    are consumed either way, so output is reproducible for a given rng.
+    are consumed either way, the bridge normal and then the rise normal of
+    step i drawn as standard_normal((steps, 2, count)) for a block of
+    _HEAD_BLOCK steps, the same stream as two standard_normal(count) calls
+    a step; so output is reproducible for a given rng.
+
+    The rows of e must start at 0 and stay nonnegative, as excursion rows
+    do.  The anchor stacks are two flat slot-major arrays, anchor s of
+    sample j at s * count + j, with pos the flat index of each sample's top
+    anchor.  After step i every top anchor is (e[:, i+1], Z(i+1)): a step
+    down pops the top and whatever else lies above the new level, and then
+    every step pushes its end point.  A push at an existing level repeats
+    that anchor's value, so it changes no later draw.  Only the rows that
+    step down run the pop loop and the bridge, and since a step adds at
+    most one anchor the stacks are grown once a block.
     """
     count, mp1 = e.shape
     m = mp1 - 1
-    depth = 32
-    levels = np.zeros((count, depth))
-    values = np.zeros((count, depth))
-    values[:, 0] = r
-    top = np.zeros(count, dtype=np.int64)
-    rows = np.arange(count)
+    depth = 1
+    levels = np.zeros(count)
+    values = np.full(count, float(r))
+    pos = np.arange(count)
 
-    z_cur = np.full(count, float(r))
+    z_block = np.empty((_HEAD_BLOCK + 1, count))
+    z_block[0] = r
     if keep_paths:
         z = np.empty((count, mp1))
-        z[:, 0] = z_cur
+        z[:, 0] = r
     else:
-        z_min = z_cur.copy()
-        z_max = z_cur.copy()
+        z_min = np.full(count, float(r))
+        z_max = z_min.copy()
 
-    for i in range(m):
-        e_next = e[:, i + 1]
-        level = np.minimum(e[:, i], e_next)
+    for start in range(0, m, _HEAD_BLOCK):
+        steps = min(_HEAD_BLOCK, m - start)
+        need = int(pos.max()) // count + steps + 1
+        if need > depth:
+            grown = max(2 * depth, need)
+            levels = np.concatenate([levels, np.zeros((grown - depth) * count)])
+            values = np.concatenate([values, np.zeros((grown - depth) * count)])
+            depth = grown
 
-        # drop anchors above the step minimum, keeping the lowest one dropped
-        h1 = np.ones(count)
-        w1 = np.zeros(count)
-        dropped = np.zeros(count, dtype=bool)
-        while True:
-            above = levels[rows, top] > level
-            if not above.any():
-                break
-            idx = np.nonzero(above)[0]
-            h1[idx] = levels[idx, top[idx]]
-            w1[idx] = values[idx, top[idx]]
-            dropped[idx] = True
-            top[idx] -= 1
+        normals = rng.standard_normal((steps, 2, count))
+        ends = np.ascontiguousarray(e[:, start : start + steps + 1].T)
+        e_next = ends[1:]
+        down = e_next < ends[:-1]
+        rise = np.sqrt(e_next - np.minimum(ends[:-1], e_next)) * normals[:, 1]
 
-        h0 = levels[rows, top]
-        w0 = values[rows, top]
+        for i in range(steps):
+            z_next = z_block[i + 1]
+            np.add(z_block[i], rise[i], out=z_next)
+            d = down[i].nonzero()[0]
+            if d.size:
+                level = e_next[i, d]
+                # pop the top, then every anchor above the step minimum; the
+                # lowest one popped sits just above the survivor
+                p = pos[d] - count
+                k = (levels[p] > level).nonzero()[0]
+                while k.size:
+                    pk = p[k] - count
+                    p[k] = pk
+                    k = k[levels[pk] > level[k]]
+                # value at the step minimum: a bridge in the level variable
+                # between the surviving anchor and the lowest popped one
+                q = p + count
+                h0 = levels[p]
+                h1 = levels[q]
+                w0 = values[p]
+                w1 = values[q]
+                span = h1 - h0
+                gap = level - h0
+                w = w0 + gap / span * (w1 - w0)
+                w += np.sqrt(gap * (h1 - level) / span) * normals[i, 0, d]
+                z_next[d] = w
+                pos[d] = p
+            pos += count
+            levels[pos] = e_next[i]
+            values[pos] = z_next
 
-        # value at the step minimum: a bridge in the level variable between
-        # the surviving anchor and the lowest dropped one, else the anchor
-        span = np.where(dropped, h1 - h0, 1.0)
-        frac = np.where(dropped, (level - h0) / span, 0.0)
-        var = np.where(dropped, (level - h0) * (h1 - level) / span, 0.0)
-        w_mid = w0 + frac * (w1 - w0)
-        w_mid += np.sqrt(var) * rng.standard_normal(count)
-
-        grew = level > h0
-        if grew.any():
-            idx = np.nonzero(grew)[0]
-            top[idx] += 1
-            levels[idx, top[idx]] = level[idx]
-            values[idx, top[idx]] = w_mid[idx]
-
-        z_cur = w_mid + np.sqrt(e_next - level) * rng.standard_normal(count)
-
-        rose = e_next > level
-        if rose.any():
-            idx = np.nonzero(rose)[0]
-            top[idx] += 1
-            levels[idx, top[idx]] = e_next[idx]
-            values[idx, top[idx]] = z_cur[idx]
-
-        if top.max() + 2 >= depth:
-            pad = np.zeros((count, depth))
-            levels = np.concatenate([levels, pad], axis=1)
-            values = np.concatenate([values, pad.copy()], axis=1)
-            depth *= 2
-
+        heads = z_block[1 : steps + 1]
         if keep_paths:
-            z[:, i + 1] = z_cur
+            z[:, start + 1 : start + steps + 1] = heads.T
         else:
-            np.minimum(z_min, z_cur, out=z_min)
-            np.maximum(z_max, z_cur, out=z_max)
+            np.minimum(z_min, heads.min(axis=0), out=z_min)
+            np.maximum(z_max, heads.max(axis=0), out=z_max)
+        z_block[0] = z_block[steps]
 
     if keep_paths:
         return z
@@ -217,6 +250,7 @@ def sample_snake_head(
 ) -> SnakePath:
     """Snake path with lifetime e: the head is exact on the grid given e."""
     e = np.asarray(e, dtype=np.float64)
+    _check_lifetime(e)
     z = _snake_head_rows(e[None, :], r, rng)[0]
     return SnakePath(len(e) - 1, e, z, r)
 

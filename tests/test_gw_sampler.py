@@ -31,7 +31,7 @@ from treesnake.gw_sampler import (
     sample_spatial,
     spawn_rngs,
 )
-from treesnake.plane_tree import PlaneTree, build_tree, enumerate_trees, leaves
+from treesnake.plane_tree import PlaneTree, _subtree_ends, build_tree, enumerate_trees, leaves
 from treesnake.spatial_tree import SpatialTree, min_label
 
 GEO = OffspringDistribution.geometric_half()
@@ -226,7 +226,7 @@ class TestLabels:
         for n in (1, 2, 5, 9):
             rows = _sized_count_rows(GEO, n, rng, 8)
             incs = U3.sample(rng, (8, n))
-            labels = _label_rows(rows, incs, 1)
+            labels = _label_rows(_subtree_ends(rows), incs, 1)
             for row, inc, got in zip(rows.tolist(), incs.tolist(), labels.tolist()):
                 t = PlaneTree(tuple(row))
                 expect = [1] * t.size
@@ -241,7 +241,7 @@ class TestLabels:
         for size in range(1, 10):
             trees = list(enumerate_trees(size))
             incs = np.array([gamma.sample(rng_of(i), size - 1) for i in range(len(trees))])
-            labels = _label_rows(np.array([t.counts for t in trees]), incs, 2)
+            labels = _label_rows(_subtree_ends(np.array([t.counts for t in trees])), incs, 2)
             for i, (t, got) in enumerate(zip(trees, labels.tolist())):
                 assert tuple(got) == sample_spatial(t, gamma, 2, rng_of(i)).labels
 
@@ -250,7 +250,7 @@ class TestLabels:
         for n in (1, 10, 500, 2000):
             rows = _sized_count_rows(GEO, n, rng, 10)
             incs = StepDistribution.normal().sample(rng, (10, n))
-            labels = _label_rows(rows, incs, 0.5)
+            labels = _label_rows(_subtree_ends(rows), incs, 0.5)
             for row, inc, got in zip(rows.tolist(), incs.tolist(), labels):
                 parent = PlaneTree(tuple(row)).parent_index
                 expect = [0.5] * (n + 1)

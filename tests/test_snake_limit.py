@@ -13,6 +13,7 @@ constants by that same offset; the frozen bands account for it.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,57 @@ from treesnake.snake_limit import (
 )
 
 GRID_MIN_OFFSET = 0.5826  # mean gap between discrete and continuum bridge minima, per unit step sd
+
+
+def reference_excursion_rows(m, count, rng):
+    """The bridge-and-rotate construction with a modulo index, as an oracle."""
+    walk = rng.standard_normal((count, m)) / math.sqrt(m)
+    np.cumsum(walk, axis=1, out=walk)
+    drift = walk[:, -1:] * (np.arange(1, m + 1) / m)
+    bridge = np.empty((count, m + 1))
+    bridge[:, 0] = 0.0
+    bridge[:, 1:] = walk - drift
+    bridge[:, m] = 0.0
+    k = np.argmin(bridge[:, :m], axis=1)
+    idx = (k[:, None] + np.arange(m + 1)) % m
+    rows = np.take_along_axis(bridge[:, :m], idx, axis=1)
+    rows -= bridge[np.arange(count), k][:, None]
+    rows[:, m] = 0.0
+    return rows
+
+
+def reference_head_rows(e, r, rng):
+    """One sample at a time with a plain anchor list, as an oracle.
+
+    The normals are drawn in the documented order, the bridge normals and
+    then the rise normals of all samples, two standard_normal(count) calls
+    a step.
+    """
+    count, mp1 = e.shape
+    normals = [(rng.standard_normal(count), rng.standard_normal(count)) for _ in range(mp1 - 1)]
+    out = np.empty((count, mp1))
+    for j in range(count):
+        anchors = [(0.0, float(r))]
+        out[j, 0] = r
+        for i, (bridge_normal, rise_normal) in enumerate(normals):
+            level = min(e[j, i], e[j, i + 1])
+            dropped = None
+            while anchors[-1][0] > level:
+                dropped = anchors.pop()
+            h0, w0 = anchors[-1]
+            w = w0
+            if dropped is not None:
+                h1, w1 = dropped
+                span = h1 - h0
+                w = w0 + (level - h0) / span * (w1 - w0)
+                w += math.sqrt((level - h0) * (h1 - level) / span) * bridge_normal[j]
+            if level > h0:
+                anchors.append((level, w))
+            z = w + math.sqrt(e[j, i + 1] - level) * rise_normal[j]
+            if e[j, i + 1] > level:
+                anchors.append((e[j, i + 1], z))
+            out[j, i + 1] = z
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +135,25 @@ class TestExcursion:
         a = sample_excursion(64, np.random.default_rng(11))
         b = sample_excursion(64, np.random.default_rng(11))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("m", [2, 3, 257, 4096])
+    @pytest.mark.parametrize("count", [1, 255, 257, 600])
+    def test_rows_equal_the_modulo_index_construction(self, m, count):
+        got = _excursion_rows(m, count, np.random.default_rng(m + count))
+        want = reference_excursion_rows(m, count, np.random.default_rng(m + count))
+        assert got.tobytes() == want.tobytes()
+
+    def test_memory_stays_under_three_result_arrays(self):
+        # the walk and the result are the batch-sized arrays; the modulo
+        # index construction held about five of them at once
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            _excursion_rows(4096, 512, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 512 * 4097 * 8
 
     def test_midpoint_mean(self, excursion_batch):
         # continuum marginal mean is sqrt(2/pi); the grid argmin offset
@@ -135,6 +206,14 @@ class TestSnakeHead:
         assert np.array_equal(p.head, np.array([1.5, 1.5]))
         assert p.initial == 1.5
 
+    @pytest.mark.parametrize("e", [[0.0, -1.0, 0.0], [1.0, 0.5, 0.0], [0.0]])
+    def test_rejects_a_lifetime_that_is_not_an_excursion(self, e):
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="nonnegative excursion"):
+            sample_snake_head(np.array(e), 0.0, rng)
+        assert rng.bit_generator.state == state
+
     def test_reproducible(self):
         e = sample_excursion(32, np.random.default_rng(5))
         a = sample_snake_head(e, 0.0, np.random.default_rng(6))
@@ -164,6 +243,41 @@ class TestSnakeHead:
             var = z[:, s].var()
             se = np.sqrt(2.0 / count) * e[s]  # sd of a chi-square mean estimate
             assert abs(var - e[s]) < 4 * se
+
+    @pytest.mark.parametrize(
+        "case",
+        ["tall_tent", "one_step", "m300", "r1.5", "flat_steps", "excursions_257x300"],
+    )
+    def test_rows_equal_the_scalar_walker(self, case):
+        r = 0.0
+        if case == "tall_tent":
+            # 300 rises in a row: the stacks outgrow their first allocations
+            tent = np.concatenate([np.arange(301), np.arange(299, -1, -1)]) / 300.0
+            e = np.stack([tent, tent**2, np.sqrt(tent)])
+        elif case == "one_step":
+            e = np.zeros((3, 2))
+        elif case == "m300":
+            e = _excursion_rows(300, 5, np.random.default_rng(1))
+        elif case == "r1.5":
+            e = _excursion_rows(64, 7, np.random.default_rng(2))
+            r = 1.5
+        elif case == "flat_steps":
+            e = np.array(
+                [
+                    [0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 1.0, 1.0, 3.0, 3.0, 0.5, 0.5, 1.0, 0.0],
+                    [0.0, 0.5, 1.0, 0.5, 0.5, 1.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.5, 0.5, 0.0],
+                ]
+            )
+        else:
+            e = _excursion_rows(300, 257, np.random.default_rng(3))
+        rng, ref_rng = np.random.default_rng(40), np.random.default_rng(40)
+        got = _snake_head_rows(e, r, rng)
+        want = reference_head_rows(e, r, ref_rng)
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref_rng.random()
+        z_min, z_max = _snake_head_rows(e, r, np.random.default_rng(40), keep_paths=False)
+        assert z_min.tobytes() == want.min(axis=1).tobytes()
+        assert z_max.tobytes() == want.max(axis=1).tobytes()
 
     def test_extrema_batch_matches_full_paths(self):
         sups, infs = sample_extrema(64, 300, np.random.default_rng(9), batch=100)
