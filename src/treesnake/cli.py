@@ -227,8 +227,7 @@ def _quad_battery_report(n: int) -> dict:
     failures = []
     for wt in enumerate_well_labelled(n):
         try:
-            q = cvs_build(wt)
-            q.validate()
+            q = cvs_build(wt)  # cvs_inverse validates it
             prof = distances(q)
             got = dict(prof.counts)
             want = dict(Counter(wt.labels) + Counter({0: 1}))

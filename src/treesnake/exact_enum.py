@@ -1,33 +1,38 @@
 """Exact distribution computations over exhaustively enumerated labelled trees.
 
-Everything in here works with Fractions: tree masses under the critical
-law, the size law through the associated walk, the two re-rooting measure
-identities on single-child-root trees, and the census of well-labelled
-trees that underlies the quadrangulation counts.  These functions are the
-oracles that the samplers are tested against, so they deliberately share
-no code with the sampling paths beyond the tree classes themselves.
+Everything in here is exact: tree masses under the critical law, the size
+law through the associated walk, the two re-rooting measure identities on
+single-child-root trees, and the census of well-labelled trees that
+underlies the quadrangulation counts.  These functions are the oracles that
+the samplers are tested against, so they deliberately share no code with
+the sampling paths beyond the tree classes themselves.
 
 Measures on labelled trees are represented as dictionaries mapping an atom
-(preorder counts, preorder labels) to its exact weight; two measures agree
-for every functional exactly when the dictionaries are equal, and reports
-additionally spell out a mechanically generated family of functionals so a
-failure points at something readable.
+(preorder counts, preorder labels) to its exact weight, a Fraction; two
+measures agree for every functional exactly when the dictionaries are
+equal, and reports additionally spell out a mechanically generated family
+of functionals so a failure points at something readable.  A functional
+may return an int or a Fraction.  Integration puts a measure's weights over
+one common denominator and sums integer numerators, skipping atoms where the
+functional vanishes, so the only Fraction built per functional is the total.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from treesnake.gw_sampler import OffspringDistribution, StepDistribution
 from treesnake.plane_tree import PlaneTree, enumerate_trees, leaves
-from treesnake.spatial_tree import SpatialTree, min_label, reroot_at, spatial_contour
+from treesnake.spatial_tree import SpatialTree, min_label, reroot_at
 
 RationalWeight = Fraction
 
 Atom = tuple[tuple[int, ...], tuple]
-Functional = tuple[str, Callable[[SpatialTree], Fraction]]
+# a name and a map from labelled trees to ints or Fractions
+Functional = tuple[str, Callable[[SpatialTree], int | Fraction]]
 
 
 class IrrationalMass(ValueError):
@@ -83,22 +88,21 @@ def labelled_atoms(
     that the underlying unconditioned size is hit.
     """
     steps = _exact_steps(gamma)
+    # each combination's probability once per n, not once per shape
+    combos = [
+        ([inc for inc, _ in combo], math.prod(p for _, p in combo))
+        for combo in itertools.product(steps, repeat=n)
+    ]
     for t in enumerate_trees(n + 1, root_single_child=root_single_child):
         shape_w = q_weight(t, mu) if root_single_child else tree_weight(t, mu)
         if shape_w == 0:
             continue
         parent = t.parent_index
-        if n == 0:
-            yield SpatialTree(t, (x,)), shape_w
-            continue
-        for combo in itertools.product(steps, repeat=n):
+        for incs, p in combos:
             labels = [x] * (n + 1)
-            w = shape_w
             for i in range(1, n + 1):
-                inc, p = combo[i - 1]
-                labels[i] = labels[parent[i]] + inc
-                w *= p
-            yield SpatialTree(t, tuple(labels)), w
+                labels[i] = labels[parent[i]] + incs[i - 1]
+            yield SpatialTree(t, tuple(labels)), shape_w * p
 
 
 # ---------------------------------------------------------------------------
@@ -163,24 +167,39 @@ def _atom_key(s: SpatialTree) -> Atom:
     return (s.tree.counts, s.labels)
 
 
-def _atom_tree(key: Atom) -> SpatialTree:
-    return SpatialTree(PlaneTree(key[0]), key[1])
+def _atom_trees(measure: dict[Atom, Fraction]) -> Iterator[tuple[SpatialTree, Fraction]]:
+    """Each atom as a labelled tree with its weight, one PlaneTree per shape."""
+    shapes: dict[tuple[int, ...], PlaneTree] = {}
+    for (counts, labels), w in measure.items():
+        t = shapes.get(counts)
+        if t is None:
+            t = shapes[counts] = PlaneTree(counts)
+        yield SpatialTree(t, labels), w
 
 
 def _n_leaves(t: PlaneTree) -> int:
-    return len(leaves(t))
+    return t.counts[1:].count(0)
 
 
 def _measure_values(
     measure: dict[Atom, Fraction], functionals: Sequence[Functional]
 ) -> list[Fraction]:
-    """Every functional integrated against a measure, each atom's tree built once."""
-    totals = [Fraction(0)] * len(functionals)
-    for key, w in measure.items():
-        s = _atom_tree(key)
-        for i, (_, fn) in enumerate(functionals):
-            totals[i] += w * fn(s)
-    return totals
+    """Every functional integrated against a measure, in integer arithmetic.
+
+    The weights go over their common denominator once, each functional
+    sums numerators over the atoms where it does not vanish (integers when
+    it returns ints), and one Fraction per functional is built at the end.
+    """
+    den = math.lcm(*(w.denominator for w in measure.values()))
+    fns = [fn for _, fn in functionals]
+    sums = [0] * len(fns)
+    for s, w in _atom_trees(measure):
+        num = w.numerator * (den // w.denominator)
+        for i, fn in enumerate(fns):
+            v = fn(s)
+            if v:
+                sums[i] += num * v
+    return [Fraction(x, den) for x in sums]
 
 
 def default_functionals(measure: dict[Atom, Fraction]) -> list[Functional]:
@@ -190,43 +209,27 @@ def default_functionals(measure: dict[Atom, Fraction]) -> list[Functional]:
     every sorted label multiset present, indicators of the label read at
     contour time 1, and point indicators of the first few atoms.
     """
-    fns: list[Functional] = [("total-mass", lambda s: Fraction(1))]
+    fns: list[Functional] = [("total-mass", lambda s: 1)]
     shapes = sorted({key[0] for key in measure})
-    for shape in shapes:
-        fns.append(
-            (
-                "shape=" + ",".join(map(str, shape)),
-                lambda s, sh=shape: Fraction(1 if s.tree.counts == sh else 0),
-            )
-        )
-    leafcounts = sorted({_n_leaves(PlaneTree(key[0])) for key in measure})
+    for sh in shapes:
+        fns.append(("shape=" + ",".join(map(str, sh)), lambda s, sh=sh: int(s.tree.counts == sh)))
+    leafcounts = sorted({_n_leaves(s.tree) for s, _ in _atom_trees(measure)})
     for k in leafcounts:
-        fns.append(
-            ("leaves=" + str(k), lambda s, k=k: Fraction(1 if _n_leaves(s.tree) == k else 0))
-        )
+        fns.append(("leaves=" + str(k), lambda s, k=k: int(_n_leaves(s.tree) == k)))
     histograms = sorted({tuple(sorted(key[1])) for key in measure})
     for h in histograms[:24]:
         fns.append(
-            (
-                "labels=" + ",".join(map(str, h)),
-                lambda s, h=h: Fraction(1 if tuple(sorted(s.labels)) == h else 0),
-            )
+            ("labels=" + ",".join(map(str, h)), lambda s, h=h: int(tuple(sorted(s.labels)) == h))
         )
-    heads = sorted({spatial_contour(_atom_tree(key)).values[1] for key in measure if len(key[0]) > 1})
+    # the contour sits at preorder vertex 1, the root's first child, at time 1
+    heads = sorted({key[1][1] for key in measure if len(key[0]) > 1})
     for y in heads:
-        fns.append(
-            (
-                "head-label=" + str(y),
-                lambda s, y=y: Fraction(
-                    1 if s.size > 1 and spatial_contour(s).values[1] == y else 0
-                ),
-            )
-        )
+        fns.append(("head-label=" + str(y), lambda s, y=y: int(s.size > 1 and s.labels[1] == y)))
     for key in sorted(measure)[:3]:
         fns.append(
             (
                 "atom=" + ",".join(map(str, key[0])) + "|" + ",".join(map(str, key[1])),
-                lambda s, k=key: Fraction(1 if _atom_key(s) == k else 0),
+                lambda s, k=key: int(_atom_key(s) == k),
             )
         )
     return fns

@@ -46,7 +46,6 @@ breadth-first search from all root vertices together.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -108,6 +107,11 @@ class PlanarQuadrangulation:
     @property
     def n_vertices(self) -> int:
         return max(self.vertex_of) + 1
+
+    @cached_property
+    def root_distances(self) -> tuple[int, ...]:
+        """Graph distance from the root vertex to each vertex, by vertex id."""
+        return tuple(_bfs_distances(self, self.vertex_of[self.root_dart]).tolist())
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
@@ -299,7 +303,7 @@ def _bfs_distances(q: PlanarQuadrangulation, start_vertex: int) -> np.ndarray:
     adj: list[list[int]] = [[] for _ in range(nv)]
     for d in range(4 * q.n):
         adj[origin[d]].append(origin[q.alpha[d]])
-    dist = np.full(nv, -1, dtype=np.int64)
+    dist = [-1] * nv
     dist[start_vertex] = 0
     todo = deque([start_vertex])
     while todo:
@@ -308,9 +312,9 @@ def _bfs_distances(q: PlanarQuadrangulation, start_vertex: int) -> np.ndarray:
             if dist[w] < 0:
                 dist[w] = dist[v] + 1
                 todo.append(w)
-    if (dist < 0).any():
+    if -1 in dist:
         raise NotAQuadrangulation("map is not connected")
-    return dist
+    return np.array(dist, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -329,21 +333,8 @@ class DistanceProfile:
 
 
 def distances(q: PlanarQuadrangulation) -> DistanceProfile:
-    dist = _bfs_distances(q, q.vertex_of[q.root_dart])
-    vals, counts = np.unique(dist, return_counts=True)
-    return DistanceProfile(
-        q.n,
-        int(dist.max()),
-        {int(v): int(c) for v, c in zip(vals, counts)},
-    )
-
-
-def profile_csv(profile: DistanceProfile) -> str:
-    """Distance profile as CSV rows of distance,count."""
-    lines = ["distance,count"]
-    for k in sorted(profile.counts):
-        lines.append(f"{k},{profile.counts[k]}")
-    return "\n".join(lines) + "\n"
+    counts = np.bincount(q.root_distances).tolist()
+    return DistanceProfile(q.n, len(counts) - 1, {k: c for k, c in enumerate(counts) if c})
 
 
 def canonical_code(q: PlanarQuadrangulation) -> bytes:
@@ -392,7 +383,7 @@ def cvs_inverse(q: PlanarQuadrangulation) -> SpatialTree:
     q.validate()
     origin = q.vertex_of
     a0 = origin[q.root_dart]
-    dist = _bfs_distances(q, a0)
+    dist = q.root_distances
 
     # position of each dart in its rotation cycle
     pos = [0] * (4 * q.n)
@@ -413,7 +404,7 @@ def cvs_inverse(q: PlanarQuadrangulation) -> SpatialTree:
     # one tree edge per face: ends are (vertex, angular key)
     edges: list[tuple[tuple[int, float], tuple[int, float]]] = []
     for face in q.faces:
-        labs = [int(dist[origin[d]]) for d in face]
+        labs = [dist[origin[d]] for d in face]
         imin = min(range(4), key=lambda i: labs[i])
         l = labs[imin]
         rot = [face[(imin + i) % 4] for i in range(4)]
@@ -465,7 +456,7 @@ def cvs_inverse(q: PlanarQuadrangulation) -> SpatialTree:
         v, start, skip = stack.pop()
         kids = ordered_from(v, start, skip)
         counts.append(len(kids))
-        labels.append(int(dist[v]))
+        labels.append(dist[v])
         for eid, w in reversed(kids):
             # the child's own fan starts from this edge's key at the child
             (va, ka), (vb, kb) = edges[eid]
@@ -480,61 +471,6 @@ def cvs_inverse(q: PlanarQuadrangulation) -> SpatialTree:
     wt = SpatialTree(tree, tuple(labels))
     _well_labelled_or_raise(wt)
     return wt
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def quad_to_json(q: PlanarQuadrangulation) -> str:
-    cycles = []
-    seen = [False] * (4 * q.n)
-    for d in range(4 * q.n):
-        if seen[d]:
-            continue
-        cyc = []
-        e = d
-        while not seen[e]:
-            seen[e] = True
-            cyc.append(e)
-            e = q.sigma[e]
-        cycles.append(cyc)
-    pairs = sorted({tuple(sorted((d, q.alpha[d]))) for d in range(4 * q.n)})
-    return json.dumps(
-        {
-            "n": q.n,
-            "darts": 4 * q.n,
-            "sigma": cycles,
-            "alpha": [list(p) for p in pairs],
-            "root_dart": q.root_dart,
-        }
-    )
-
-
-def quad_from_json(text: str) -> PlanarQuadrangulation:
-    obj = json.loads(text)
-    n = int(obj["n"])
-    m = 4 * n
-    if obj.get("darts", m) != m:
-        raise NotAQuadrangulation("dart count disagrees with the face count")
-    sigma = [-1] * m
-    for cyc in obj["sigma"]:
-        for i, d in enumerate(cyc):
-            if not (0 <= d < m) or sigma[d] != -1:
-                raise NotAQuadrangulation("bad rotation cycles")
-            sigma[d] = cyc[(i + 1) % len(cyc)]
-    if -1 in sigma:
-        raise NotAQuadrangulation("rotation misses darts")
-    alpha = [-1] * m
-    for a, b in obj["alpha"]:
-        if not (0 <= a < m and 0 <= b < m) or alpha[a] != -1 or alpha[b] != -1 or a == b:
-            raise NotAQuadrangulation("bad edge pairs")
-        alpha[a], alpha[b] = b, a
-    if -1 in alpha:
-        raise NotAQuadrangulation("edge pairs miss darts")
-    q = PlanarQuadrangulation(n, tuple(sigma), tuple(alpha), int(obj["root_dart"]))
-    q.validate()
-    return q
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ subtract, so exact types stay exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -267,43 +266,3 @@ def reassemble(d: ExitDecomposition) -> SpatialTree:
             counts.extend(e.subtree.tree.counts)
             labels.extend(e.subtree.labels)
     return SpatialTree(PlaneTree(tuple(counts)), tuple(labels))
-
-
-def _label_to_json(x: Label):
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return f"{x.numerator}/{x.denominator}"
-    return x
-
-
-def _label_from_json(x) -> Label:
-    if isinstance(x, str):
-        num, _, den = x.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
-    return x
-
-
-def spatial_to_json(s: SpatialTree) -> str:
-    """Serialize as {"counts": [...], "labels": [...]}, exact rationals as "p/q"."""
-    return json.dumps(
-        {
-            "counts": list(s.tree.counts),
-            "labels": [_label_to_json(x) for x in s.labels],
-        }
-    )
-
-
-def spatial_from_json(line: str) -> SpatialTree:
-    obj = json.loads(line)
-    tree = PlaneTree(tuple(int(c) for c in obj["counts"]))
-    labels = tuple(_label_from_json(x) for x in obj["labels"])
-    return SpatialTree(tree, labels)
-
-
-def contour_csv(s: SpatialTree) -> str:
-    """Two-column text form of the label walk: time, label at that time."""
-    rows = ["t,value"]
-    for t, x in enumerate(spatial_contour(s).values):
-        rows.append(f"{t},{_label_to_json(x)}")
-    return "\n".join(rows) + "\n"

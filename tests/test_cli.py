@@ -15,7 +15,9 @@ import pytest
 from treesnake import cli
 from treesnake.cli import run
 from treesnake.gw_sampler import RejectionBudgetExhausted
-from treesnake.plane_tree import tree_from_line
+from treesnake.plane_tree import tree_from_line, tree_to_line
+from treesnake.quadmap import PlanarQuadrangulation, enumerate_well_labelled
+from treesnake.spatial_tree import SpatialTree
 
 
 def read_json_stdout(capsys) -> dict:
@@ -48,6 +50,40 @@ class TestVerifySubcommand:
         report = read_json_stdout(capsys)
         assert report["checked"] == 9
         assert report["failures"] == []
+
+    def test_quad_battery_reports_a_broken_map(self, monkeypatch, capsys):
+        build = cli.cvs_build
+
+        def swapped(wt):
+            q = build(wt)
+            sigma = list(q.sigma)
+            sigma[0], sigma[1] = sigma[1], sigma[0]
+            return PlanarQuadrangulation(q.n, tuple(sigma), q.alpha, q.root_dart)
+
+        monkeypatch.setattr(cli, "cvs_build", swapped)
+        assert run(["verify", "--identity", "quad", "--n", "2"]) == 1
+        report = read_json_stdout(capsys)
+        assert report["equal"] is False
+        assert report["checked"] == 9
+        lines = [tree_to_line(wt.tree) for wt in enumerate_well_labelled(2)]
+        assert [f.split(":")[0] for f in report["failures"]] == lines
+        # caught by the validation that cvs_inverse runs first
+        assert all("face of degree" in f for f in report["failures"])
+
+    def test_quad_battery_reports_a_wrong_inverse(self, monkeypatch, capsys):
+        inverse = cli.cvs_inverse
+
+        def shifted(q):
+            wt = inverse(q)
+            return SpatialTree(wt.tree, wt.labels[:-1] + (wt.labels[-1] + 1,))
+
+        monkeypatch.setattr(cli, "cvs_inverse", shifted)
+        assert run(["verify", "--identity", "quad", "--n", "2"]) == 1
+        report = read_json_stdout(capsys)
+        assert report["equal"] is False
+        assert report["failures"] == [
+            tree_to_line(wt.tree) for wt in enumerate_well_labelled(2)
+        ]
 
     def test_report_file_written(self, tmp_path, capsys):
         out = tmp_path / "report.json"

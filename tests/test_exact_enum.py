@@ -5,6 +5,8 @@ import pytest
 
 from treesnake.exact_enum import (
     IrrationalMass,
+    _measure_values,
+    _n_leaves,
     conditional_label_law,
     count_well_labelled,
     default_functionals,
@@ -18,7 +20,8 @@ from treesnake.exact_enum import (
     verify_size_law,
 )
 from treesnake.gw_sampler import OffspringDistribution, StepDistribution
-from treesnake.plane_tree import build_tree, enumerate_trees
+from treesnake.plane_tree import PlaneTree, build_tree, enumerate_trees, leaves
+from treesnake.spatial_tree import SpatialTree
 
 
 def catalan(n: int) -> int:
@@ -26,6 +29,7 @@ def catalan(n: int) -> int:
 
 
 GEO = OffspringDistribution.geometric_half()
+BINARY = OffspringDistribution.from_pmf({0: Fraction(1, 2), 2: Fraction(1, 2)})
 U3 = StepDistribution.uniform3()
 PM1 = StepDistribution.uniform_pm1()
 
@@ -200,3 +204,59 @@ class TestFunctionalFamily:
         assert len(names) == len(set(names))
         total = [fn for name, fn in fns if name == "total-mass"][0]
         assert total(None) == 1
+
+    def test_indicators_return_ints(self):
+        _, rhs, _ = reroot_measures(3, GEO, U3)
+        counts, labels = next(iter(rhs))
+        s = SpatialTree(PlaneTree(counts), labels)
+        assert all(type(fn(s)) is int for _, fn in default_functionals(rhs))
+
+
+# functionals that are not indicators, one of them a non-integer constant
+PLAIN_FUNCTIONALS = [
+    ("leaf-count", lambda s: _n_leaves(s.tree)),
+    ("label-sum", lambda s: sum(s.labels)),
+    ("one-seventh", lambda s: Fraction(1, 7)),
+]
+
+
+def reference_values(measure, functionals):
+    """Each functional summed atom by atom in plain Fraction arithmetic."""
+    out = []
+    for _, fn in functionals:
+        total = Fraction(0)
+        for (counts, labels), w in measure.items():
+            total += w * fn(SpatialTree(PlaneTree(counts), labels))
+        out.append(total)
+    return out
+
+
+class TestMeasureValues:
+    @pytest.mark.parametrize(
+        "mu,gamma", [(GEO, U3), (GEO, PM1), (BINARY, U3)], ids=["uniform3", "pm1", "binary"]
+    )
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_the_fraction_sum(self, n, closed, mu, gamma):
+        lhs, rhs, _ = reroot_measures(n, mu, gamma, closed=closed)
+        for measure in (lhs, rhs):
+            got = _measure_values(measure, PLAIN_FUNCTIONALS)
+            assert got == reference_values(measure, PLAIN_FUNCTIONALS)
+            assert all(type(v) is Fraction for v in got)
+
+    def test_weights_have_several_denominators(self):
+        _, rhs, _ = reroot_measures(4, GEO, U3)
+        assert len({w.denominator for w in rhs.values()}) > 1
+
+    def test_empty_measure(self):
+        # a single-child root with binary offspring needs an odd edge count
+        lhs, rhs, _ = reroot_measures(2, BINARY, U3)
+        assert lhs == rhs == {}
+        assert _measure_values({}, PLAIN_FUNCTIONALS) == [0, 0, 0]
+
+
+def test_leaf_count_matches_the_leaf_set():
+    trees = [t for k in range(1, 10) for t in enumerate_trees(k)]
+    assert len(trees) == 2056
+    for t in trees:
+        assert _n_leaves(t) == len(leaves(t))

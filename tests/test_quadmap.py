@@ -31,9 +31,6 @@ from treesnake.quadmap import (
     cvs_inverse,
     distances,
     enumerate_well_labelled,
-    profile_csv,
-    quad_from_json,
-    quad_to_json,
     sample_radius_and_distance,
     sample_uniform_quad,
     sample_uniform_quads,
@@ -270,24 +267,17 @@ class TestStructuralValidation:
             cvs_inverse(PlanarQuadrangulation(1, (1, 2, 3, 0), (2, 3, 0, 1), 0))
 
 
-class TestSerialization:
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(3)
-        q = sample_uniform_quad(12, rng)
-        q2 = quad_from_json(quad_to_json(q))
-        assert q2.sigma == q.sigma
-        assert q2.alpha == q.alpha
-        assert q2.root_dart == q.root_dart
-
-    def test_json_rejects_overlapping_cycles(self):
-        q = cvs_build(one_edge_tree(1), 1)
-        text = quad_to_json(q).replace('"sigma": [[', '"sigma": [[0, 0, ')
-        with pytest.raises(NotAQuadrangulation):
-            quad_from_json(text)
-
-    def test_profile_csv_layout(self):
-        profile = DistanceProfile(2, 2, {0: 1, 1: 2, 2: 1})
-        assert profile_csv(profile) == "distance,count\n0,1\n1,2\n2,1\n"
+class TestDistanceProfile:
+    def test_equals_the_unique_count_profile(self):
+        for wt in enumerate_well_labelled(4):
+            q = cvs_build(wt)
+            dist = _bfs_distances(q, q.vertex_of[q.root_dart])
+            vals, counts = np.unique(dist, return_counts=True)
+            want = DistanceProfile(
+                q.n, int(dist.max()), {int(v): int(c) for v, c in zip(vals, counts)}
+            )
+            assert distances(q) == want
+            assert q.root_distances == tuple(dist.tolist())
 
 
 class TestRescaledProfile:

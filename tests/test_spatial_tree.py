@@ -1,5 +1,4 @@
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,14 +17,11 @@ from treesnake.spatial_tree import (
     SingletonTree,
     SpatialTree,
     companion_vertex,
-    contour_csv,
     exit_decompose,
     min_label,
     reassemble,
     reroot_at,
     spatial_contour,
-    spatial_from_json,
-    spatial_to_json,
 )
 from treesnake.spatial_tree import VertexNotInTree
 
@@ -263,23 +259,3 @@ class TestExitDecomposition:
         interior = set(d.truncated.tree.vertices) - {e.vertex for e in d.exits}
         for v in interior:
             assert d.truncated.by_vertex[v] < a
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        s = example()
-        assert spatial_from_json(spatial_to_json(s)) == s
-
-    def test_fraction_labels(self):
-        s = SpatialTree(build_tree((1, 0)), (Fraction(1, 3), Fraction(-2, 3)))
-        back = spatial_from_json(spatial_to_json(s))
-        assert back.labels == s.labels
-        assert isinstance(back.labels[0], Fraction)
-
-    def test_contour_csv_shape(self):
-        text = contour_csv(example())
-        lines = text.strip().split("\n")
-        assert lines[0] == "t,value"
-        assert len(lines) == 1 + len(EX_SPATIAL_CONTOUR)
-        assert lines[1] == "0,1"
-        assert lines[6] == "5,-1"
