@@ -400,6 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # SeedSequence takes no negative entropy
+            raise UsageError(f"need --seed at least 0, not {args.seed}")
         return args.func(args)
     except (RejectionBudgetExhausted, SizeOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)

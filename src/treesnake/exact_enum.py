@@ -25,12 +25,14 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from treesnake.gw_sampler import OffspringDistribution, StepDistribution
-from treesnake.plane_tree import PlaneTree, enumerate_trees, leaves
-from treesnake.spatial_tree import SpatialTree, min_label, reroot_at
+from treesnake.plane_tree import PlaneTree, enumerate_trees
+from treesnake.spatial_tree import SpatialTree, reroot_at
 
 RationalWeight = Fraction
 
 Atom = tuple[tuple[int, ...], tuple]
+# re-rooted counts and, per new vertex, the index of the old vertex it comes from
+Plan = tuple[tuple[int, ...], tuple[int, ...]]
 # a name and a map from labelled trees to ints or Fractions
 Functional = tuple[str, Callable[[SpatialTree], int | Fraction]]
 
@@ -217,10 +219,17 @@ def default_functionals(measure: dict[Atom, Fraction]) -> list[Functional]:
     for k in leafcounts:
         fns.append(("leaves=" + str(k), lambda s, k=k: int(_n_leaves(s.tree) == k)))
     histograms = sorted({tuple(sorted(key[1])) for key in measure})
+    # the labels= indicators share one sort per atom: the sorted labels are
+    # kept with the labels tuple they came from and reused while it recurs
+    last: list = [None, None]
+
+    def multiset(s: SpatialTree) -> tuple:
+        if s.labels is not last[0]:
+            last[0], last[1] = s.labels, tuple(sorted(s.labels))
+        return last[1]
+
     for h in histograms[:24]:
-        fns.append(
-            ("labels=" + ",".join(map(str, h)), lambda s, h=h: int(tuple(sorted(s.labels)) == h))
-        )
+        fns.append(("labels=" + ",".join(map(str, h)), lambda s, h=h: int(multiset(s) == h)))
     # the contour sits at preorder vertex 1, the root's first child, at time 1
     heads = sorted({key[1][1] for key in measure if len(key[0]) > 1})
     for y in heads:
@@ -250,6 +259,26 @@ def _functional_report(
     return rows
 
 
+def _reroot_plan(t: PlaneTree, v: int) -> Plan:
+    """The shape-only part of re-rooting t at vertex index v.
+
+    Returns the re-rooted counts and, for each new vertex in preorder, the
+    index of the old vertex it comes from.  Re-rooting moves every label
+    with its vertex and shifts all of them by minus the new root's label,
+    so one reroot_at call on the labelling by vertex index reads the
+    sources off as label + v.
+    """
+    s = reroot_at(SpatialTree(t, tuple(range(t.size))), t.vertices[v])
+    return s.tree.counts, tuple(x + v for x in s.labels)
+
+
+def _apply_plan(plan: Plan, labels: tuple) -> Atom:
+    """The atom that reroot_at gives for these labels on the plan's shape."""
+    counts, src = plan
+    base = labels[src[0]]
+    return counts, tuple(labels[j] - base for j in src)
+
+
 def reroot_measures(
     n: int,
     mu: OffspringDistribution,
@@ -267,29 +296,39 @@ def reroot_measures(
     restriction to nonnegative non-root labels.
 
     Both run over single-child-root trees with n edges, root label 0, and
-    return (lhs, rhs, atom count of the underlying enumeration).
+    return (lhs, rhs, atom count of the underlying enumeration).  Leaf sets
+    are built once per shape and re-rooting plans once per (shape, leaf);
+    each atom only reads its labels through them.
     """
     lhs: dict[Atom, Fraction] = {}
     rhs: dict[Atom, Fraction] = {}
     terms = 0
+    shape = None
     for s, w in labelled_atoms(n, mu, gamma, x=0, root_single_child=True):
         terms += 1
-        ml = min_label(s, include_root=True)
-        leafset = leaves(s.tree)
+        if s.tree is not shape:
+            shape = s.tree
+            leafset = {i for i in range(1, shape.size) if shape.counts[i] == 0}
+            plans: dict[int, Plan] = {}
+        labels = s.labels
+        low = min(labels)
+        argmin = [i for i, x in enumerate(labels) if x == low]
         if closed:
-            for v in ml.argmin:
-                if v in leafset:
-                    key = _atom_key(reroot_at(s, v))
-                    lhs[key] = lhs.get(key, Fraction(0)) + w
+            tips = [v for v in argmin if v in leafset]
         else:
-            if len(ml.argmin) == 1 and ml.first in leafset:
-                key = _atom_key(reroot_at(s, ml.first))
-                lhs[key] = lhs.get(key, Fraction(0)) + w
-        nonroot = s.labels[1:]
-        ok = all(x >= 0 for x in nonroot) if closed else all(x > 0 for x in nonroot)
-        if ok:
-            key = _atom_key(s)
-            rhs[key] = rhs.get(key, Fraction(0)) + w * _n_leaves(s.tree)
+            tips = argmin if len(argmin) == 1 and argmin[0] in leafset else ()
+        for v in tips:
+            plan = plans.get(v)
+            if plan is None:
+                plan = plans[v] = _reroot_plan(shape, v)
+            key = _apply_plan(plan, labels)
+            lhs[key] = lhs.get(key, Fraction(0)) + w
+        # the root sits at 0, so the non-root labels are all positive exactly
+        # when 0 is the minimum and only the root attains it (closed form:
+        # nonnegative exactly when 0 is the minimum)
+        if low == 0 and (closed or argmin == [0]):
+            key = (shape.counts, labels)
+            rhs[key] = rhs.get(key, Fraction(0)) + w * len(leafset)
     return lhs, rhs, terms
 
 

@@ -231,6 +231,17 @@ class PlaneTree:
             last[i] = t
         return tuple(first), tuple(last)
 
+    @cached_property
+    def corners(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's corners: the contour times 0..zeta-1 at which the
+        particle sits at it, in order (the root's closing time zeta is not
+        a corner)."""
+        out: list[list[int]] = [[] for _ in range(self.size)]
+        order = self.contour_order
+        for t in range(self.zeta):
+            out[order[t]].append(t)
+        return tuple(map(tuple, out))
+
     def __len__(self) -> int:
         return len(self.counts)
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -90,23 +90,36 @@ class PlanarQuadrangulation:
             raise NotAQuadrangulation("root dart out of range")
 
     @cached_property
+    def _rotations(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """One pass over the sigma orbits: each dart's vertex id (ids in
+        discovery order), its position in its orbit counted from the orbit's
+        first dart, and each vertex's degree."""
+        m = 4 * self.n
+        origin = [-1] * m
+        pos = [0] * m
+        degree: list[int] = []
+        for d in range(m):
+            if origin[d] >= 0:
+                continue
+            v = len(degree)
+            e = d
+            i = 0
+            while origin[e] < 0:
+                origin[e] = v
+                pos[e] = i
+                i += 1
+                e = self.sigma[e]
+            degree.append(i)
+        return tuple(origin), tuple(pos), tuple(degree)
+
+    @property
     def vertex_of(self) -> tuple[int, ...]:
         """Vertex id of each dart's origin, ids in discovery order of sigma orbits."""
-        out = [-1] * (4 * self.n)
-        nxt = 0
-        for d in range(4 * self.n):
-            if out[d] >= 0:
-                continue
-            e = d
-            while out[e] < 0:
-                out[e] = nxt
-                e = self.sigma[e]
-            nxt += 1
-        return tuple(out)
+        return self._rotations[0]
 
     @property
     def n_vertices(self) -> int:
-        return max(self.vertex_of) + 1
+        return len(self._rotations[2])
 
     @cached_property
     def root_distances(self) -> tuple[int, ...]:
@@ -139,17 +152,10 @@ class PlanarQuadrangulation:
             a = self.alpha[d]
             if not (0 <= a < m) or a == d or self.alpha[a] != d:
                 raise NotAQuadrangulation("alpha is not a fixed-point-free involution")
-        # connectivity over the dart graph
-        seen = {0}
-        todo = [0]
-        while todo:
-            d = todo.pop()
-            for e in (self.sigma[d], self.alpha[d]):
-                if e not in seen:
-                    seen.add(e)
-                    todo.append(e)
-        if len(seen) != m:
-            raise NotAQuadrangulation("dart structure is not connected")
+        # the darts of a vertex share a sigma orbit, so the dart graph is
+        # connected exactly when the root BFS over alpha reaches every
+        # vertex; it raises otherwise, and distances and cvs_inverse reuse it
+        self.root_distances
         for f in self.faces:
             if len(f) != 4:
                 raise NotAQuadrangulation(f"face of degree {len(f)}, want 4")
@@ -235,9 +241,9 @@ def _successor_arcs(wt: SpatialTree, n: int, root_dart: int) -> PlanarQuadrangul
     corners).  Root dart 1 is the far end of the root corner's arc.
     """
     two_n = 2 * n
-    order = wt.tree.contour_order
-    cv = [order[t] for t in range(two_n)]  # vertex index per corner
-    lab = [wt.labels[i] for i in cv]
+    order = wt.tree.contour_order  # vertex index per corner, then the root again
+    labels = wt.labels
+    lab = [labels[order[t]] for t in range(two_n)]
 
     # successor corner: next corner cyclically with label one lower
     succ: list[int] = [-1] * two_n
@@ -262,11 +268,6 @@ def _successor_arcs(wt: SpatialTree, n: int, root_dart: int) -> PlanarQuadrangul
             s = succ[t]
             landed[s].append(((t - s) % two_n, 2 * t + 1))
 
-    # corners of each tree vertex in contour order
-    corners: list[list[int]] = [[] for _ in range(wt.tree.size)]
-    for t in range(two_n):
-        corners[cv[t]].append(t)
-
     m = 4 * n
     sigma = [-1] * m
 
@@ -278,23 +279,22 @@ def _successor_arcs(wt: SpatialTree, n: int, root_dart: int) -> PlanarQuadrangul
     # composite of the edge pairing followed by the rotation traces faces;
     # the extra vertex collects its spokes in reverse corner order because
     # later spokes had less far to travel and arrive nearest the tree
-    for v in range(wt.tree.size):
+    for corners in wt.tree.corners:
         rot: list[int] = []
-        for t in corners[v]:
+        for t in corners:
             rot.extend(d for _, d in sorted(landed[t], reverse=True))
             rot.append(2 * t)
         close_cycle(rot)
     close_cycle(to_a0[::-1])
 
-    return PlanarQuadrangulation(n, tuple(sigma), tuple(alpha_of(m)), root_dart)
+    return PlanarQuadrangulation(n, tuple(sigma), alpha_of(m), root_dart)
 
 
+@lru_cache(maxsize=8)
 def alpha_of(m: int) -> tuple[int, ...]:
-    """The pairing 2i <-> 2i+1 used by the builder's dart numbering."""
-    out = []
-    for i in range(0, m, 2):
-        out.extend((i + 1, i))
-    return tuple(out)
+    """The pairing 2i <-> 2i+1 of the successor-arc map's dart numbering,
+    built once per dart count."""
+    return tuple(d ^ 1 for d in range(m))
 
 
 def _bfs_distances(q: PlanarQuadrangulation, start_vertex: int) -> np.ndarray:
@@ -381,25 +381,10 @@ def cvs_inverse(q: PlanarQuadrangulation) -> SpatialTree:
     the angular positions of those edge ends around each vertex.
     """
     q.validate()
-    origin = q.vertex_of
+    # each dart's vertex and position in its rotation cycle, and the cycle lengths
+    origin, pos, cycle_len = q._rotations
     a0 = origin[q.root_dart]
     dist = q.root_distances
-
-    # position of each dart in its rotation cycle
-    pos = [0] * (4 * q.n)
-    cycle_len = [0] * q.n_vertices
-    for d in range(4 * q.n):
-        if cycle_len[origin[d]]:
-            continue
-        e = d
-        i = 0
-        while True:
-            pos[e] = i
-            i += 1
-            e = q.sigma[e]
-            if e == d:
-                break
-        cycle_len[origin[d]] = i
 
     # one tree edge per face: ends are (vertex, angular key)
     edges: list[tuple[tuple[int, float], tuple[int, float]]] = []

@@ -245,19 +245,10 @@ def _snake_head_rows(
     return z_min, z_max
 
 
-def sample_snake_head(
-    e: np.ndarray, r: float, rng: np.random.Generator
-) -> SnakePath:
-    """Snake path with lifetime e: the head is exact on the grid given e."""
-    e = np.asarray(e, dtype=np.float64)
-    _check_lifetime(e)
-    z = _snake_head_rows(e[None, :], r, rng)[0]
-    return SnakePath(len(e) - 1, e, z, r)
-
-
 def sample_snake(m: int, rng: np.random.Generator, r: float = 0.0) -> SnakePath:
-    """Fresh excursion and head in one call."""
-    return sample_snake_head(sample_excursion(m, rng), r, rng)
+    """Fresh excursion and a head that is exact on the grid given it."""
+    e = sample_excursion(m, rng)
+    return SnakePath(m, e, _snake_head_rows(e[None, :], r, rng)[0], r)
 
 
 def verwaat_reroot(p: SnakePath) -> SnakePath:

@@ -25,7 +25,6 @@ from treesnake.plane_tree import (
     PlaneTree,
     Vertex,
     VertexNotInTree,
-    subtree_from,
     tree_of_contour,
     visit_times,
 )
@@ -43,10 +42,6 @@ class EmptyVertex(ValueError):
 
 class RootNotAllowed(ValueError):
     """Re-rooting at the current root is a no-op and is rejected."""
-
-
-class RootAboveLevel(ValueError):
-    """Exit decomposition requires the root to sit strictly below the level."""
 
 
 @dataclass(frozen=True)
@@ -103,25 +98,6 @@ class MinLabel(NamedTuple):
     value: Label
     argmin: tuple[Vertex, ...]
     first: Vertex
-
-
-@dataclass(frozen=True)
-class ExitSubtree:
-    """One component hanging above the exit level, rooted at its exit vertex."""
-
-    vertex: Vertex
-    subtree: SpatialTree
-
-
-@dataclass(frozen=True)
-class ExitDecomposition:
-    level: Label
-    truncated: SpatialTree
-    exits: tuple[ExitSubtree, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.exits)
 
 
 def spatial_contour(s: SpatialTree) -> SpatialContour:
@@ -206,63 +182,3 @@ def reroot_at(s: SpatialTree, v0: Vertex) -> SpatialTree:
         for time, i in enumerate(that.contour_order):
             assert new_v[time] == labels[i]
     return SpatialTree(that, labels)
-
-
-def exit_decompose(s: SpatialTree, a: Label) -> ExitDecomposition:
-    """Split (T, U) at the level a.
-
-    An exit vertex has label >= a while all its strict ancestors sit below a.
-    The decomposition keeps the tree truncated at the exits (each exit
-    becomes a leaf, keeping its label) and the list of subtrees hanging at
-    them, in left-to-right order, with their original labels.
-    """
-    if not s.labels[0] < a:
-        raise RootAboveLevel(f"root label {s.labels[0]} is not below {a}")
-    t = s.tree
-    blocked = [False] * t.size  # some strict ancestor is already at or above a
-    exits: list[int] = []
-    for i in range(1, t.size):
-        p = t.parent_index[i]
-        blocked[i] = blocked[p] or s.labels[p] >= a
-        if not blocked[i] and s.labels[i] >= a:
-            exits.append(i)
-    exit_set = set(exits)
-
-    new_counts: list[int] = []
-    new_labels: list[Label] = []
-    i = 0
-    while i < t.size:
-        if i in exit_set:
-            new_counts.append(0)
-            new_labels.append(s.labels[i])
-            i += t.subtree_sizes[i]
-        else:
-            new_counts.append(t.counts[i])
-            new_labels.append(s.labels[i])
-            i += 1
-    truncated = SpatialTree(PlaneTree(tuple(new_counts)), tuple(new_labels))
-
-    parts = []
-    for i in exits:
-        v = t.vertices[i]
-        size = t.subtree_sizes[i]
-        sub = SpatialTree(subtree_from(t, v), s.labels[i : i + size])
-        parts.append(ExitSubtree(v, sub))
-    return ExitDecomposition(a, truncated, tuple(parts))
-
-
-def reassemble(d: ExitDecomposition) -> SpatialTree:
-    """Inverse of exit_decompose, used to check the split loses nothing."""
-    t = d.truncated.tree
-    by_vertex = {e.vertex: e for e in d.exits}
-    counts: list[int] = []
-    labels: list[Label] = []
-    for i, v in enumerate(t.vertices):
-        e = by_vertex.get(v)
-        if e is None:
-            counts.append(t.counts[i])
-            labels.append(d.truncated.labels[i])
-        else:
-            counts.extend(e.subtree.tree.counts)
-            labels.extend(e.subtree.labels)
-    return SpatialTree(PlaneTree(tuple(counts)), tuple(labels))

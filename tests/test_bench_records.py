@@ -1,0 +1,42 @@
+"""Every BENCH_*.json at the repo root is a readable before/after record.
+
+A record states a claim on one workload and metric of BENCHMARK.json and
+gives parent and change medians of every end-to-end metric for every
+workload there.  Only the files are read; no benchmark runs.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+END_TO_END = [m["name"] for m in BENCHMARK["end_to_end"]]
+METRICS = set(END_TO_END) | {m["name"] for m in BENCHMARK["per_layer"]}
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_there_is_a_record():
+    assert RECORDS
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_record_claims_a_benchmark_metric(path):
+    claim = json.loads(path.read_text())["claim"]
+    assert claim["workload"] in WORKLOADS
+    assert claim["metric"] in METRICS
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_record_has_medians_for_every_workload(path):
+    workloads = json.loads(path.read_text())["workloads"]
+    for name in WORKLOADS:
+        metrics = workloads[name]["metrics"]
+        for metric in END_TO_END:
+            for side in ("parent", "change"):
+                median = metrics[metric][side]["median"]
+                assert isinstance(median, (int, float)) and median > 0, (name, metric, side)

@@ -183,6 +183,10 @@ class TestSampleSubcommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_negative_seed_is_one_line_with_status_2(self, capsys):
+        assert run(["sample", "--measure", "Pi", "--samples", "1", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: need --seed at least 0, not -1\n"
+
     def test_seed_is_mandatory(self):
         with pytest.raises(SystemExit) as exc:
             run(["sample", "--measure", "Pi", "--samples", "1"])
@@ -218,6 +222,10 @@ class TestQuadSubcommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_negative_seed_is_one_line_with_status_2(self, capsys):
+        assert run(["quad", "--n", "2", "--samples", "2", "--seed", "-5"]) == 2
+        assert capsys.readouterr().err == "error: need --seed at least 0, not -5\n"
+
 
 class TestSnakeSubcommand:
     def test_range_csv(self, tmp_path, capsys):
@@ -236,6 +244,10 @@ class TestSnakeSubcommand:
         assert run(["snake", "--grid", "1", "--samples", "5", "--seed", "1"]) == 2
         capsys.readouterr()
 
+    def test_negative_seed_is_one_line_with_status_2(self, capsys):
+        assert run(["snake", "--grid", "16", "--samples", "5", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: need --seed at least 0, not -1\n"
+
 
 class TestCompareSubcommand:
     def test_report_shape_and_exit_consistency(self, capsys):
@@ -253,6 +265,11 @@ class TestCompareSubcommand:
         assert run(["compare", *flags, "--samples", "20", "--seed", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_negative_seed_is_one_line_with_status_2(self, capsys):
+        assert run(["compare", "--discrete-n", "10", "--grid", "16", "--samples", "20",
+                    "--seed", "-2"]) == 2
+        assert capsys.readouterr().err == "error: need --seed at least 0, not -2\n"
 
     def test_report_file_matches_stdout(self, tmp_path, capsys):
         out = tmp_path / "ks.json"

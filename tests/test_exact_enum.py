@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from treesnake import exact_enum
 from treesnake.exact_enum import (
     IrrationalMass,
+    _apply_plan,
     _measure_values,
     _n_leaves,
+    _reroot_plan,
     conditional_label_law,
     count_well_labelled,
     default_functionals,
@@ -21,7 +24,7 @@ from treesnake.exact_enum import (
 )
 from treesnake.gw_sampler import OffspringDistribution, StepDistribution
 from treesnake.plane_tree import PlaneTree, build_tree, enumerate_trees, leaves
-from treesnake.spatial_tree import SpatialTree
+from treesnake.spatial_tree import SpatialTree, reroot_at
 
 
 def catalan(n: int) -> int:
@@ -134,6 +137,29 @@ class TestRerootIdentities:
         assert any(name.startswith("shape=") for name in names)
         assert any(name.startswith("labels=") for name in names)
         assert any(name.startswith("atom=") for name in names)
+
+
+class TestRerootPlans:
+    @pytest.mark.parametrize("gamma", [U3, PM1], ids=["uniform3", "pm1"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_plan_equals_reroot_at_at_every_leaf(self, n, gamma):
+        checked = 0
+        for s, _ in labelled_atoms(n, GEO, gamma):
+            for v in range(1, s.size):
+                if s.tree.counts[v] == 0:
+                    want = reroot_at(s, s.tree.vertices[v])
+                    got = _apply_plan(_reroot_plan(s.tree, v), s.labels)
+                    assert got == (want.tree.counts, want.labels)
+                    checked += 1
+        assert checked >= catalan(n - 1) * len(gamma.exact_items()) ** n
+
+    def test_a_broken_reroot_at_is_caught(self, monkeypatch):
+        def reversed_labels(s, v0):
+            r = reroot_at(s, v0)
+            return SpatialTree(r.tree, r.labels[::-1])
+
+        monkeypatch.setattr(exact_enum, "reroot_at", reversed_labels)
+        assert verify_reroot_identity(3, GEO, U3)["equal"] is False
 
 
 class TestCensus:

@@ -262,6 +262,19 @@ class TestStructuralValidation:
         with pytest.raises(NotAQuadrangulation, match="degree"):
             q.validate()
 
+    def test_disconnected_darts_rejected(self):
+        # two one-face maps numbered as one: every face has degree four
+        q = cvs_build(one_edge_tree(1), 1)
+        both = PlanarQuadrangulation(
+            2,
+            q.sigma + tuple(d + 4 for d in q.sigma),
+            q.alpha + tuple(d + 4 for d in q.alpha),
+            q.root_dart,
+        )
+        assert [len(f) for f in both.faces] == [4, 4]
+        with pytest.raises(NotAQuadrangulation, match="not connected"):
+            both.validate()
+
     def test_inverse_validates_its_input(self):
         with pytest.raises(NotAQuadrangulation):
             cvs_inverse(PlanarQuadrangulation(1, (1, 2, 3, 0), (2, 3, 0, 1), 0))

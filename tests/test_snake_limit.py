@@ -36,7 +36,6 @@ from treesnake.snake_limit import (
     sample_extrema,
     sample_positive_snake,
     sample_snake,
-    sample_snake_head,
     samples_csv,
     to_lattice,
     verwaat_reroot,
@@ -201,23 +200,19 @@ class TestSnakePathValidation:
 
 class TestSnakeHead:
     def test_degenerate_lifetime_gives_constant_head(self):
-        p = sample_snake_head(np.array([0.0, 0.0]), 1.5, np.random.default_rng(2))
-        assert p.grid_size == 1
+        z = _snake_head_rows(np.zeros((1, 2)), 1.5, np.random.default_rng(2))[0]
+        p = SnakePath(1, np.zeros(2), z, 1.5)
         assert np.array_equal(p.head, np.array([1.5, 1.5]))
-        assert p.initial == 1.5
 
-    @pytest.mark.parametrize("e", [[0.0, -1.0, 0.0], [1.0, 0.5, 0.0], [0.0]])
+    @pytest.mark.parametrize("e", [[0.0, -1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.5]])
     def test_rejects_a_lifetime_that_is_not_an_excursion(self, e):
-        rng = np.random.default_rng(2)
-        state = rng.bit_generator.state
         with pytest.raises(ValueError, match="nonnegative excursion"):
-            sample_snake_head(np.array(e), 0.0, rng)
-        assert rng.bit_generator.state == state
+            SnakePath(len(e) - 1, np.array(e), np.zeros(len(e)))
 
     def test_reproducible(self):
-        e = sample_excursion(32, np.random.default_rng(5))
-        a = sample_snake_head(e, 0.0, np.random.default_rng(6))
-        b = sample_snake_head(e, 0.0, np.random.default_rng(6))
+        a = sample_snake(32, np.random.default_rng(6))
+        b = sample_snake(32, np.random.default_rng(6))
+        assert np.array_equal(a.excursion, b.excursion)
         assert np.array_equal(a.head, b.head)
 
     def test_covariance_matches_interval_minima(self):
@@ -290,7 +285,7 @@ class TestSnakeHead:
 
 class TestVerwaatReroot:
     def test_requires_zero_start(self):
-        p = sample_snake_head(np.array([0.0, 1.0, 0.0]), 2.0, np.random.default_rng(1))
+        p = sample_snake(2, np.random.default_rng(1), r=2.0)
         with pytest.raises(ValueError):
             verwaat_reroot(p)
 
@@ -437,7 +432,7 @@ class TestKolmogorovSmirnov:
 
 class TestFunctionals:
     def test_constant_path(self):
-        p = sample_snake_head(np.array([0.0, 0.0]), 2.0, np.random.default_rng(1))
+        p = SnakePath(1, np.zeros(2), np.full(2, 2.0), 2.0)
         f = functionals(p)
         assert f.range == 0.0
         assert abs(f.occupation[0].sum() - 1.0) < 1e-12

@@ -12,14 +12,11 @@ from treesnake.plane_tree import (
 )
 from treesnake.spatial_tree import (
     EmptyVertex,
-    RootAboveLevel,
     RootNotAllowed,
     SingletonTree,
     SpatialTree,
     companion_vertex,
-    exit_decompose,
     min_label,
-    reassemble,
     reroot_at,
     spatial_contour,
 )
@@ -206,56 +203,3 @@ class TestReroot:
         assert r.tree.counts == (1, 1, 0)
         back = reroot_at(r, companion_vertex((1,)))
         assert back.size < s.size
-
-
-class TestExitDecomposition:
-    def test_example_level(self):
-        d = exit_decompose(example(), 2.5)
-        assert d.count == 1
-        assert [e.vertex for e in d.exits] == [(1,)]
-        assert d.exits[0].subtree.root_label == 3
-        assert d.truncated.tree.counts == (2, 0, 0)
-        assert d.truncated.labels == (1, 3, -1)
-
-    def test_root_must_sit_below(self):
-        with pytest.raises(RootAboveLevel):
-            exit_decompose(example(), 1)
-        with pytest.raises(RootAboveLevel):
-            exit_decompose(example(), 0)
-
-    def test_no_exits_when_level_high(self):
-        d = exit_decompose(example(), 100)
-        assert d.count == 0
-        assert d.truncated.tree == example().tree
-
-    def test_exits_in_left_to_right_order(self):
-        d = exit_decompose(example(), 2.5)
-        vs = [e.vertex for e in d.exits]
-        assert vs == sorted(vs)
-
-    def test_exact_level_counts_as_exit(self):
-        s = SpatialTree(build_tree((1, 0)), (0, 3))
-        d = exit_decompose(s, 3)
-        assert d.count == 1
-
-    @given(random_spatial(), st.integers(min_value=-4, max_value=6))
-    @settings(max_examples=150, deadline=None)
-    def test_reassembly_recovers_tree(self, s, a):
-        if not s.root_label < a:
-            return
-        d = exit_decompose(s, a)
-        back = reassemble(d)
-        assert back.tree == s.tree
-        assert back.labels == s.labels
-        # exits are incomparable: none is a prefix of another
-        vs = [e.vertex for e in d.exits]
-        for i, u in enumerate(vs):
-            for w in vs[i + 1 :]:
-                assert u != w[: len(u)]
-        # every subtree root reaches the level, nothing in the truncated
-        # interior does
-        for e in d.exits:
-            assert e.subtree.root_label >= a
-        interior = set(d.truncated.tree.vertices) - {e.vertex for e in d.exits}
-        for v in interior:
-            assert d.truncated.by_vertex[v] < a
