@@ -8,6 +8,11 @@ of the seed, and `compare` its trees from child 0 and its snakes from
 child 1.  Everything runs in one process.  Timing lives only in the
 manifest printed to stdout, never in the files written to --out.
 
+A `sample` block is one sample_measure call: the sized measures draw the
+whole block through the row kernel, the unsized ones tree by tree.
+Which measures need --n, and the least n each takes, is gw_sampler's
+SIZED_MEASURES.
+
 Exit status: 0 when the requested checks pass (or a pure sampling run
 completes), 1 when a verification or comparison fails or a sampler runs
 out of its rejection or size budget, 2 for usage errors and inputs outside
@@ -42,12 +47,12 @@ from treesnake.gw_sampler import (
     NegativeRootLabel,
     OffspringDistribution,
     RejectionBudgetExhausted,
-    SampleConfig,
+    SIZED_MEASURES,
     SizeOverflow,
     StepDistribution,
     UnreachableSize,
-    draw_measure,
     sample_label_extrema,
+    sample_measure,
     spawn_rngs,
 )
 from treesnake.plane_tree import PlaneTree, tree_to_line
@@ -63,8 +68,6 @@ from treesnake.quadmap import (
 from treesnake.snake_limit import ks_report, sample_extrema, samples_csv, to_lattice
 
 KS_THRESHOLD = 0.05
-
-SIZED_MEASURES = {"Pi-n", "P-n-x", "Pbar-n-x", "Q-n", "Qbar-n"}
 
 # Draws per RNG block of `sample` and `quad`; changing it changes their output.
 SAMPLE_BLOCK = 256
@@ -155,34 +158,31 @@ def _finish(args, subcommand: str, config: dict, artifact: str, t0: float,
         _print_json(payload)
 
 
-def _sample_block(config, mu, gamma, size: int, seq) -> list[tuple[str, ...]]:
+def _sample_block(measure, mu, gamma, n, x, size: int, seq) -> list[tuple[str, ...]]:
     """CSV rows of one block of `sample` draws."""
-    rng = np.random.default_rng(seq)
-    rows = []
-    for _ in range(size):
-        drawn = draw_measure(config, mu, gamma, rng)
-        if isinstance(drawn, PlaneTree):
-            rows.append((tree_to_line(drawn),))
-        else:
-            labels = ";".join(
-                repr(v) if isinstance(v, float) else str(v) for v in drawn.labels
-            )
-            rows.append((tree_to_line(drawn.tree), labels))
-    return rows
+    counts, labels = sample_measure(measure, mu, gamma, n, x, size, np.random.default_rng(seq))
+    trees = [tree_to_line(PlaneTree(c)) for c in counts]
+    if labels is None:
+        return [(t,) for t in trees]
+    return [
+        (t, ";".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        for t, row in zip(trees, labels)
+    ]
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    if args.measure in SIZED_MEASURES:
+    least = SIZED_MEASURES.get(args.measure)
+    if least is not None:
         if args.n is None:
             raise UsageError(f"measure {args.measure} needs --n")
-        least = 1 if args.measure.startswith("Q") else 0  # a single-child root
         if args.n < least:
             raise UsageError(f"measure {args.measure} needs --n at least {least}")
     mu = _offspring(args.mu)
     gamma = _step(args.gamma)
-    config = SampleConfig(measure=args.measure, seed=args.seed, n=args.n, x=args.x)
-    blocks = _run_blocks(_sample_block, (config, mu, gamma), args.samples, args.seed)
+    blocks = _run_blocks(
+        _sample_block, (args.measure, mu, gamma, args.n, args.x), args.samples, args.seed
+    )
     rows = [row for block in blocks for row in block]
 
     buf = io.StringIO()

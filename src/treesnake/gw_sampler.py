@@ -21,6 +21,12 @@ follows the input: the exact checks build many tiny trees, for which a
 numpy call costs far more than the Python pass, while the pipelines label
 thousands of large rows at once.  Tests hold the two routes to the same
 labels.
+
+sample_measure is the one route from a measure token to its draws.  The
+sized measures (Pi-n, P-n-x, Pbar-n-x, Q-n, Qbar-n) take a whole block of
+count rows and label rows from one kernel call; the positivity-conditioned
+ones reject those rows in chunks under an explicit attempt budget.  Only
+the unsized measures (Pi, P-x, Q) are drawn tree by tree.
 """
 
 from __future__ import annotations
@@ -183,10 +189,7 @@ class StepDistribution:
             return
         if pmf is None:
             raise ValueError("need a probability vector or a normal spread")
-        vals = []
-        for v, p in pmf.items():
-            fv = v if isinstance(v, (int, Fraction)) else v
-            vals.append((fv, _as_fraction(p)))
+        vals = [(v, _as_fraction(p)) for v, p in pmf.items()]
         vals = [(v, p) for v, p in vals if p != 0]
         vals.sort(key=lambda vp: vp[0])
         total = sum(p for _, p in vals)
@@ -272,23 +275,12 @@ class StepDistribution:
 
 MEASURES = ("Pi", "Pi-n", "P-x", "P-n-x", "Pbar-n-x", "Q", "Q-n", "Qbar-n")
 
+# The measures conditioned on the edge count n, each with the least n it
+# accepts: the Q family's root has exactly one child.
+SIZED_MEASURES = {"Pi-n": 0, "P-n-x": 0, "Pbar-n-x": 0, "Q-n": 1, "Qbar-n": 1}
 
-@dataclass(frozen=True)
-class SampleConfig:
-    """What to draw: a measure token, its parameters, and the seed."""
-
-    measure: str
-    seed: int
-    n: Optional[int] = None
-    x: Label = 0
-    max_rejections: int = 50_000_000
-
-    def __post_init__(self) -> None:
-        if self.measure not in MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}, pick from {MEASURES}")
-        if self.measure.endswith("-n") or "-n-" in self.measure:
-            if self.n is None:
-                raise ValueError(f"measure {self.measure} needs n")
+# Attempts one sample_measure call may spend on positivity rejection.
+REJECTION_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -409,6 +401,20 @@ def _sized_count_rows(
     return _rotate_rows(np.concatenate(got, axis=0) if len(got) > 1 else got[0])
 
 
+def _q_count_rows(
+    mu: OffspringDistribution,
+    n: int,
+    rng: np.random.Generator,
+    rows: int,
+) -> np.ndarray:
+    """Preorder count rows of trees with n edges whose root has one child:
+    the root's count 1, then a tree with n - 1 edges hanging from the child."""
+    if n < 1:
+        raise ValueError("a single-child root needs at least one edge")
+    sub = _sized_count_rows(mu, n - 1, rng, rows)
+    return np.concatenate([np.ones((rows, 1), dtype=sub.dtype), sub], axis=1)
+
+
 def sample_gw_sized(
     mu: OffspringDistribution, n: int, rng: np.random.Generator
 ) -> PlaneTree:
@@ -458,34 +464,6 @@ def _positive(labels: np.ndarray, strict: bool) -> np.ndarray:
     return labels[:, 1:].min(axis=1) > (0 if strict else -1)
 
 
-def sample_conditioned(
-    mu: OffspringDistribution,
-    gamma: StepDistribution,
-    n: int,
-    x: Label,
-    rng: np.random.Generator,
-    strict: bool = True,
-    max_rejections: int = 50_000_000,
-) -> SpatialTree:
-    """One labelled tree with n edges, all non-root labels positive.
-
-    Rejection from the size-conditioned law; with strict=False the labels
-    only need to be nonnegative.  The root label x must be nonnegative, and
-    a zero-edge draw is vacuously accepted.
-    """
-    if x < 0:
-        raise NegativeRootLabel("root label must be nonnegative for positivity conditioning")
-    batch, attempts = _conditioned_rows(
-        mu, gamma, n, x, 1, rng, strict=strict, max_attempts=max_rejections
-    )
-    if not batch:
-        raise RejectionBudgetExhausted(
-            f"no accepted draw in {max_rejections} attempts at n={n}"
-        )
-    counts, labels = batch[0]
-    return SpatialTree(PlaneTree(counts), labels)
-
-
 def _conditioned_rows(
     mu: OffspringDistribution,
     gamma: StepDistribution,
@@ -495,8 +473,17 @@ def _conditioned_rows(
     rng: np.random.Generator,
     strict: bool = True,
     max_attempts: Optional[int] = None,
+    count_rows=_sized_count_rows,
 ) -> tuple[list[tuple[tuple, tuple]], int]:
-    """Accepted (counts, labels) rows with positivity, and the attempt total."""
+    """Accepted (counts, labels) rows with positivity, and the attempt total.
+
+    Rejection from the trees count_rows(mu, n, rng, k) draws, the
+    size-conditioned law by default; with strict=False the labels only
+    need to be nonnegative.  The root label x must be nonnegative, and a
+    zero-edge draw is vacuously accepted.
+    """
+    if x < 0:
+        raise NegativeRootLabel("root label must be nonnegative for positivity conditioning")
     if n == 0:
         return [((0,), (x,)) for _ in range(count)], count
     out: list[tuple[tuple, tuple]] = []
@@ -506,7 +493,7 @@ def _conditioned_rows(
         if max_attempts is not None and attempts >= max_attempts:
             break
         chunk = max(16, min(cap, 2 * (count - len(out))))
-        rows = _sized_count_rows(mu, n, rng, chunk)
+        rows = count_rows(mu, n, rng, chunk)
         labels = _label_rows(_subtree_ends(rows), gamma.sample(rng, (chunk, n)), x)
         # rows are attempts in order, up to the wanted count or the budget
         look = chunk if max_attempts is None else min(chunk, max_attempts - attempts)
@@ -526,7 +513,11 @@ def sample_conditioned_batch(
     strict: bool = True,
     max_attempts: Optional[int] = None,
 ) -> tuple[list[SpatialTree], int]:
-    """Array-pipeline version of repeated sample_conditioned draws."""
+    """count labelled trees with n edges and positive non-root labels.
+
+    Rejection from the size-conditioned law at root label x, as in
+    _conditioned_rows; returns the trees and the attempts spent.
+    """
     rows, attempts = _conditioned_rows(
         mu, gamma, n, x, count, rng, strict=strict, max_attempts=max_attempts
     )
@@ -599,11 +590,7 @@ def sample_leaf_counts(
     while done < samples:
         take = min(chunk, samples - done)
         rows = _sized_count_rows(mu, n, rng, take)
-        zero = rows == 0
-        if n == 0:
-            out[done : done + take] = 0
-        else:
-            out[done : done + take] = zero.sum(axis=1) - (rows[:, 0] == 0)
+        out[done : done + take] = (rows == 0).sum(axis=1) - (rows[:, 0] == 0)
         done += take
     return out
 
@@ -615,12 +602,8 @@ def sample_leaf_counts(
 def sample_q_tree(mu: OffspringDistribution, rng: np.random.Generator, n: Optional[int] = None) -> PlaneTree:
     """A tree whose root has exactly one child; with n, exactly n edges."""
     if n is None:
-        sub = sample_gw(mu, rng)
-    else:
-        if n < 1:
-            raise ValueError("a single-child root needs at least one edge")
-        sub = sample_gw_sized(mu, n - 1, rng)
-    return PlaneTree((1,) + sub.counts)
+        return PlaneTree((1,) + sample_gw(mu, rng).counts)
+    return PlaneTree(tuple(_q_count_rows(mu, n, rng, 1)[0].tolist()))
 
 
 def sample_reroot_importance(
@@ -648,41 +631,52 @@ def sample_reroot_importance(
     return ImportanceSample(r, 1.0 / len(leaves(r.tree)), True)
 
 
-def draw_measure(
-    config: SampleConfig,
+def sample_measure(
+    measure: str,
     mu: OffspringDistribution,
     gamma: StepDistribution,
+    n: Optional[int],
+    x: Label,
+    count: int,
     rng: np.random.Generator,
-) -> Union[PlaneTree, SpatialTree]:
-    """One draw from the measure named in the config.
+) -> tuple[list[tuple[int, ...]], Optional[list[tuple]]]:
+    """count draws from the named measure: preorder count rows, and label
+    rows (None for the plain-tree measures Pi and Pi-n).
 
-    Plain-tree measures return a PlaneTree; the labelled ones return a
-    SpatialTree.  The single-child-root family is rooted at label 0.
+    The sized measures draw the whole block through the row kernel, with
+    positivity rejection for Pbar-n-x and Qbar-n spending at most
+    REJECTION_BUDGET attempts; the unsized ones draw tree by tree.  The
+    single-child-root family Q is rooted at label 0, the others at x.
     """
-    m = config.measure
-    if m == "Pi":
-        return sample_gw(mu, rng)
-    if m == "Pi-n":
-        return sample_gw_sized(mu, config.n, rng)
-    if m == "P-x":
-        return sample_spatial(sample_gw(mu, rng), gamma, config.x, rng)
-    if m == "P-n-x":
-        return sample_spatial(sample_gw_sized(mu, config.n, rng), gamma, config.x, rng)
-    if m == "Pbar-n-x":
-        return sample_conditioned(
-            mu, gamma, config.n, config.x, rng, max_rejections=config.max_rejections
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}, pick from {MEASURES}")
+    root = 0 if measure.startswith("Q") else x
+    if measure == "Pi":
+        return [sample_gw(mu, rng).counts for _ in range(count)], None
+    if measure in ("P-x", "Q"):
+        tree = sample_q_tree if measure == "Q" else sample_gw
+        draws = [sample_spatial(tree(mu, rng), gamma, root, rng) for _ in range(count)]
+        return [s.tree.counts for s in draws], [s.labels for s in draws]
+    if n is None or n < SIZED_MEASURES[measure]:
+        raise ValueError(f"measure {measure} needs n at least {SIZED_MEASURES[measure]}")
+    count_rows = _q_count_rows if measure.startswith("Q") else _sized_count_rows
+    if measure in ("Pbar-n-x", "Qbar-n"):
+        got, attempts = _conditioned_rows(
+            mu, gamma, n, root, count, rng,
+            max_attempts=REJECTION_BUDGET, count_rows=count_rows,
         )
-    if m == "Q":
-        return sample_spatial(sample_q_tree(mu, rng), gamma, 0, rng)
-    if m == "Q-n":
-        return sample_spatial(sample_q_tree(mu, rng, config.n), gamma, 0, rng)
-    if m == "Qbar-n":
-        for _ in range(config.max_rejections):
-            s = sample_spatial(sample_q_tree(mu, rng, config.n), gamma, 0, rng)
-            if all(x > 0 for x in s.labels[1:]):
-                return s
-        raise RejectionBudgetExhausted(f"budget spent on {m} at n={config.n}")
-    raise ValueError(f"unknown measure {m!r}")
+        if len(got) < count:
+            raise RejectionBudgetExhausted(
+                f"{len(got)} accepted of {count} wanted in {attempts} attempts"
+                f" of {measure} at n={n}"
+            )
+        return [c for c, _ in got], [l for _, l in got]
+    rows = count_rows(mu, n, rng, count)
+    counts = [tuple(r) for r in rows.tolist()]
+    if measure == "Pi-n":
+        return counts, None
+    labels = _label_rows(_subtree_ends(rows), gamma.sample(rng, (count, n)), root)
+    return counts, [(root, *r[1:]) for r in labels.tolist()]
 
 
 def spawn_rngs(seed: int, streams: int) -> list[np.random.Generator]:

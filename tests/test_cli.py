@@ -9,12 +9,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from treesnake import cli
 from treesnake.cli import run
-from treesnake.gw_sampler import RejectionBudgetExhausted
+from treesnake.exact_enum import conditional_label_law, labelled_atoms
+from treesnake.gw_sampler import OffspringDistribution, RejectionBudgetExhausted, StepDistribution
 from treesnake.plane_tree import tree_from_line, tree_to_line
 from treesnake.quadmap import PlanarQuadrangulation, enumerate_well_labelled
 from treesnake.spatial_tree import SpatialTree
@@ -22,6 +26,55 @@ from treesnake.spatial_tree import SpatialTree
 
 def read_json_stdout(capsys) -> dict:
     return json.loads(capsys.readouterr().out)
+
+
+GEO = OffspringDistribution.geometric_half()
+U3 = StepDistribution.uniform3()
+
+
+def read_draws(path) -> Counter:
+    """Counts of (tree counts, labels) pairs in a `sample` CSV; labels are
+    None for the plain-tree measures."""
+    draws = Counter()
+    for row in csv.DictReader(path.read_text().splitlines()):
+        counts = tuple(int(c) for c in row["tree"].split(","))
+        labels = row.get("labels")
+        draws[counts, labels and tuple(int(v) for v in labels.split(";"))] += 1
+    return draws
+
+
+def normalised(weights) -> dict:
+    """Atoms of (key, weight) pairs merged by key and scaled to mass one."""
+    law: dict = {}
+    for key, w in weights:
+        law[key] = law.get(key, Fraction(0)) + w
+    total = sum(law.values())
+    return {k: w / total for k, w in law.items()}
+
+
+def atoms(n, x, single_child, keep=lambda s: True, labelled=True) -> dict:
+    return normalised(
+        ((s.tree.counts, s.labels if labelled else None), w)
+        for s, w in labelled_atoms(n, GEO, U3, x, root_single_child=single_child)
+        if keep(s)
+    )
+
+
+def positive(s) -> bool:
+    return all(v > 0 for v in s.labels[1:])
+
+
+# Upper 0.001 quantiles of chi-square, by degrees of freedom.
+CHI2_999 = {4: 18.47, 8: 26.12, 17: 40.79, 53: 90.57}
+
+
+def tv_bound(cells: int, draws: int) -> float:
+    """Total variation a correct sampler exceeds with chance about 0.001.
+
+    Cauchy-Schwarz gives 2 TV <= sqrt(X^2 / draws) for Pearson's X^2 over
+    the cells, so the chi-square critical value carries over.
+    """
+    return 0.5 * math.sqrt(CHI2_999[cells - 1] / draws)
 
 
 class TestVerifySubcommand:
@@ -156,7 +209,7 @@ class TestSampleSubcommand:
         def spent(*_args):
             raise RejectionBudgetExhausted("budget spent")
 
-        monkeypatch.setattr(cli, "draw_measure", spent)
+        monkeypatch.setattr(cli, "sample_measure", spent)
         assert run(["sample", "--measure", "Qbar-n", "--n", "5", "--samples", "2",
                     "--seed", "1"]) == 1
         assert capsys.readouterr().err == "error: budget spent\n"
@@ -165,9 +218,29 @@ class TestSampleSubcommand:
         def broken(*_args):
             raise ValueError("a bug, not a usage error")
 
-        monkeypatch.setattr(cli, "draw_measure", broken)
+        monkeypatch.setattr(cli, "sample_measure", broken)
         with pytest.raises(ValueError, match="a bug"):
             run(["sample", "--measure", "Pi-n", "--n", "5", "--samples", "2", "--seed", "1"])
+
+    LAW_DRAWS = 20_000
+
+    @pytest.mark.parametrize("flags, law", [
+        (["Pi-n", "--n", "3"], lambda: atoms(3, 0, False, labelled=False)),
+        (["P-n-x", "--n", "2", "--x", "1"], lambda: atoms(2, 1, False)),
+        (["Pbar-n-x", "--n", "2", "--x", "1"], lambda: conditional_label_law(2, GEO, U3, 1)),
+        (["Q-n", "--n", "3"], lambda: atoms(3, 0, True)),
+        (["Qbar-n", "--n", "3"], lambda: atoms(3, 0, True, keep=positive)),
+    ], ids=["Pi-n", "P-n-x", "Pbar-n-x", "Q-n", "Qbar-n"])
+    def test_sized_measure_law(self, tmp_path, capsys, flags, law):
+        # the CLI's draws against the measure's exact law from enumeration
+        out = tmp_path / "draws.csv"
+        assert run(["sample", "--measure", *flags, "--samples", str(self.LAW_DRAWS),
+                    "--seed", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        law, draws = law(), read_draws(out)
+        assert set(draws) <= set(law)
+        tv = sum(abs(draws[k] / self.LAW_DRAWS - float(p)) for k, p in law.items()) / 2
+        assert tv < tv_bound(len(law), self.LAW_DRAWS)
 
     def test_sized_measure_requires_n(self, capsys):
         assert run(["sample", "--measure", "Pi-n", "--samples", "2",

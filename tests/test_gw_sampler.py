@@ -7,32 +7,32 @@ import pytest
 
 from treesnake.exact_enum import conditional_label_law
 from treesnake.gw_sampler import (
+    MEASURES,
     ImportanceSample,
+    NegativeRootLabel,
     OffspringDistribution,
     RejectionBudgetExhausted,
-    SampleConfig,
     SizeOverflow,
     StepDistribution,
     UnreachableSize,
     _conditioned_rows,
     _label_rows,
+    _q_count_rows,
     _rotate_rows,
     _sized_count_rows,
-    draw_measure,
     estimate_positive_probability,
-    sample_conditioned,
     sample_conditioned_batch,
     sample_gw,
     sample_gw_sized,
     sample_label_extrema,
     sample_leaf_counts,
+    sample_measure,
     sample_q_tree,
     sample_reroot_importance,
     sample_spatial,
     spawn_rngs,
 )
 from treesnake.plane_tree import PlaneTree, _subtree_ends, build_tree, enumerate_trees, leaves
-from treesnake.spatial_tree import SpatialTree, min_label
 
 GEO = OffspringDistribution.geometric_half()
 U3 = StepDistribution.uniform3()
@@ -261,27 +261,32 @@ class TestLabels:
 
 class TestConditioned:
     def test_one_edge_law(self):
-        rng = rng_of(6)
         n_draws = 20_000
-        freq = Counter()
-        for _ in range(n_draws):
-            s = sample_conditioned(GEO, U3, 1, 1, rng)
-            freq[s.labels] += 1
+        batch, _ = sample_conditioned_batch(GEO, U3, 1, 1, n_draws, rng_of(6))
+        freq = Counter(s.labels for s in batch)
         assert set(freq) == {(1, 1), (1, 2)}
         se = math.sqrt(0.25 / n_draws)
         assert abs(freq[(1, 1)] / n_draws - 0.5) < 4 * se
 
     def test_zero_edges_vacuous(self):
-        s = sample_conditioned(GEO, U3, 0, 0, rng_of(0))
-        assert s.labels == (0,)
+        batch, _ = sample_conditioned_batch(GEO, U3, 0, 0, 1, rng_of(0))
+        assert batch[0].labels == (0,)
 
     def test_negative_root_rejected(self):
-        with pytest.raises(ValueError):
-            sample_conditioned(GEO, U3, 2, -1, rng_of(0))
+        with pytest.raises(NegativeRootLabel):
+            sample_conditioned_batch(GEO, U3, 2, -1, 1, rng_of(0), max_attempts=10)
+
+    def test_negative_root_rejected_before_any_attempt(self):
+        # no child of a root at -1 is positive under uniform3, so rejection
+        # would spend the whole budget (and, with none, never return)
+        with pytest.raises(NegativeRootLabel):
+            sample_conditioned_batch(GEO, U3, 3, -1, 2, rng_of(0), max_attempts=200_000)
+        with pytest.raises(NegativeRootLabel):
+            _conditioned_rows(GEO, U3, 3, -1, 2, rng_of(0))
 
     def test_budget_exhaustion(self):
         with pytest.raises(RejectionBudgetExhausted):
-            sample_conditioned(GEO, U3, 100, 0, rng_of(1), max_rejections=3)
+            sample_conditioned_batch(GEO, U3, 100, 0, 1, rng_of(1), max_attempts=3)
 
     def test_attempts_end_at_the_last_acceptance(self):
         # attempts count the rows up to the last accepted one, so a budget of
@@ -306,10 +311,10 @@ class TestConditioned:
         assert tv / 2 < 0.02
 
     def test_nonstrict_conditioning(self):
-        rng = rng_of(10)
-        for _ in range(50):
-            s = sample_conditioned(GEO, U3, 3, 0, rng, strict=False)
-            assert all(x >= 0 for x in s.labels[1:])
+        batch, _ = sample_conditioned_batch(GEO, U3, 3, 0, 50, rng_of(10), strict=False)
+        assert len(batch) == 50
+        assert all(x >= 0 for s in batch for x in s.labels[1:])
+        assert any(0 in s.labels[1:] for s in batch)
 
     def test_acceptance_estimate_matches_exact(self):
         # at n=1, x=1: positive labels need a step in {0, +1}
@@ -359,33 +364,56 @@ class TestQMeasures:
         with pytest.raises(ValueError):
             sample_q_tree(GEO, rng_of(0), 0)
 
-    def test_draw_measure_types(self):
-        mu, gamma = GEO, U3
-        seeds = iter(range(100, 200))
+    def test_q_tree_draws_the_q_rows(self):
+        # one Q row per draw takes the same random numbers as sample_q_tree
+        for n in (1, 2, 8, 40):
+            row = _q_count_rows(GEO, n, rng_of(n), 1)[0]
+            assert sample_q_tree(GEO, rng_of(n), n).counts == tuple(row.tolist())
 
-        def draw(measure, **kw):
-            cfg = SampleConfig(measure=measure, seed=0, **kw)
-            return draw_measure(cfg, mu, gamma, rng_of(next(seeds)))
+    def test_sample_measure_types(self):
+        def draw(measure, n=None, x=0, count=3):
+            counts, labels = sample_measure(measure, GEO, U3, n, x, count, rng_of(100))
+            assert len(counts) == count
+            assert labels is None or len(labels) == count
+            for c, l in zip(counts, labels or counts):
+                assert isinstance(c, tuple) and isinstance(l, tuple)
+                PlaneTree(c)  # validates the preorder counts
+                assert len(l) == len(c)
+            return counts, labels
 
-        assert isinstance(draw("Pi"), PlaneTree)
-        assert isinstance(draw("Pi-n", n=5), PlaneTree)
-        assert isinstance(draw("P-x", x=2), SpatialTree)
-        s = draw("P-n-x", n=5, x=2)
-        assert isinstance(s, SpatialTree) and s.root_label == 2 and s.size == 6
-        s = draw("Pbar-n-x", n=3, x=1)
-        assert all(v > 0 for v in s.labels[1:])
-        s = draw("Q", )
-        assert s.tree.counts[0] == 1 and s.root_label == 0
-        s = draw("Q-n", n=4)
-        assert s.size == 5 and s.tree.counts[0] == 1
-        s = draw("Qbar-n", n=3)
-        assert s.root_label == 0 and all(v > 0 for v in s.labels[1:])
+        assert draw("Pi")[1] is None
+        counts, labels = draw("Pi-n", n=5)
+        assert labels is None and {len(c) for c in counts} == {6}
+        assert {l[0] for l in draw("P-x", x=2)[1]} == {2}
+        counts, labels = draw("P-n-x", n=5, x=2)
+        assert {len(c) for c in counts} == {6} and {l[0] for l in labels} == {2}
+        _, labels = draw("Pbar-n-x", n=3, x=1)
+        assert {l[0] for l in labels} == {1} and all(v > 0 for l in labels for v in l[1:])
+        counts, labels = draw("Q")
+        assert {c[0] for c in counts} == {1} and {l[0] for l in labels} == {0}
+        counts, labels = draw("Q-n", n=4, x=2)
+        assert {c[:1] + (len(c),) for c in counts} == {(1, 5)} and {l[0] for l in labels} == {0}
+        counts, labels = draw("Qbar-n", n=3)
+        assert {c[0] for c in counts} == {1}
+        assert {l[0] for l in labels} == {0} and all(v > 0 for l in labels for v in l[1:])
+        for measure in MEASURES:
+            assert draw(measure, n=2, x=1, count=0) == ([], None if "Pi" in measure else [])
+
+    def test_batched_sized_rows_equal_per_draw_rows(self):
+        for n in (0, 1, 7, 500):
+            counts, _ = sample_measure("Pi-n", GEO, U3, n, 0, 40, rng_of(n))
+            rng = rng_of(n)
+            assert counts == [sample_gw_sized(GEO, n, rng).counts for _ in range(40)]
 
     def test_bad_config(self):
-        with pytest.raises(ValueError):
-            SampleConfig(measure="nope", seed=0)
-        with pytest.raises(ValueError):
-            SampleConfig(measure="Pi-n", seed=0)
+        with pytest.raises(ValueError, match="unknown measure"):
+            sample_measure("nope", GEO, U3, 3, 0, 1, rng_of(0))
+        with pytest.raises(ValueError, match="needs n"):
+            sample_measure("Pi-n", GEO, U3, None, 0, 1, rng_of(0))
+        with pytest.raises(ValueError, match="at least 1"):
+            sample_measure("Qbar-n", GEO, U3, 0, 0, 1, rng_of(0))
+        with pytest.raises(NegativeRootLabel):
+            sample_measure("Pbar-n-x", GEO, U3, 3, -1, 1, rng_of(0))
 
 
 class TestImportanceSampler:

@@ -1,0 +1,28 @@
+"""The package's promises to its readers: the README's library example runs
+as written, and every exported name exists."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import treesnake
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_use_runs_as_written():
+    text = README.read_text()
+    section = text[text.index("## Library use"):]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert block is not None
+    namespace: dict = {}
+    exec(compile(block.group(1), f"{README}:Library use", "exec"), namespace)
+    assert namespace["tree"].n_edges == 200
+    assert namespace["uniform"].n == 200
+
+
+def test_every_export_resolves():
+    missing = [name for name in treesnake.__all__ if not hasattr(treesnake, name)]
+    assert missing == []
+    assert len(set(treesnake.__all__)) == len(treesnake.__all__)
