@@ -128,7 +128,8 @@ def _path_sums(end: np.ndarray, w: np.ndarray) -> np.ndarray:
     b, n1 = end.shape
     acc = np.zeros((b, n1 + 1), dtype=w.dtype)
     acc[:, :n1] = w
-    np.subtract.at(acc, (np.arange(b)[:, None], end), w)
+    # one flat index per entry: ufunc.at is much slower on index tuples
+    np.subtract.at(acc.reshape(-1), (end + (n1 + 1) * np.arange(b)[:, None]).ravel(), w.ravel())
     return np.cumsum(acc[:, :n1], axis=1)
 
 

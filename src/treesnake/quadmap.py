@@ -39,8 +39,10 @@ uniform pair gives a uniform rooted map with no rejection.
 Radii and root distances of sampled maps need only the arcs, not the
 rotation system.  sample_radius_and_distance reads them off batches of
 drawn (tree, sign) arrays: corner labels from the contour, every
-successor corner at once from one sort of (map, label, time) keys, and one
-breadth-first search from all root vertices together.
+successor corner at once as a first return of the corner labels read
+twice round, vertex numbers from each vertex's first dart, and one
+breadth-first search from all root vertices together that expands only
+its frontier over an adjacency list sorted once.
 """
 
 from __future__ import annotations
@@ -59,7 +61,13 @@ from treesnake.gw_sampler import (
     _label_rows,
     _sized_count_rows,
 )
-from treesnake.plane_tree import PlaneTree, _row_contours, _subtree_ends, enumerate_trees
+from treesnake.plane_tree import (
+    PlaneTree,
+    _first_returns,
+    _row_contours,
+    _subtree_ends,
+    enumerate_trees,
+)
 from treesnake.spatial_tree import SpatialTree
 
 
@@ -180,12 +188,6 @@ def _labels_or_raise(wt: SpatialTree) -> None:
             )
 
 
-def _well_labelled_or_raise(wt: SpatialTree) -> None:
-    _labels_or_raise(wt)
-    if wt.labels[0] != 1:
-        raise NotWellLabelled(f"root label {wt.labels[0]}, want 1")
-
-
 def enumerate_well_labelled(n: int) -> Iterator[SpatialTree]:
     """Every well-labelled tree with n edges, in plane-tree enumeration order."""
     if n < 1:
@@ -209,7 +211,9 @@ def cvs_build(wt: SpatialTree, n: Optional[int] = None) -> PlanarQuadrangulation
     The root dart is the extra-vertex end of the root corner's arc, so the
     root vertex of the map is the extra vertex.
     """
-    _well_labelled_or_raise(wt)
+    _labels_or_raise(wt)
+    if wt.labels[0] != 1:
+        raise NotWellLabelled(f"root label {wt.labels[0]}, want 1")
     if n is None:
         n = wt.tree.n_edges
     elif n != wt.tree.n_edges:
@@ -420,6 +424,8 @@ def cvs_inverse(q: PlanarQuadrangulation) -> SpatialTree:
         raise NotAQuadrangulation("face edges do not avoid the root vertex")
 
     root = origin[q.alpha[q.root_dart]]
+    if dist[root] != 1:
+        raise NotWellLabelled(f"root label {dist[root]}, want 1")
 
     def ordered_from(v: int, start: float, skip_eid: int) -> list[tuple[int, int]]:
         """Edges at v in rotation order strictly after the angular start."""
@@ -431,7 +437,8 @@ def cvs_inverse(q: PlanarQuadrangulation) -> SpatialTree:
         )
         return [(eid, w) for _, eid, w in out]
 
-    # rebuild the embedded tree from the root, children in rotation order
+    # rebuild the embedded tree from the root, children in rotation order;
+    # labels are distances, so only their steps along tree edges need a check
     counts: list[int] = []
     labels: list[int] = []
     start_key = float(pos[q.alpha[q.root_dart]])
@@ -443,6 +450,8 @@ def cvs_inverse(q: PlanarQuadrangulation) -> SpatialTree:
         counts.append(len(kids))
         labels.append(dist[v])
         for eid, w in reversed(kids):
+            if abs(dist[w] - dist[v]) > 1:
+                raise NotWellLabelled(f"labels jump by {abs(dist[w] - dist[v])} along an edge")
             # the child's own fan starts from this edge's key at the child
             (va, ka), (vb, kb) = edges[eid]
             child_key = ka if (va == w) else kb
@@ -452,10 +461,7 @@ def cvs_inverse(q: PlanarQuadrangulation) -> SpatialTree:
             raise NotAQuadrangulation("face edges do not form a tree")
     if len(counts) != q.n + 1:
         raise NotAQuadrangulation("face edges do not span the map")
-    tree = PlaneTree(tuple(counts))
-    wt = SpatialTree(tree, tuple(labels))
-    _well_labelled_or_raise(wt)
-    return wt
+    return SpatialTree(PlaneTree(tuple(counts)), tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +524,10 @@ def _arc_distances(
     is the distance from the root vertex of map b to its vertex number k,
     vertices numbered as PlanarQuadrangulation.vertex_of numbers them, and
     root[b] is the root vertex's number.  Only the arcs of the maps are
-    built, all maps at once, and one breadth-first search runs from every
-    root together.
+    built, all maps at once: successors by first returns (no stable sort),
+    vertex numbers from first corners and first landings (no sort of the
+    darts), and one breadth-first search from every root together, which
+    reads each vertex's arcs once, at its own level.
     """
     if np.abs(incs).max(initial=0) > 1:
         raise NotWellLabelled("labels jump by more than 1 along an edge")
@@ -530,47 +538,61 @@ def _arc_distances(
 
     # corner t sits at tree vertex cv[t] and carries its label
     end = _subtree_ends(rows)
-    cv = _row_contours(end)[2][:, :m]
+    depth, _, contour = _row_contours(end)
+    cv = contour[:, :m]
     lab = np.take_along_axis(_label_rows(end, incs, 0), cv, axis=1)
     lab -= lab.min(axis=1, keepdims=True) - 1  # minimum 1, the point at 0
 
     # successor of corner t: the next corner cyclically with label one lower,
-    # found among the corners sorted by (map, label, time); the first such
-    # corner when none follows, the point when the label is 1
-    group = (base * nv + lab).ravel()
-    times = np.tile(np.arange(m), b)
-    order = np.argsort(group, kind="stable")
-    start = np.zeros(b * nv + 1, dtype=np.int64)
-    np.cumsum(np.bincount(group, minlength=b * nv), out=start[1:])
-    below, own = start[group - 1], start[group]
-    nxt = np.searchsorted(group[order] * m + times[order], (group - 1) * m + times, side="right")
-    nxt = np.where(nxt < own, nxt, below)
-    target = np.where(below < own, cv.ravel()[order[nxt]], nv - 1).reshape(b, m)
+    # which is the first return of the labels read twice round (rows are 2m
+    # long, so a time mod m is its corner), or the point when the label is 1
+    succ = _first_returns(np.concatenate([lab, lab], axis=1).ravel()).reshape(b, 2 * m)
+    target = np.where(lab == 1, nv - 1, np.take_along_axis(cv, succ[:, :m] % m, axis=1))
+
+    # arc t runs from tail[t] to head[t], vertices of map i numbered from i * nv
+    nvb = b * nv
+    tail = (base * nv + cv).ravel()
+    head = (base * nv + target).ravel()
 
     # dart 2t leaves corner t's vertex and dart 2t + 1 its arc's target;
-    # vertex_of numbers vertices by their first dart
-    origin = np.empty((b, 2 * m), dtype=np.int64)
-    origin[:, 0::2] = cv
-    origin[:, 1::2] = target
-    first = np.unique((base * nv + origin).ravel(), return_index=True)[1].reshape(b, nv)
+    # vertex_of numbers vertices by their first dart: tree vertex k's first
+    # corner (time 2k - depth[k]) or the first arc that lands on it
+    first = np.empty((b, nv), dtype=np.int64)
+    first[:, :n1] = 2 * (2 * np.arange(n1) - depth)
+    first[:, n1] = 2 * m  # past every dart; the point is always landed on
+    np.minimum.at(first.reshape(-1), head, np.tile(2 * np.arange(m) + 1, b))
     by_number = np.argsort(first, axis=1)
     root = np.where(signs == 1, 0, target[:, 0])
     root_number = (first < first[np.arange(b), root][:, None]).sum(axis=1)
 
-    # level-synchronous BFS from every root at once, over the arcs both ways
-    tail = (base * nv + cv).ravel()
-    head = (base * nv + target).ravel()
-    src = np.concatenate([tail, head])
-    dst = np.concatenate([head, tail])
-    dist = np.full(b * nv, -1, dtype=np.int64)
-    dist[np.arange(b) * nv + root] = 0
+    # the arcs both ways as one adjacency list, sorted by source vertex
+    adj = np.concatenate([tail * nvb + head, head * nvb + tail])
+    adj.sort()
+    adj %= nvb
+    degree = np.bincount(tail, minlength=nvb) + np.bincount(head, minlength=nvb)
+    ptr = np.cumsum(degree) - degree  # each vertex's first entry in adj
+
+    # breadth-first search from every root at once, expanding only the
+    # frontier: each vertex's arcs are read once, at its own level
+    dist = np.full(nvb, -1, dtype=np.int64)
+    front = np.arange(b) * nv + root
+    dist[front] = 0
+    slot = np.empty(nvb, dtype=np.int64)
+    # the level masks are prefixes of one buffer: numpy keeps small freed
+    # arrays for reuse, and masks of every frontier size would pile up there
+    mask = np.empty(adj.size, dtype=bool)
     level = 0
-    while True:
-        reached = dst[(dist[src] == level) & (dist[dst] < 0)]
-        if not reached.size:
-            break
+    while front.size:
         level += 1
+        deg = degree[front]
+        ends = np.cumsum(deg)
+        reached = adj[np.repeat(ptr[front] - ends + deg, deg) + np.arange(ends[-1])]
+        reached = reached[np.less(dist[reached], 0, out=mask[: reached.size])]
         dist[reached] = level
+        # keep one copy of each vertex reached twice
+        slot[reached] = np.arange(reached.size)
+        kept = np.equal(slot[reached], np.arange(reached.size), out=mask[: reached.size])
+        front = reached[kept]
     if (dist < 0).any():
         raise NotAQuadrangulation("map is not connected")
     return np.take_along_axis(dist.reshape(b, nv), by_number, axis=1), root_number

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -26,6 +27,7 @@ from treesnake.quadmap import (
     _arc_distances,
     _bfs_distances,
     _pointed_build,
+    _pointed_draws,
     canonical_code,
     cvs_build,
     cvs_inverse,
@@ -367,9 +369,12 @@ class TestArcKernel:
             assert d.tolist() == _bfs_distances(q, r).tolist()
 
     @pytest.mark.parametrize("seed", [3, 4])
-    @pytest.mark.parametrize("n,maps", [(1, 40), (2, 40), (3, 40), (50, 40), (500, 25)])
+    @pytest.mark.parametrize(
+        "n,maps", [(1, 40), (2, 40), (3, 40), (50, 40), (500, 25), (5001, 2)]
+    )
     def test_sampler_matches_per_map_reference(self, n, maps, seed):
-        # at n = 500 the maps span three kernel batches
+        # at n = 500 the maps span three kernel batches; above n = 5000 the
+        # corner budget holds less than one map, so each batch holds one
         assert n < 500 or maps > 2 * (_CORNER_BUDGET // (2 * n))
         radii, dists, attempts = sample_radius_and_distance(
             n, maps, np.random.default_rng(seed)
@@ -386,3 +391,18 @@ class TestArcKernel:
     def test_steps_must_stay_within_one(self):
         with pytest.raises(NotWellLabelled):
             _arc_distances(np.array([[1, 0]]), np.array([[2]]), np.array([1]))
+
+    def test_batch_memory_is_linear_in_its_corners(self):
+        # one full batch at n = 500; the kernel that sorted (map, label, time)
+        # keys peaked at 178 bytes a corner here (numpy 2.4)
+        n = 500
+        batch = _CORNER_BUDGET // (2 * n)
+        rows, incs, signs = next(_pointed_draws(n, batch, np.random.default_rng(1)))
+        _arc_distances(rows, incs, signs)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            _arc_distances(rows, incs, signs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * batch * 2 * n
