@@ -10,11 +10,12 @@ the sampling paths beyond the tree classes themselves.
 Measures on labelled trees are represented as dictionaries mapping an atom
 (preorder counts, preorder labels) to its exact weight, a Fraction; two
 measures agree for every functional exactly when the dictionaries are
-equal, and reports additionally spell out a mechanically generated family
-of functionals so a failure points at something readable.  A functional
-may return an int or a Fraction.  Integration puts a measure's weights over
-one common denominator and sums integer numerators, skipping atoms where the
-functional vanishes, so the only Fraction built per functional is the total.
+equal.  Reports additionally spell out indicators of five families (shape,
+leaf count, sorted label multiset, head label, atom) so a failure points at
+something readable.  Each family is a key of an atom: a report puts a
+measure's weights over one common denominator and, in one pass, adds each
+atom's integer numerator to its key's sum in every family, so an
+indicator's mass is a lookup and no functional is called per atom.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from treesnake.gw_sampler import OffspringDistribution, StepDistribution
 from treesnake.plane_tree import PlaneTree, enumerate_trees
@@ -33,8 +34,8 @@ RationalWeight = Fraction
 Atom = tuple[tuple[int, ...], tuple]
 # re-rooted counts and, per new vertex, the index of the old vertex it comes from
 Plan = tuple[tuple[int, ...], tuple[int, ...]]
-# a name and a map from labelled trees to ints or Fractions
-Functional = tuple[str, Callable[[SpatialTree], int | Fraction]]
+# a name and a map from labelled trees to ints
+Functional = tuple[str, Callable[[SpatialTree], int]]
 
 
 class IrrationalMass(ValueError):
@@ -169,92 +170,75 @@ def _atom_key(s: SpatialTree) -> Atom:
     return (s.tree.counts, s.labels)
 
 
-def _atom_trees(measure: dict[Atom, Fraction]) -> Iterator[tuple[SpatialTree, Fraction]]:
-    """Each atom as a labelled tree with its weight, one PlaneTree per shape."""
-    shapes: dict[tuple[int, ...], PlaneTree] = {}
-    for (counts, labels), w in measure.items():
-        t = shapes.get(counts)
-        if t is None:
-            t = shapes[counts] = PlaneTree(counts)
-        yield SpatialTree(t, labels), w
+def _join(xs) -> str:
+    return ",".join(map(str, xs))
 
 
-def _n_leaves(t: PlaneTree) -> int:
-    return t.counts[1:].count(0)
+# The indicator families of a report, in report order: per family, the key
+# of an atom (None: the atom has none), how a key prints, and how many of
+# the keys present, in sorted order, get an indicator.
+_FAMILIES: dict[str, tuple[Callable[[Atom], object], Callable, Optional[int]]] = {
+    "shape": (lambda a: a[0], _join, None),
+    "leaves": (lambda a: a[0][1:].count(0), str, None),
+    "labels": (lambda a: tuple(sorted(a[1])), _join, 24),
+    # the contour sits at preorder vertex 1, the root's first child, at time 1
+    "head-label": (lambda a: a[1][1] if len(a[0]) > 1 else None, str, None),
+    "atom": (lambda a: a, lambda a: _join(a[0]) + "|" + _join(a[1]), 3),
+}
 
 
-def _measure_values(
-    measure: dict[Atom, Fraction], functionals: Sequence[Functional]
-) -> list[Fraction]:
-    """Every functional integrated against a measure, in integer arithmetic.
+def _pushforward(measure: dict[Atom, Fraction]) -> tuple[int, int, dict[str, dict]]:
+    """A measure pushed forward by every family's key, in integer numerators.
 
-    The weights go over their common denominator once, each functional
-    sums numerators over the atoms where it does not vanish (integers when
-    it returns ints), and one Fraction per functional is built at the end.
+    The weights go over their common denominator once and each atom adds
+    its numerator to its key's sum in each family, so an indicator's mass
+    is one lookup.  Returns the denominator, the total and the sums.
     """
     den = math.lcm(*(w.denominator for w in measure.values()))
-    fns = [fn for _, fn in functionals]
-    sums = [0] * len(fns)
-    for s, w in _atom_trees(measure):
+    total = 0
+    sums: dict[str, dict] = {family: {} for family in _FAMILIES}
+    for atom, w in measure.items():
         num = w.numerator * (den // w.denominator)
-        for i, fn in enumerate(fns):
-            v = fn(s)
-            if v:
-                sums[i] += num * v
-    return [Fraction(x, den) for x in sums]
+        total += num
+        for family, (key, _, _) in _FAMILIES.items():
+            k = key(atom)
+            sums[family][k] = sums[family].get(k, 0) + num
+    return den, total, sums
+
+
+def _indicators(sums: dict[str, dict]) -> list[tuple[str, str, object]]:
+    """(name, family, key) of each indicator on the keys a pushforward hit."""
+    rows = []
+    for family, (_, show, limit) in _FAMILIES.items():
+        keys = sorted(k for k in sums[family] if k is not None)[:limit]
+        rows += [(f"{family}={show(k)}", family, k) for k in keys]
+    return rows
 
 
 def default_functionals(measure: dict[Atom, Fraction]) -> list[Functional]:
-    """A mechanical functional family read off a measure's support.
+    """A report's functionals, as int-valued maps on labelled trees.
 
-    Includes the constant, indicators of every shape, every leaf count and
-    every sorted label multiset present, indicators of the label read at
-    contour time 1, and point indicators of the first few atoms.
+    The constant, then indicators of every shape, every leaf count, the
+    first 24 sorted label multisets and every label read at contour time 1
+    present on the measure's support, then point indicators of its first
+    three atoms.
     """
     fns: list[Functional] = [("total-mass", lambda s: 1)]
-    shapes = sorted({key[0] for key in measure})
-    for sh in shapes:
-        fns.append(("shape=" + ",".join(map(str, sh)), lambda s, sh=sh: int(s.tree.counts == sh)))
-    leafcounts = sorted({_n_leaves(s.tree) for s, _ in _atom_trees(measure)})
-    for k in leafcounts:
-        fns.append(("leaves=" + str(k), lambda s, k=k: int(_n_leaves(s.tree) == k)))
-    histograms = sorted({tuple(sorted(key[1])) for key in measure})
-    # the labels= indicators share one sort per atom: the sorted labels are
-    # kept with the labels tuple they came from and reused while it recurs
-    last: list = [None, None]
-
-    def multiset(s: SpatialTree) -> tuple:
-        if s.labels is not last[0]:
-            last[0], last[1] = s.labels, tuple(sorted(s.labels))
-        return last[1]
-
-    for h in histograms[:24]:
-        fns.append(("labels=" + ",".join(map(str, h)), lambda s, h=h: int(multiset(s) == h)))
-    # the contour sits at preorder vertex 1, the root's first child, at time 1
-    heads = sorted({key[1][1] for key in measure if len(key[0]) > 1})
-    for y in heads:
-        fns.append(("head-label=" + str(y), lambda s, y=y: int(s.size > 1 and s.labels[1] == y)))
-    for key in sorted(measure)[:3]:
-        fns.append(
-            (
-                "atom=" + ",".join(map(str, key[0])) + "|" + ",".join(map(str, key[1])),
-                lambda s, k=key: int(_atom_key(s) == k),
-            )
-        )
+    for name, family, k in _indicators(_pushforward(measure)[2]):
+        key = _FAMILIES[family][0]
+        fns.append((name, lambda s, key=key, k=k: int(key(_atom_key(s)) == k)))
     return fns
 
 
-def _functional_report(
-    lhs: dict[Atom, Fraction],
-    rhs: dict[Atom, Fraction],
-    functionals: Optional[Sequence[Functional]],
-) -> list[dict]:
-    if functionals is None:
-        functionals = default_functionals(rhs if rhs else lhs)
+def _functional_report(lhs: dict[Atom, Fraction], rhs: dict[Atom, Fraction]) -> list[dict]:
+    (lden, ltotal, lsums), (rden, rtotal, rsums) = _pushforward(lhs), _pushforward(rhs)
+    masses = [("total-mass", ltotal, rtotal)] + [
+        (name, lsums[family].get(k, 0), rsums[family].get(k, 0))
+        for name, family, k in _indicators(rsums if rhs else lsums)
+    ]
     rows = []
-    for (name, _), a, b in zip(
-        functionals, _measure_values(lhs, functionals), _measure_values(rhs, functionals)
-    ):
+    for name, a, b in masses:
+        a, b = Fraction(a, lden), Fraction(b, rden)
         rows.append({"name": name, "lhs": _frac(a), "rhs": _frac(b), "equal": a == b})
     return rows
 
@@ -336,7 +320,6 @@ def _verify_reroot(
     n: int,
     mu: OffspringDistribution,
     gamma: StepDistribution,
-    functionals: Optional[Sequence[Functional]],
     closed: bool,
 ) -> dict:
     lhs, rhs, terms = reroot_measures(n, mu, gamma, closed=closed)
@@ -348,7 +331,7 @@ def _verify_reroot(
         "equal": lhs == rhs,
         "terms": terms,
         "atoms": len(rhs),
-        "functionals": _functional_report(lhs, rhs, functionals),
+        "functionals": _functional_report(lhs, rhs),
     }
 
 
@@ -356,24 +339,22 @@ def verify_reroot_identity(
     n: int,
     mu: OffspringDistribution,
     gamma: StepDistribution,
-    functionals: Optional[Sequence[Functional]] = None,
 ) -> dict:
     """Exact check of the open re-rooting identity at n edges."""
-    return _verify_reroot(n, mu, gamma, functionals, closed=False)
+    return _verify_reroot(n, mu, gamma, closed=False)
 
 
 def verify_reroot_identity_closed(
     n: int,
     mu: OffspringDistribution,
     gamma: StepDistribution,
-    functionals: Optional[Sequence[Functional]] = None,
 ) -> dict:
     """Exact check of the closed (summed over argmin leaves) identity."""
-    return _verify_reroot(n, mu, gamma, functionals, closed=True)
+    return _verify_reroot(n, mu, gamma, closed=True)
 
 
 # ---------------------------------------------------------------------------
-# well-labelled census and leaf statistics
+# well-labelled census and conditioned label law
 
 
 def count_well_labelled(n: int) -> tuple[int, int, Fraction]:
@@ -409,19 +390,6 @@ def count_well_labelled(n: int) -> tuple[int, int, Fraction]:
 
         count_pos += branch(1)
     return count_all, count_pos, Fraction(count_pos, count_all)
-
-
-def leaf_count_mean(mu: OffspringDistribution, n: int) -> Fraction:
-    """Exact mean leaf count of a size-conditioned tree with n edges."""
-    total = Fraction(0)
-    weighted = Fraction(0)
-    for t in enumerate_trees(n + 1):
-        w = tree_weight(t, mu)
-        total += w
-        weighted += w * _n_leaves(t)
-    if total == 0:
-        raise UnreachableSizeError(n)
-    return weighted / total
 
 
 class UnreachableSizeError(ValueError):

@@ -316,15 +316,6 @@ def leaves(t: PlaneTree) -> frozenset[Vertex]:
     )
 
 
-def subtree_from(t: PlaneTree, v: Vertex) -> PlaneTree:
-    """The subtree hanging at v, re-addressed so v becomes the root."""
-    i = t.index_of.get(tuple(v))
-    if i is None:
-        raise VertexNotInTree(f"vertex {v} not in {t!r}")
-    s = t.subtree_sizes[i]
-    return PlaneTree(t.counts[i : i + s])
-
-
 def truncate_at(t: PlaneTree, v: Vertex) -> PlaneTree:
     """The tree with every strict descendant of v removed (v becomes a leaf)."""
     i = t.index_of.get(tuple(v))

@@ -584,6 +584,12 @@ def _arc_distances(
     level = 0
     while front.size:
         level += 1
+        if level > nv:
+            # a connected map on nv vertices has fewer levels than that
+            raise RuntimeError(
+                "arc kernel fault: the breadth-first search passed the vertex count, "
+                "so its frontier keeps visited vertices"
+            )
         deg = degree[front]
         ends = np.cumsum(deg)
         reached = adj[np.repeat(ptr[front] - ends + deg, deg) + np.arange(ends[-1])]

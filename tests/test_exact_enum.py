@@ -5,16 +5,17 @@ import pytest
 
 from treesnake import exact_enum
 from treesnake.exact_enum import (
+    _FAMILIES,
     IrrationalMass,
     _apply_plan,
-    _measure_values,
-    _n_leaves,
+    _functional_report,
+    _frac,
+    _pushforward,
     _reroot_plan,
     conditional_label_law,
     count_well_labelled,
     default_functionals,
     labelled_atoms,
-    leaf_count_mean,
     q_weight,
     reroot_measures,
     tree_weight,
@@ -133,10 +134,16 @@ class TestRerootIdentities:
         assert r["mu"] == "geometric-half"
         assert r["gamma"] == "uniform3"
         names = [f["name"] for f in r["functionals"]]
-        assert "total-mass" in names
-        assert any(name.startswith("shape=") for name in names)
-        assert any(name.startswith("labels=") for name in names)
-        assert any(name.startswith("atom=") for name in names)
+        assert names == [
+            "total-mass",
+            "shape=1,1,0",
+            "leaves=1",
+            "labels=0,1,1",
+            "labels=0,1,2",
+            "head-label=1",
+            "atom=1,1,0|0,1,1",
+            "atom=1,1,0|0,1,2",
+        ]
 
 
 class TestRerootPlans:
@@ -189,13 +196,20 @@ class TestCensus:
         assert count_well_labelled(0) == (1, 1, Fraction(1))
 
 
+def mean_leaves(mu, n):
+    """Mean leaf count of the size-conditioned shape law, from the leaves family."""
+    shapes = {(t.counts, (0,) * t.size): tree_weight(t, mu) for t in enumerate_trees(n + 1)}
+    _, total, sums = _pushforward(shapes)
+    return Fraction(sum(k * m for k, m in sums["leaves"].items()), total)
+
+
 class TestLeafStatistics:
     def test_exact_small_value(self):
-        assert leaf_count_mean(GEO, 4) == Fraction(5, 2)
+        assert mean_leaves(GEO, 4) == Fraction(5, 2)
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_leaf_share_near_half(self, n):
-        share = leaf_count_mean(GEO, n) / (n + 1)
+        share = mean_leaves(GEO, n) / (n + 1)
         assert abs(share - Fraction(1, 2)) <= Fraction(1, 10)
 
 
@@ -238,14 +252,6 @@ class TestFunctionalFamily:
         assert all(type(fn(s)) is int for _, fn in default_functionals(rhs))
 
 
-# functionals that are not indicators, one of them a non-integer constant
-PLAIN_FUNCTIONALS = [
-    ("leaf-count", lambda s: _n_leaves(s.tree)),
-    ("label-sum", lambda s: sum(s.labels)),
-    ("one-seventh", lambda s: Fraction(1, 7)),
-]
-
-
 def reference_values(measure, functionals):
     """Each functional summed atom by atom in plain Fraction arithmetic."""
     out = []
@@ -264,11 +270,26 @@ class TestMeasureValues:
     @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equals_the_fraction_sum(self, n, closed, mu, gamma):
+        # the report's pushforward masses against the same indicators called
+        # on every atom
         lhs, rhs, _ = reroot_measures(n, mu, gamma, closed=closed)
-        for measure in (lhs, rhs):
-            got = _measure_values(measure, PLAIN_FUNCTIONALS)
-            assert got == reference_values(measure, PLAIN_FUNCTIONALS)
-            assert all(type(v) is Fraction for v in got)
+        fns = default_functionals(rhs if rhs else lhs)
+        rows = _functional_report(lhs, rhs)
+        assert [row["name"] for row in rows] == [name for name, _ in fns]
+        for side, measure in (("lhs", lhs), ("rhs", rhs)):
+            want = [_frac(v) for v in reference_values(measure, fns)]
+            assert [row[side] for row in rows] == want
+
+    def test_sides_are_kept_apart(self):
+        # open and closed pushforwards differ (ties at 0 steps), so a report
+        # that read one side twice would show
+        lo, _, _ = reroot_measures(3, GEO, U3, closed=False)
+        lc, _, _ = reroot_measures(3, GEO, U3, closed=True)
+        fns = default_functionals(lc)
+        rows = _functional_report(lo, lc)
+        assert [row["lhs"] for row in rows] == [_frac(v) for v in reference_values(lo, fns)]
+        assert [row["rhs"] for row in rows] == [_frac(v) for v in reference_values(lc, fns)]
+        assert rows[0]["equal"] is False
 
     def test_weights_have_several_denominators(self):
         _, rhs, _ = reroot_measures(4, GEO, U3)
@@ -278,11 +299,15 @@ class TestMeasureValues:
         # a single-child root with binary offspring needs an odd edge count
         lhs, rhs, _ = reroot_measures(2, BINARY, U3)
         assert lhs == rhs == {}
-        assert _measure_values({}, PLAIN_FUNCTIONALS) == [0, 0, 0]
+        assert _pushforward({}) == (1, 0, {family: {} for family in _FAMILIES})
+        assert _functional_report({}, {}) == [
+            {"name": "total-mass", "lhs": "0/1", "rhs": "0/1", "equal": True}
+        ]
 
 
 def test_leaf_count_matches_the_leaf_set():
     trees = [t for k in range(1, 10) for t in enumerate_trees(k)]
     assert len(trees) == 2056
+    leaf_count = _FAMILIES["leaves"][0]
     for t in trees:
-        assert _n_leaves(t) == len(leaves(t))
+        assert leaf_count((t.counts, ())) == len(leaves(t))

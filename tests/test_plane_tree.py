@@ -17,7 +17,6 @@ from treesnake.plane_tree import (
     contour_of,
     enumerate_trees,
     leaves,
-    subtree_from,
     tree_from_line,
     tree_of_contour,
     tree_to_line,
@@ -197,11 +196,6 @@ class TestLeavesAndSubtrees:
     def test_singleton_has_no_leaves(self):
         assert leaves(build_tree([0])) == frozenset()
 
-    def test_subtree_from_example(self):
-        t = build_tree(EX_COUNTS)
-        assert subtree_from(t, (1, 2)).counts == (2, 0, 0)
-        assert subtree_from(t, ()) == t
-
     def test_truncate_example(self):
         t = build_tree(EX_COUNTS)
         assert truncate_at(t, (1,)).counts == (2, 0, 0)
@@ -210,7 +204,7 @@ class TestLeavesAndSubtrees:
     def test_subtree_errors(self):
         t = build_tree(EX_COUNTS)
         with pytest.raises(VertexNotInTree):
-            subtree_from(t, (9,))
+            truncate_at(t, (9,))
         with pytest.raises(VertexNotInTree):
             truncate_at(t, (1, 4))
 
@@ -262,8 +256,8 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     def test_subtree_sizes_agree(self, t):
         for v in t.vertices:
-            sub = subtree_from(t, v)
-            assert sub.size == t.subtree_sizes[t.index_of[v]]
+            below = sum(1 for u in t.vertices if u[: len(v)] == v)
+            assert below == t.subtree_sizes[t.index_of[v]]
         assert leaves(t) == {
             v for i, v in enumerate(t.vertices) if t.counts[i] == 0 and v != ()
         }
@@ -273,5 +267,4 @@ class TestProperties:
     def test_truncate_then_subtree_partition(self, t):
         for v in t.vertices:
             trunc = truncate_at(t, v)
-            sub = subtree_from(t, v)
-            assert trunc.size + sub.size - 1 == t.size
+            assert trunc.size + t.subtree_sizes[t.index_of[v]] - 1 == t.size

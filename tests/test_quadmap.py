@@ -392,6 +392,18 @@ class TestArcKernel:
         with pytest.raises(NotWellLabelled):
             _arc_distances(np.array([[1, 0]]), np.array([[2]]), np.array([1]))
 
+    def test_a_frontier_that_keeps_visited_vertices_raises(self, monkeypatch):
+        # the level cap turns a kernel fault that would loop forever into an error
+        rows, incs, signs = next(_pointed_draws(50, 4, np.random.default_rng(1)))
+
+        def everything_unvisited(a, b, out):
+            out[...] = True
+            return out
+
+        monkeypatch.setattr(np, "less", everything_unvisited)
+        with pytest.raises(RuntimeError, match="arc kernel fault"):
+            _arc_distances(rows, incs, signs)
+
     def test_batch_memory_is_linear_in_its_corners(self):
         # one full batch at n = 500; the kernel that sorted (map, label, time)
         # keys peaked at 178 bytes a corner here (numpy 2.4)
