@@ -91,16 +91,43 @@ def contour_arrays(counts: Sequence[int]) -> tuple[list[int], list[int], list[in
 
 def _first_returns(walk: np.ndarray) -> np.ndarray:
     """For each time i of a walk stepping down by at most 1, the first later
-    time at walk[i] - 1; arbitrary where the walk never gets there.
+    time at walk[i] - 1.  Where the walk never gets there the entry is still
+    a time in [0, t), so callers may gather with it before they discard it.
 
-    A step down of at most 1 cannot jump over that level, so the answer is
-    the next time in its level among the (level, time) keys sorted once.
+    A step down of at most 1 cannot jump over a level, so the walk first
+    reaches walk[i] - 1 one step after the first time k >= i at level
+    walk[i] whose next step goes down.  With the times grouped by level, in
+    time order within a level, that k is the next marked time of i's group,
+    so one grouping suffices: a stable argsort of the levels, which numpy
+    radix-sorts in O(t) when their span fits 16 bits (a wider span takes
+    the same call as a comparison sort), and a running count of the marks.
+    Counts are int32, so t stays below 2**31.
     """
     t = walk.size
-    keys = np.sort((walk - walk.min()) * t + np.arange(t))
-    found = keys[np.minimum(np.searchsorted(keys, keys - t, side="right"), t - 1)] % t
+    lo = walk.min()
+    # levels from 0 in the narrowest unsigned type, cast without an int64 copy
+    level = np.empty(t, dtype=np.min_scalar_type(walk.max() - lo))
+    np.subtract(walk, lo, out=level, casting="unsafe")
+    order = np.argsort(level, kind="stable")
+    down = np.zeros(t, dtype=bool)  # the next step goes down
+    np.less(level[1:], level[:-1], out=down[:-1])
+    del level
+    down = down[order]
+    # one past each marked time, in the grouped order, then a 0 for the
+    # entries past the last mark, which never return
+    marks = np.count_nonzero(down)
+    after = np.zeros(marks + 1, dtype=np.int32)
+    np.compress(down, order, out=after[:marks])
+    after[:marks] += 1
+    # entry p of the grouped order takes the first mark at or after p,
+    # whose index in after is the number of marks before p
+    before = np.cumsum(down, dtype=np.int32)
+    before -= down
+    del down
+    found = after[before]
+    del after, before
     out = np.empty(t, dtype=np.int64)
-    out[keys % t] = found
+    out[order] = found
     return out
 
 

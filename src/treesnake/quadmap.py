@@ -40,7 +40,8 @@ Radii and root distances of sampled maps need only the arcs, not the
 rotation system.  sample_radius_and_distance reads them off batches of
 drawn (tree, sign) arrays: corner labels from the contour, every
 successor corner at once as a first return of the corner labels read
-twice round, vertex numbers from each vertex's first dart, and one
+twice round (linear time: one stable radix grouping of the corners by
+label), vertex numbers from each vertex's first dart, and one
 breadth-first search from all root vertices together that expands only
 its frontier over an adjacency list sorted once.
 """
@@ -524,10 +525,11 @@ def _arc_distances(
     is the distance from the root vertex of map b to its vertex number k,
     vertices numbered as PlanarQuadrangulation.vertex_of numbers them, and
     root[b] is the root vertex's number.  Only the arcs of the maps are
-    built, all maps at once: successors by first returns (no stable sort),
-    vertex numbers from first corners and first landings (no sort of the
-    darts), and one breadth-first search from every root together, which
-    reads each vertex's arcs once, at its own level.
+    built, all maps at once: successors by first returns (the corners
+    grouped by label in one linear radix pass, no comparison sort), vertex
+    numbers from first corners and first landings (no sort of the darts),
+    and one breadth-first search from every root together, which reads
+    each vertex's arcs once, at its own level.
     """
     if np.abs(incs).max(initial=0) > 1:
         raise NotWellLabelled("labels jump by more than 1 along an edge")

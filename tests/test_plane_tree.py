@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treesnake.gw_sampler import OffspringDistribution, _sized_count_rows
 from treesnake.plane_tree import (
     ContourFunction,
     InvalidContour,
     InvalidPreorder,
     PlaneTree,
     VertexNotInTree,
+    _first_returns,
     _row_contours,
     _subtree_ends,
     build_tree,
@@ -161,6 +164,80 @@ class TestContour:
                 assert tuple(d) == t.depth
                 assert tuple(p) == t.parent_index
                 assert tuple(c) == t.contour_order
+
+
+def stack_first_returns(walk: list[int]) -> dict[int, int]:
+    """First later time at walk[i] - 1, for the times i where there is one.
+
+    The pending times on the stack have nondecreasing levels, so a time at
+    level v answers exactly the pending times on top at level v + 1.
+    """
+    found: dict[int, int] = {}
+    pending: list[int] = []
+    for j, v in enumerate(walk):
+        while pending and walk[pending[-1]] - 1 >= v:
+            found[pending.pop()] = j
+        pending.append(j)
+    return found
+
+
+class TestFirstReturns:
+    """The linear first-return kernel against a stack pass, where the walk returns."""
+
+    @staticmethod
+    def check(walk: np.ndarray) -> None:
+        got = _first_returns(walk)
+        found = stack_first_returns(walk.tolist())
+        assert got.shape == walk.shape
+        assert {i: int(got[i]) for i in found} == found
+        # entries that never return still index the walk
+        assert ((0 <= got) & (got < walk.size)).all()
+
+    @given(st.integers(-50, 50), st.lists(st.integers(-1, 1), max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_lazy_random_walks(self, start, steps):
+        self.check(np.cumsum([start, *steps]))
+
+    @given(st.lists(random_trees(max_size=30), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_lukasiewicz_forest_walks(self, forest):
+        # the walk _subtree_ends reads: partial sums of count - 1 over the rows in turn
+        counts = [c for t in forest for c in t.counts]
+        self.check(np.cumsum([0, *(c - 1 for c in counts)]))
+
+    @given(st.lists(random_trees(max_size=30), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_reversed_depth_rows(self, forest):
+        # the walk _row_contours reads parents from
+        self.check(np.array([d for t in forest for d in t.depth][::-1]))
+
+    def test_one_entry(self):
+        assert _first_returns(np.array([7])).tolist() == [0]
+
+    def test_a_span_past_sixteen_bits(self):
+        # levels wider than 16 bits go through the same stable sort on uint32
+        rng = np.random.default_rng(5)
+        steps = np.where(rng.random(200_000) < 0.02, rng.integers(1, 5000, 200_000), -1)
+        walk = np.cumsum(np.concatenate([[0], steps]))
+        assert walk.max() - walk.min() > 65_535
+        self.check(walk)
+
+    def test_memory_on_a_range_batch(self):
+        # one block of the range pipeline: 999 sized geometric rows at
+        # n = 2000; the kernel that sorted (level, time) keys and searched
+        # them peaked at 32.0 bytes an entry here, the grouping by level at
+        # 20.0 (numpy 2.4)
+        geometric = OffspringDistribution.geometric_half()
+        rows = _sized_count_rows(geometric, 2000, np.random.default_rng(1), 999)
+        walk = np.cumsum(np.concatenate([[0], rows.ravel() - 1]))
+        _first_returns(walk)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            _first_returns(walk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 33 * walk.size
 
 
 class TestVisitTimes:

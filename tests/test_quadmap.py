@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from treesnake import quadmap
 from treesnake.exact_enum import count_well_labelled
 from treesnake.gw_sampler import (
     OffspringDistribution,
@@ -393,14 +394,21 @@ class TestArcKernel:
             _arc_distances(np.array([[1, 0]]), np.array([[2]]), np.array([1]))
 
     def test_a_frontier_that_keeps_visited_vertices_raises(self, monkeypatch):
-        # the level cap turns a kernel fault that would loop forever into an error
+        # the level cap turns a kernel fault that would loop forever into an
+        # error; the fault goes into quadmap's own numpy name only, so numpy
+        # itself and every other module that calls np.less keep working
         rows, incs, signs = next(_pointed_draws(50, 4, np.random.default_rng(1)))
 
-        def everything_unvisited(a, b, out):
-            out[...] = True
-            return out
+        class EverythingUnvisited:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        monkeypatch.setattr(np, "less", everything_unvisited)
+            @staticmethod
+            def less(a, b, out):
+                out[...] = True
+                return out
+
+        monkeypatch.setattr(quadmap, "np", EverythingUnvisited())
         with pytest.raises(RuntimeError, match="arc kernel fault"):
             _arc_distances(rows, incs, signs)
 
