@@ -22,6 +22,16 @@ numpy call costs far more than the Python pass, while the pipelines label
 thousands of large rows at once.  Tests hold the two routes to the same
 labels.
 
+Memory: the batch kernels fill their output one row block of at most
+2**18 entries at a time (plane_tree._row_blocks): the sized count rows, and
+the labels that sample_label_extrema, estimate_positive_probability and
+_conditioned_rows reduce block by block.  A chunk's count rows are then its
+only array of the chunk's size (16 MB for 999 rows at n = 2000, where
+sample_label_extrema's traced peak is about 29 MB).  The blocks change no
+draw: consecutive blocks of rng.random, standard_normal or integers draw
+what one call would, and the chunk sizes, which fix the order of the
+draws, are unchanged.
+
 sample_measure is the one route from a measure token to its draws.  The
 sized measures (Pi-n, P-n-x, Pbar-n-x, Q-n, Qbar-n) take a whole block of
 count rows and label rows from one kernel call; the positivity-conditioned
@@ -34,11 +44,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from treesnake.plane_tree import PlaneTree, _path_sums, _subtree_ends, leaves
+from treesnake.plane_tree import PlaneTree, _path_sums, _row_blocks, _subtree_ends, leaves
 from treesnake.spatial_tree import Label, SpatialTree, min_label, reroot_at
 
 Numeric = Union[int, float, Fraction]
@@ -153,7 +163,7 @@ class OffspringDistribution:
 
     def sample_counts(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.is_geometric:
-            return rng.geometric(0.5, size=size).astype(np.int64) - 1
+            return rng.geometric(0.5, size=size) - 1
         u = rng.random(size)
         return self._values[np.searchsorted(self._cum, u, side="right").clip(0, len(self._values) - 1)]
 
@@ -245,10 +255,14 @@ class StepDistribution:
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.normal_std is not None:
             return rng.normal(0.0, self.normal_std, size=size)
+        # integers returns int64 already, so there is no cast to copy
         if self._int_valued and self.support == (-1, 0, 1):
-            return rng.integers(-1, 2, size=size).astype(np.int64)
+            return rng.integers(-1, 2, size=size)
         if self._int_valued and self.support == (-1, 1):
-            return 2 * rng.integers(0, 2, size=size).astype(np.int64) - 1
+            out = rng.integers(0, 2, size=size)
+            out *= 2
+            out -= 1
+            return out
         u = rng.random(size)
         idx = np.searchsorted(self._cum, u, side="right").clip(0, len(self._values) - 1)
         out = self._values[idx]
@@ -328,18 +342,22 @@ def sample_gw(
     return PlaneTree(tuple(counts))
 
 
-def _rotate_rows(rows: np.ndarray) -> np.ndarray:
+def _rotate_rows(rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Cycle-lemma rotation of count rows, each summing to one less than its length.
 
     The rotation starting right after the first minimum of the partial sums
-    of (c - 1) is the unique one that encodes a tree in preorder.
+    of (c - 1) is the unique one that encodes a tree in preorder.  It is
+    written into out when given, a C-contiguous array of the rows' shape.
     """
-    m = rows.shape[1]
+    b, m = rows.shape
     partial = np.cumsum(rows - 1, axis=1)
     jstar = np.argmin(partial, axis=1)  # first position of the minimum
-    start = (jstar + 1) % m
-    idx = (start[:, None] + np.arange(m)[None, :]) % m
-    return np.take_along_axis(rows, idx, axis=1)
+    # flat index of entry t of a rotated row: (jstar + 1 + t) mod m in its row
+    idx = np.arange(1, m + 1) + jstar[:, None]
+    idx %= m
+    idx += m * np.arange(b)[:, None]
+    # the indices are in range; mode="clip" lets take write out unbuffered
+    return np.take(rows, idx, out=out, mode="clip")
 
 
 def _composition_rows(n: int, rng: np.random.Generator, rows: int) -> np.ndarray:
@@ -348,7 +366,9 @@ def _composition_rows(n: int, rng: np.random.Generator, rows: int) -> np.ndarray
         return np.zeros((rows, 1), dtype=np.int64)
     slots = 2 * n
     u = rng.random((rows, slots))
-    bars = np.sort(np.argpartition(u, n - 1, axis=1)[:, :n], axis=1)
+    bars = np.argpartition(u, n - 1, axis=1)[:, :n]
+    del u  # freed before the sort allocates
+    bars = np.sort(bars, axis=1)
     out = np.empty((rows, n + 1), dtype=np.int64)
     out[:, 0] = bars[:, 0]
     if n > 1:
@@ -380,13 +400,20 @@ def _sized_count_rows(
     rng: np.random.Generator,
     rows: int,
 ) -> np.ndarray:
-    """Rotated preorder count rows of trees with n edges, one tree per row."""
+    """Rotated preorder count rows of trees with n edges, one tree per row.
+
+    The rows are drawn and rotated into the result one block at a time, so
+    the draw's temporaries stay within a few row blocks.
+    """
     _check_size_reachable(mu, n)
-    if mu.is_geometric:
-        return _rotate_rows(_composition_rows(n, rng, rows))
     if n == 0:
         return np.zeros((rows, 1), dtype=np.int64)
-    got: list[np.ndarray] = []
+    out = np.empty((rows, n + 1), dtype=np.int64)
+    if mu.is_geometric:
+        # consecutive rng.random blocks draw what one call for all rows would
+        for start, stop in _row_blocks(rows, 2 * n):
+            _rotate_rows(_composition_rows(n, rng, stop - start), out[start:stop])
+        return out
     have = 0
     # aim for enough raw blocks that each batch lands a healthy number of hits
     hit = 1.0 / max(1.0, math.sqrt(2 * math.pi * float(mu.variance) * (n + 1)))
@@ -394,11 +421,10 @@ def _sized_count_rows(
         want = rows - have
         batch = int(min(max(256, want / hit * 1.3), max(256, 4_000_000 // (n + 1))))
         block = mu.sample_counts(rng, batch * (n + 1)).reshape(batch, n + 1)
-        good = block[block.sum(axis=1) == n]
-        if len(good):
-            got.append(good[:want])
-            have += min(len(good), want)
-    return _rotate_rows(np.concatenate(got, axis=0) if len(got) > 1 else got[0])
+        good = block[block.sum(axis=1) == n][:want]
+        _rotate_rows(good, out[have : have + len(good)])
+        have += len(good)
+    return out
 
 
 def _q_count_rows(
@@ -459,6 +485,23 @@ def _label_rows(end: np.ndarray, incs: np.ndarray, x: Label) -> np.ndarray:
     return _path_sums(end, w)
 
 
+def _label_blocks(
+    rows: np.ndarray, gamma: StepDistribution, x: Label, rng: np.random.Generator
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Labels of a batch of count rows at root label x, one row block at a time.
+
+    Yields (start, labels) per block, labels[i] being the labels of
+    rows[start + i].  Each block draws its increments with one gamma.sample
+    call of shape (block rows, max(1, n)), a zero-edge row ignoring its one
+    draw; consecutive calls draw what one call for all rows would, so the
+    labels do not depend on the block size.
+    """
+    n1 = rows.shape[1]
+    for start, stop in _row_blocks(len(rows), n1):
+        incs = gamma.sample(rng, (stop - start, max(1, n1 - 1)))
+        yield start, _label_rows(_subtree_ends(rows[start:stop]), incs, x)
+
+
 def _positive(labels: np.ndarray, strict: bool) -> np.ndarray:
     """Rows whose non-root labels are all positive (or all nonnegative)."""
     return labels[:, 1:].min(axis=1) > (0 if strict else -1)
@@ -494,12 +537,20 @@ def _conditioned_rows(
             break
         chunk = max(16, min(cap, 2 * (count - len(out))))
         rows = count_rows(mu, n, rng, chunk)
-        labels = _label_rows(_subtree_ends(rows), gamma.sample(rng, (chunk, n)), x)
-        # rows are attempts in order, up to the wanted count or the budget
+        # rows are attempts in order, up to the wanted count or the budget;
+        # every block is labelled, so the chunk's draws do not depend on
+        # where the wanted count is reached
         look = chunk if max_attempts is None else min(chunk, max_attempts - attempts)
-        hits = np.flatnonzero(_positive(labels[:look], strict))[: count - len(out)]
-        attempts += int(hits[-1]) + 1 if len(out) + len(hits) == count else look
-        out.extend((tuple(rows[i].tolist()), (x, *labels[i, 1:].tolist())) for i in hits)
+        last = -1
+        for start, labels in _label_blocks(rows, gamma, x, rng):
+            ok = _positive(labels[: max(0, look - start)], strict)
+            hits = np.flatnonzero(ok)[: count - len(out)]
+            if len(hits):
+                last = start + int(hits[-1])
+            out.extend(
+                (tuple(rows[start + i].tolist()), (x, *labels[i, 1:].tolist())) for i in hits
+            )
+        attempts += last + 1 if len(out) == count else look
     return out, attempts
 
 
@@ -546,8 +597,8 @@ def estimate_positive_probability(
     while done < attempts:
         take = min(chunk, attempts - done)
         rows = _sized_count_rows(mu, n, rng, take)
-        labels = _label_rows(_subtree_ends(rows), gamma.sample(rng, (take, n)), x)
-        accepted += int(_positive(labels, strict).sum())
+        for _, labels in _label_blocks(rows, gamma, x, rng):
+            accepted += int(_positive(labels, strict).sum())
         done += take
     return accepted
 
@@ -570,9 +621,10 @@ def sample_label_extrema(
     while done < samples:
         take = min(chunk, samples - done)
         rows = _sized_count_rows(mu, n, rng, take)
-        labels = _label_rows(_subtree_ends(rows), gamma.sample(rng, (take, max(1, n))), x)
-        mins[done : done + take] = labels.min(axis=1)
-        maxs[done : done + take] = labels.max(axis=1)
+        for start, labels in _label_blocks(rows, gamma, x, rng):
+            at = slice(done + start, done + start + len(labels))
+            mins[at] = labels.min(axis=1)
+            maxs[at] = labels.max(axis=1)
         done += take
     return mins, maxs
 

@@ -88,6 +88,21 @@ def contour_arrays(counts: Sequence[int]) -> tuple[list[int], list[int], list[in
 # ---------------------------------------------------------------------------
 # the same arrays for a batch of count rows at once
 
+_BLOCK_ENTRIES = 1 << 18  # entries per row block of a batch kernel's temporaries
+
+
+def _row_blocks(count: int, width: int) -> Iterator[tuple[int, int]]:
+    """Consecutive (start, stop) row ranges that cover a batch of count
+    rows, each holding at most _BLOCK_ENTRIES entries of the given row
+    width, and at least one row.
+
+    A kernel that fills its output one such block at a time keeps its
+    temporaries to a few blocks, whatever the batch size.
+    """
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
+
 
 def _first_returns(walk: np.ndarray) -> np.ndarray:
     """For each time i of a walk stepping down by at most 1, the first later

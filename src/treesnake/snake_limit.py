@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from treesnake.plane_tree import ContourFunction
+from treesnake.plane_tree import ContourFunction, _row_blocks
 from treesnake.spatial_tree import SpatialContour
 
 
@@ -114,25 +114,33 @@ class RescaledPath:
 def _excursion_rows(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Rows of grid excursions: bridge, rotate at the argmin, shift to 0.
 
-    The walk is scaled, summed and turned into the bridge in place, and
-    each row is rotated by two slice copies, so the walk and the result are
-    the only arrays of the batch's size.
+    The walk is drawn one row block at a time into one buffer (consecutive
+    standard_normal calls draw what one call for all rows would), scaled,
+    summed and turned into the bridge in place, and each of its rows is
+    rotated into the result by two slice copies, so the result is the only
+    array of the batch's size.
     """
-    walk = rng.standard_normal((count, m))
-    walk /= math.sqrt(m)
-    np.cumsum(walk, axis=1, out=walk)
-    # walk[:, t] becomes the bridge at time t < m: 0, then the walk less its
-    # drift towards the end value, with the result rows as the drift's scratch
     rows = np.empty((count, m + 1))
-    drift = rows[:, : m - 1]
-    np.multiply(walk[:, -1:], np.arange(1, m) / m, out=drift)
-    np.subtract(walk[:, :-1], drift, out=drift)
-    walk[:, 1:] = drift
-    walk[:, 0] = 0.0
-    k = np.argmin(walk, axis=1)
-    for row, b, kj in zip(rows, walk, k.tolist()):
-        np.subtract(b[kj:], b[kj], out=row[: m - kj])
-        np.subtract(b[:kj], b[kj], out=row[m - kj : m])
+    ramp = np.arange(1, m) / m
+    buf = None  # every block's walk, sized by the first block, the largest
+    for start, stop in _row_blocks(count, m):
+        if buf is None:
+            buf = np.empty((stop - start, m))
+        walk = rng.standard_normal(out=buf[: stop - start])
+        walk /= math.sqrt(m)
+        np.cumsum(walk, axis=1, out=walk)
+        # walk[:, t] becomes the bridge at time t < m: 0, then the walk less
+        # its drift towards the end value, with the result rows as scratch
+        block = rows[start:stop]
+        drift = block[:, : m - 1]
+        np.multiply(walk[:, -1:], ramp, out=drift)
+        np.subtract(walk[:, :-1], drift, out=drift)
+        walk[:, 1:] = drift
+        walk[:, 0] = 0.0
+        k = np.argmin(walk, axis=1)
+        for row, b, kj in zip(block, walk, k.tolist()):
+            np.subtract(b[kj:], b[kj], out=row[: m - kj])
+            np.subtract(b[:kj], b[kj], out=row[m - kj : m])
     rows[:, m] = 0.0
     return rows
 
@@ -168,7 +176,8 @@ def _snake_head_rows(
     every step pushes its end point.  A push at an existing level repeats
     that anchor's value, so it changes no later draw.  Only the rows that
     step down run the pop loop and the bridge, and since a step adds at
-    most one anchor the stacks are grown once a block.
+    most one anchor the stacks are checked once a block and grown to what
+    the block needs plus one block more.
     """
     count, mp1 = e.shape
     m = mp1 - 1
@@ -190,7 +199,7 @@ def _snake_head_rows(
         steps = min(_HEAD_BLOCK, m - start)
         need = int(pos.max()) // count + steps + 1
         if need > depth:
-            grown = max(2 * depth, need)
+            grown = need + _HEAD_BLOCK
             levels = np.concatenate([levels, np.zeros((grown - depth) * count)])
             values = np.concatenate([values, np.zeros((grown - depth) * count)])
             depth = grown

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from treesnake import plane_tree
 from treesnake.exact_enum import conditional_label_law
 from treesnake.gw_sampler import (
     MEASURES,
@@ -349,6 +351,48 @@ class TestPipelines:
         rows, attempts = _conditioned_rows(GEO, U3, 0, 2, 3, rng_of(0))
         assert rows == [((0,), (2,))] * 3
         assert attempts == 3
+
+
+class TestRowBlocks:
+    """The batch kernels fill their output one row block at a time; the
+    block size changes no draw and leaves the generator in the same state."""
+
+    @staticmethod
+    def assert_block_free(monkeypatch, draw):
+        rng = rng_of(21)
+        want = draw(rng), rng.random(4).tobytes()
+        monkeypatch.setattr(plane_tree, "_BLOCK_ENTRIES", 1)  # one row a block
+        rng = rng_of(21)
+        assert (draw(rng), rng.random(4).tobytes()) == want
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_count_rows(self, monkeypatch, n):
+        self.assert_block_free(monkeypatch, lambda rng: _sized_count_rows(GEO, n, rng, 150).tobytes())
+
+    @pytest.mark.parametrize("gamma", [U3, StepDistribution.normal()], ids=["uniform3", "normal"])
+    def test_label_extrema(self, monkeypatch, gamma):
+        self.assert_block_free(
+            monkeypatch,
+            lambda rng: [a.tobytes() for a in sample_label_extrema(GEO, gamma, 2000, 0, 300, rng)],
+        )
+
+    def test_conditioned_rows_and_their_attempts(self, monkeypatch):
+        self.assert_block_free(
+            monkeypatch, lambda rng: _conditioned_rows(GEO, U3, 300, 1, 5, rng, max_attempts=900)
+        )
+
+    def test_label_extrema_memory_stays_near_the_count_rows(self):
+        # n = 2000 draws 1000 samples in a chunk of 999 count rows, which is
+        # the only array of the chunk's size: the labels are built beside it
+        # one row block at a time (the whole-chunk kernels held six)
+        sample_label_extrema(GEO, U3, 2000, 0, 1000, rng_of(1))  # first-call allocations
+        tracemalloc.start()
+        try:
+            sample_label_extrema(GEO, U3, 2000, 0, 1000, rng_of(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 999 * 2001 * 8
 
 
 class TestQMeasures:

@@ -18,6 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from treesnake import plane_tree
 from treesnake.plane_tree import build_tree, contour_of
 from treesnake.spatial_tree import SpatialTree, spatial_contour
 from treesnake.snake_limit import (
@@ -153,6 +154,32 @@ class TestExcursion:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 512 * 4097 * 8
+
+    def test_memory_stays_under_five_quarters_of_the_result(self):
+        # the walk is drawn one row block at a time into the result rows
+        _excursion_rows(4096, 512, np.random.default_rng(1))  # first-call allocations
+        tracemalloc.start()
+        try:
+            _excursion_rows(4096, 512, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 512 * 4097 * 8
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: [_excursion_rows(4096, 130, rng).tobytes()],
+            lambda rng: [a.tobytes() for a in sample_extrema(256, 30, rng)],
+        ],
+        ids=["excursion_rows", "sample_extrema"],
+    )
+    def test_rows_do_not_depend_on_the_block(self, monkeypatch, draw):
+        rng = np.random.default_rng(21)
+        want = draw(rng), rng.random(4).tobytes()
+        monkeypatch.setattr(plane_tree, "_BLOCK_ENTRIES", 1)  # one row a block
+        rng = np.random.default_rng(21)
+        assert (draw(rng), rng.random(4).tobytes()) == want
 
     def test_midpoint_mean(self, excursion_batch):
         # continuum marginal mean is sqrt(2/pi); the grid argmin offset
