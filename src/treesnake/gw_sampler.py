@@ -34,9 +34,11 @@ draws, are unchanged.
 
 sample_measure is the one route from a measure token to its draws.  The
 sized measures (Pi-n, P-n-x, Pbar-n-x, Q-n, Qbar-n) take a whole block of
-count rows and label rows from one kernel call; the positivity-conditioned
-ones reject those rows in chunks under an explicit attempt budget.  Only
-the unsized measures (Pi, P-x, Q) are drawn tree by tree.
+count rows and label rows from one kernel call.  The positivity-conditioned
+ones come from the paper's re-rooting identity under the geometric law
+(_rerooted_rows, at an acceptance flat in n), otherwise by
+rejection, both under an explicit attempt budget.  Only the unsized
+measures (Pi, P-x, Q) are drawn tree by tree.
 """
 
 from __future__ import annotations
@@ -48,7 +50,14 @@ from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from treesnake.plane_tree import PlaneTree, _path_sums, _row_blocks, _subtree_ends, leaves
+from treesnake.plane_tree import (
+    PlaneTree,
+    _block_rows,
+    _path_sums,
+    _row_blocks,
+    _subtree_ends,
+    leaves,
+)
 from treesnake.spatial_tree import Label, SpatialTree, min_label, reroot_at
 
 Numeric = Union[int, float, Fraction]
@@ -296,6 +305,11 @@ SIZED_MEASURES = {"Pi-n": 0, "P-n-x": 0, "Pbar-n-x": 0, "Q-n": 1, "Qbar-n": 1}
 # Attempts one sample_measure call may spend on positivity rejection.
 REJECTION_BUDGET = 50_000_000
 
+# int64 words a vertex charged to each _rerooted_rows block: five are live at
+# its peak (count rows, subtree ends, steps, path sums and one temporary), and
+# the margin keeps a block of 2**18 / 8 vertices near 1.3 MB
+_KERNEL_WORDS = 8
+
 
 @dataclass(frozen=True)
 class ImportanceSample:
@@ -350,8 +364,10 @@ def _rotate_rows(rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarr
     written into out when given, a C-contiguous array of the rows' shape.
     """
     b, m = rows.shape
-    partial = np.cumsum(rows - 1, axis=1)
+    partial = rows - 1
+    np.cumsum(partial, axis=1, out=partial)
     jstar = np.argmin(partial, axis=1)  # first position of the minimum
+    del partial
     # flat index of entry t of a rotated row: (jstar + 1 + t) mod m in its row
     idx = np.arange(1, m + 1) + jstar[:, None]
     idx %= m
@@ -439,6 +455,37 @@ def _q_count_rows(
         raise ValueError("a single-child root needs at least one edge")
     sub = _sized_count_rows(mu, n - 1, rng, rows)
     return np.concatenate([np.ones((rows, 1), dtype=sub.dtype), sub], axis=1)
+
+
+def _tilted_rows(n: int, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """Count rows of trees with n edges, the geometric law's shapes tilted
+    by one over the leaf count.
+
+    Narayana(n, j) of the equally likely shapes have j leaves, so j is drawn
+    with weight C(n, j) C(n + 1, j), proportional to Narayana(n, j) / j; then
+    zeros go in j uniform slots of n + 1, a uniform composition of n into
+    positive parts (n - j uniform cuts of n - 1 gaps) fills the others, and
+    the cycle-lemma rotation gives each shape with j leaves alike.
+    """
+    if n == 0:
+        return np.zeros((rows, 1), dtype=np.int64)
+    # log C(n, j) + log C(n + 1, j) for j = 1..n, as running sums
+    i = np.arange(1, n + 1, dtype=np.float64)
+    logw = np.cumsum(np.log((n + 1 - i) * (n + 2 - i) / (i * i)))
+    cdf = np.cumsum(np.exp(logw - logw.max()))
+    cdf /= cdf[-1]
+    j = np.searchsorted(cdf, rng.random(rows), side="right") + 1
+    # slots of a uniform permutation below j hold the zeros
+    zero = rng.permuted(np.broadcast_to(np.arange(n + 1), (rows, n + 1)), axis=1) < j[:, None]
+    # cuts after the marked units of n; the last unit always ends a part
+    cut = np.ones((rows, n), dtype=bool)
+    cuts = rng.permuted(np.broadcast_to(np.arange(n - 1), (rows, n - 1)), axis=1)
+    np.less(cuts, (n - j)[:, None], out=cut[:, :-1])
+    del cuts
+    # read row by row, the cut positions step by each row's parts in order
+    out = np.zeros((rows, n + 1), dtype=np.int64)
+    out.ravel()[np.flatnonzero(~zero)] = np.diff(np.flatnonzero(cut), prepend=-1)
+    return _rotate_rows(out)
 
 
 def sample_gw_sized(
@@ -683,6 +730,58 @@ def sample_reroot_importance(
     return ImportanceSample(r, 1.0 / len(leaves(r.tree)), True)
 
 
+def _rerooted_rows(
+    gamma: StepDistribution, n: int, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """count draws of Q_n, geometric law, whose re-rooting at the label
+    minimum is exactly Qbar_n: (rows, labels, argmin, attempts).
+
+    An attempt hangs a _tilted_rows tree below the root's child, labelled
+    from root label 0, and is kept when its minimum label is at one vertex,
+    a leaf.  Re-rooting kept draws gives L Qbar_n (criterion 02's identity)
+    with L the leaf count, which re-rooting at a leaf keeps, so the 1/L
+    tilt leaves Qbar_n.  Attempts, counted up to the last kept draw, come
+    in blocks sized by the acceptance so far, of at most
+    _block_rows(_KERNEL_WORDS * n) rows and REJECTION_BUDGET in all.
+    """
+    rows_out = np.empty((count, n + 1), dtype=np.int64)
+    rows_out[:, 0] = 1
+    labels_out = None
+    argmin = np.empty(count, dtype=np.int64)
+    have = attempts = 0
+    while have < count:
+        if attempts >= REJECTION_BUDGET:
+            raise RejectionBudgetExhausted(
+                f"{have} of {count} Qbar-n draws at n={n} kept in {attempts} attempts")
+        want = count - have
+        # draws per kept one estimated from the draws so far, a third before any
+        take = min(_block_rows(_KERNEL_WORDS * n), REJECTION_BUDGET - attempts,
+                   want * (attempts + 3) // (have + 1) + 16)
+        rows = _tilted_rows(n - 1, rng, take)
+        end = _subtree_ends(rows)
+        # the root edge's step is the root label of the tree below; the root,
+        # at 0, is a minimum unless a label below it is lower
+        labels = _path_sums(end, gamma.sample(rng, (take, n)))
+        at = labels.argmin(axis=1)
+        every = np.arange(take)
+        low = labels[every, at]
+        keep = (low < 0) & (end[every, at] == at + 1)  # below the root, at a leaf
+        keep &= np.count_nonzero(labels == low[:, None], axis=1) == 1
+        hits = np.flatnonzero(keep)[:want]
+        if labels_out is None:
+            labels_out = np.zeros((count, n + 1), dtype=labels.dtype)
+        got = slice(have, have + len(hits))
+        rows_out[got, 1:] = rows[hits]
+        labels_out[got, 1:] = labels[hits]
+        argmin[got] = at[hits] + 1
+        have += len(hits)
+        attempts += int(hits[-1]) + 1 if have == count else take
+        del rows, end, labels  # before the next block's draw
+    if labels_out is None:
+        labels_out = np.zeros((0, n + 1), dtype=np.int64)
+    return rows_out, labels_out, argmin, attempts
+
+
 def sample_measure(
     measure: str,
     mu: OffspringDistribution,
@@ -695,10 +794,13 @@ def sample_measure(
     """count draws from the named measure: preorder count rows, and label
     rows (None for the plain-tree measures Pi and Pi-n).
 
-    The sized measures draw the whole block through the row kernel, with
-    positivity rejection for Pbar-n-x and Qbar-n spending at most
-    REJECTION_BUDGET attempts; the unsized ones draw tree by tree.  The
-    single-child-root family Q is rooted at label 0, the others at x.
+    The sized measures draw the whole block through the row kernel.  Under
+    the geometric law, Qbar-n comes from _rerooted_rows, and so does
+    Pbar-n-x at x = 1 for steps in {-1, 0, 1}, as Qbar_{n+1} without its
+    root edge; the other Pbar-n-x and Qbar-n draws are positivity
+    rejections.  Either way at most REJECTION_BUDGET attempts are spent.
+    The unsized measures draw tree by tree.  The single-child-root family
+    Q is rooted at label 0, the others at x.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, pick from {MEASURES}")
@@ -711,6 +813,16 @@ def sample_measure(
         return [s.tree.counts for s in draws], [s.labels for s in draws]
     if n is None or n < SIZED_MEASURES[measure]:
         raise ValueError(f"measure {measure} needs n at least {SIZED_MEASURES[measure]}")
+    # with steps in {-1, 0, 1} the root's child in Qbar_{n+1} is at label 1,
+    # and the tree below it is Pbar_{n,1}
+    unit = gamma.exact and set(gamma.support) <= {-1, 0, 1}
+    if mu.is_geometric and (measure == "Qbar-n" or (measure == "Pbar-n-x" and x == 1 and unit)):
+        cut = int(measure == "Pbar-n-x")  # the root edge to drop
+        rows, labels, argmin, _ = _rerooted_rows(gamma, n + cut, count, rng)
+        trees = [SpatialTree(PlaneTree(tuple(c)), tuple(l))
+                 for c, l in zip(rows.tolist(), labels.tolist())]
+        trees = [reroot_at(s, s.tree.vertices[k]) for s, k in zip(trees, argmin.tolist())]
+        return [s.tree.counts[cut:] for s in trees], [s.labels[cut:] for s in trees]
     count_rows = _q_count_rows if measure.startswith("Q") else _sized_count_rows
     if measure in ("Pbar-n-x", "Qbar-n"):
         got, attempts = _conditioned_rows(

@@ -91,15 +91,19 @@ def contour_arrays(counts: Sequence[int]) -> tuple[list[int], list[int], list[in
 _BLOCK_ENTRIES = 1 << 18  # entries per row block of a batch kernel's temporaries
 
 
+def _block_rows(width: int) -> int:
+    """Rows of the given width in one row block: at most _BLOCK_ENTRIES
+    entries, and at least one row."""
+    return max(1, _BLOCK_ENTRIES // max(1, width))
+
+
 def _row_blocks(count: int, width: int) -> Iterator[tuple[int, int]]:
-    """Consecutive (start, stop) row ranges that cover a batch of count
-    rows, each holding at most _BLOCK_ENTRIES entries of the given row
-    width, and at least one row.
+    """Consecutive (start, stop) row blocks that cover a batch of count rows.
 
     A kernel that fills its output one such block at a time keeps its
     temporaries to a few blocks, whatever the batch size.
     """
-    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    step = _block_rows(width)
     for start in range(0, count, step):
         yield start, min(start + step, count)
 

@@ -36,14 +36,11 @@ shift, sign) correspond one-to-one to rooted quadrangulations with a
 marked vertex, and each rooted map has n + 2 vertices to mark, so a
 uniform pair gives a uniform rooted map with no rejection.
 
-Radii and root distances of sampled maps need only the arcs, not the
-rotation system.  sample_radius_and_distance reads them off batches of
-drawn (tree, sign) arrays: corner labels from the contour, every
-successor corner at once as a first return of the corner labels read
-twice round (linear time: one stable radix grouping of the corners by
-label), vertex numbers from each vertex's first dart, and one
-breadth-first search from all root vertices together that expands only
-its frontier over an adjacency list sorted once.
+Radii and root distances of sampled maps need no map: a uniform rooted
+quadrangulation with n faces is cvs_build of a uniform well-labelled tree
+with n edges, which is Qbar_{n+1} (geometric law, uniform steps) less its
+root edge, so sample_radius_and_distance reads both off the labels of the
+Qbar_{n+1} draws of gw_sampler._rerooted_rows.
 """
 
 from __future__ import annotations
@@ -60,15 +57,10 @@ from treesnake.gw_sampler import (
     OffspringDistribution,
     StepDistribution,
     _label_rows,
+    _rerooted_rows,
     _sized_count_rows,
 )
-from treesnake.plane_tree import (
-    PlaneTree,
-    _first_returns,
-    _row_contours,
-    _subtree_ends,
-    enumerate_trees,
-)
+from treesnake.plane_tree import PlaneTree, _subtree_ends, enumerate_trees
 from treesnake.spatial_tree import SpatialTree
 
 
@@ -470,28 +462,6 @@ def cvs_inverse(q: PlanarQuadrangulation) -> SpatialTree:
 
 _GEO = OffspringDistribution.geometric_half()
 _U3 = StepDistribution.uniform3()
-_CORNER_BUDGET = 10_000  # tree corners per kernel batch, which bounds its memory
-
-
-def _pointed_draws(
-    n: int, count: int, rng: np.random.Generator
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Uniform (labelled tree, sign) pairs with n edges as arrays, in chunks.
-
-    Each chunk holds preorder count rows of size-conditioned geometric
-    trees (uniform over shapes), their uniform steps in {-1, 0, 1} indexed
-    by vertex - 1 (the root label is 0), and fair signs.  Chunks hold about
-    a million vertices.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one face, not n={n}")
-    chunk = max(1, 1_000_000 // (n + 1))
-    for start in range(0, count, chunk):
-        take = min(chunk, count - start)
-        rows = _sized_count_rows(_GEO, n, rng, take)
-        incs = _U3.sample(rng, (take, n))
-        signs = 1 - 2 * rng.integers(0, 2, size=take)
-        yield rows, incs, signs
 
 
 def sample_uniform_quads(
@@ -504,9 +474,16 @@ def sample_uniform_quads(
     root label 0 and uniform steps in {-1, 0, 1}, and a fair sign.  The
     pairs are in bijection with rooted maps carrying one of their n + 2
     vertices as a point, so forgetting the point leaves the uniform law.
+    The pairs are drawn in chunks of about a million vertices.
     """
-    for rows, incs, signs in _pointed_draws(n, count, rng):
-        labels = _label_rows(_subtree_ends(rows), incs, 0)
+    if n < 1:
+        raise ValueError(f"need at least one face, not n={n}")
+    chunk = max(1, 1_000_000 // (n + 1))
+    for start in range(0, count, chunk):
+        take = min(chunk, count - start)
+        rows = _sized_count_rows(_GEO, n, rng, take)
+        labels = _label_rows(_subtree_ends(rows), _U3.sample(rng, (take, n)), 0)
+        signs = 1 - 2 * rng.integers(0, 2, size=take)
         for counts, labs, sign in zip(rows.tolist(), labels.tolist(), signs.tolist()):
             yield _pointed_build(SpatialTree(PlaneTree(tuple(counts)), tuple(labs)), sign)
 
@@ -516,96 +493,6 @@ def sample_uniform_quad(n: int, rng: np.random.Generator) -> PlanarQuadrangulati
     return next(sample_uniform_quads(n, 1, rng))
 
 
-def _arc_distances(
-    rows: np.ndarray, incs: np.ndarray, signs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Root-vertex distances in the pointed maps of a batch of draws.
-
-    Takes what _pointed_draws yields and returns (dist, root): dist[b, k]
-    is the distance from the root vertex of map b to its vertex number k,
-    vertices numbered as PlanarQuadrangulation.vertex_of numbers them, and
-    root[b] is the root vertex's number.  Only the arcs of the maps are
-    built, all maps at once: successors by first returns (the corners
-    grouped by label in one linear radix pass, no comparison sort), vertex
-    numbers from first corners and first landings (no sort of the darts),
-    and one breadth-first search from every root together, which reads
-    each vertex's arcs once, at its own level.
-    """
-    if np.abs(incs).max(initial=0) > 1:
-        raise NotWellLabelled("labels jump by more than 1 along an edge")
-    b, n1 = rows.shape
-    m = 2 * (n1 - 1)  # corners per map
-    nv = n1 + 1  # vertices per map: tree vertex i is vertex i, the point is n + 1
-    base = np.arange(b)[:, None]
-
-    # corner t sits at tree vertex cv[t] and carries its label
-    end = _subtree_ends(rows)
-    depth, _, contour = _row_contours(end)
-    cv = contour[:, :m]
-    lab = np.take_along_axis(_label_rows(end, incs, 0), cv, axis=1)
-    lab -= lab.min(axis=1, keepdims=True) - 1  # minimum 1, the point at 0
-
-    # successor of corner t: the next corner cyclically with label one lower,
-    # which is the first return of the labels read twice round (rows are 2m
-    # long, so a time mod m is its corner), or the point when the label is 1
-    succ = _first_returns(np.concatenate([lab, lab], axis=1).ravel()).reshape(b, 2 * m)
-    target = np.where(lab == 1, nv - 1, np.take_along_axis(cv, succ[:, :m] % m, axis=1))
-
-    # arc t runs from tail[t] to head[t], vertices of map i numbered from i * nv
-    nvb = b * nv
-    tail = (base * nv + cv).ravel()
-    head = (base * nv + target).ravel()
-
-    # dart 2t leaves corner t's vertex and dart 2t + 1 its arc's target;
-    # vertex_of numbers vertices by their first dart: tree vertex k's first
-    # corner (time 2k - depth[k]) or the first arc that lands on it
-    first = np.empty((b, nv), dtype=np.int64)
-    first[:, :n1] = 2 * (2 * np.arange(n1) - depth)
-    first[:, n1] = 2 * m  # past every dart; the point is always landed on
-    np.minimum.at(first.reshape(-1), head, np.tile(2 * np.arange(m) + 1, b))
-    by_number = np.argsort(first, axis=1)
-    root = np.where(signs == 1, 0, target[:, 0])
-    root_number = (first < first[np.arange(b), root][:, None]).sum(axis=1)
-
-    # the arcs both ways as one adjacency list, sorted by source vertex
-    adj = np.concatenate([tail * nvb + head, head * nvb + tail])
-    adj.sort()
-    adj %= nvb
-    degree = np.bincount(tail, minlength=nvb) + np.bincount(head, minlength=nvb)
-    ptr = np.cumsum(degree) - degree  # each vertex's first entry in adj
-
-    # breadth-first search from every root at once, expanding only the
-    # frontier: each vertex's arcs are read once, at its own level
-    dist = np.full(nvb, -1, dtype=np.int64)
-    front = np.arange(b) * nv + root
-    dist[front] = 0
-    slot = np.empty(nvb, dtype=np.int64)
-    # the level masks are prefixes of one buffer: numpy keeps small freed
-    # arrays for reuse, and masks of every frontier size would pile up there
-    mask = np.empty(adj.size, dtype=bool)
-    level = 0
-    while front.size:
-        level += 1
-        if level > nv:
-            # a connected map on nv vertices has fewer levels than that
-            raise RuntimeError(
-                "arc kernel fault: the breadth-first search passed the vertex count, "
-                "so its frontier keeps visited vertices"
-            )
-        deg = degree[front]
-        ends = np.cumsum(deg)
-        reached = adj[np.repeat(ptr[front] - ends + deg, deg) + np.arange(ends[-1])]
-        reached = reached[np.less(dist[reached], 0, out=mask[: reached.size])]
-        dist[reached] = level
-        # keep one copy of each vertex reached twice
-        slot[reached] = np.arange(reached.size)
-        kept = np.equal(slot[reached], np.arange(reached.size), out=mask[: reached.size])
-        front = reached[kept]
-    if (dist < 0).any():
-        raise NotAQuadrangulation("map is not connected")
-    return np.take_along_axis(dist.reshape(b, nv), by_number, axis=1), root_number
-
-
 def sample_radius_and_distance(
     n: int,
     samples: int,
@@ -613,22 +500,18 @@ def sample_radius_and_distance(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Radii and root-to-uniform-vertex distances of uniform quadrangulations.
 
-    Returns (radii, distances, attempts): one radius and one distance from
-    the root vertex to a uniformly chosen other vertex per sampled map,
-    plus the number of trees drawn, which is one per map.  The maps are
-    never built as rotation systems: the kernel reads the arcs off the
-    drawn trees in batches of about _CORNER_BUDGET corners.
+    Returns (radii, distances, attempts): per map, its radius and the
+    distance from the root vertex to a uniform other vertex, and the
+    attempts of _rerooted_rows.  No map is built: the map is cvs_build of a
+    uniform well-labelled tree with n edges, which is Qbar_{n+1} (uniform
+    steps) without its root edge, so the distances are the labels of the
+    un-re-rooted Qbar_{n+1} draws less their minimum.
     """
-    radii = np.empty(samples, dtype=np.int64)
-    dists = np.empty(samples, dtype=np.int64)
+    if n < 1:
+        raise ValueError(f"need at least one face, not n={n}")
+    _, labels, argmin, attempts = _rerooted_rows(_U3, n + 1, samples, rng)
+    every = np.arange(samples)
+    low = labels[every, argmin]
     picks = rng.integers(0, n + 1, size=samples)
-    done = 0
-    for rows, incs, signs in _pointed_draws(n, samples, rng):
-        step = max(1, _CORNER_BUDGET // (2 * n))
-        for s in range(0, len(rows), step):
-            dist, root = _arc_distances(rows[s : s + step], incs[s : s + step], signs[s : s + step])
-            k = picks[done : done + len(dist)]
-            radii[done : done + len(dist)] = dist.max(axis=1)
-            dists[done : done + len(dist)] = dist[np.arange(len(dist)), k + (k >= root)]
-            done += len(dist)
-    return radii, dists, samples
+    picks += picks >= argmin
+    return labels.max(axis=1) - low, labels[every, picks] - low, attempts

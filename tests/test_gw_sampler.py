@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from treesnake import plane_tree
-from treesnake.exact_enum import conditional_label_law
+from treesnake import gw_sampler, plane_tree
+from treesnake.exact_enum import conditional_label_law, labelled_atoms, q_weight
 from treesnake.gw_sampler import (
     MEASURES,
     ImportanceSample,
@@ -20,8 +20,10 @@ from treesnake.gw_sampler import (
     _conditioned_rows,
     _label_rows,
     _q_count_rows,
+    _rerooted_rows,
     _rotate_rows,
     _sized_count_rows,
+    _tilted_rows,
     estimate_positive_probability,
     sample_conditioned_batch,
     sample_gw,
@@ -45,6 +47,28 @@ BINARY = OffspringDistribution.from_pmf({0: HALF, 2: HALF})
 
 def rng_of(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+# Upper 0.001 quantiles of chi-square, by degrees of freedom (0 df: all mass at 0).
+CHI2_999 = {0: 0.0, 1: 10.83, 2: 13.82, 4: 18.47, 8: 26.12, 11: 31.26, 13: 34.53,
+            41: 74.74, 53: 90.57, 55: 93.17, 377: 467.58}
+
+
+def tv_bound(cells: int, draws: int) -> float:
+    """Total variation a correct sampler exceeds with chance about 0.001.
+
+    Cauchy-Schwarz gives 2 TV <= sqrt(X^2 / draws) for Pearson's X^2 over
+    the cells, so the chi-square critical value carries over.
+    """
+    return 0.5 * math.sqrt(CHI2_999[cells - 1] / draws)
+
+
+def tv_to_law(draws: list, law: dict) -> float:
+    """Total variation between the empirical law of draws and an exact law,
+    after checking that every draw is an atom of it."""
+    seen = Counter(draws)
+    assert set(seen) <= set(law)
+    return sum(abs(seen[k] / len(draws) - float(p)) for k, p in law.items()) / 2
 
 
 class TestOffspringValidation:
@@ -458,6 +482,92 @@ class TestQMeasures:
             sample_measure("Qbar-n", GEO, U3, 0, 0, 1, rng_of(0))
         with pytest.raises(NegativeRootLabel):
             sample_measure("Pbar-n-x", GEO, U3, 3, -1, 1, rng_of(0))
+
+
+def qbar_law(n: int, gamma: StepDistribution) -> dict:
+    """Exact Qbar_n over (counts, labels): the single-child-root law at root
+    label 0 restricted to positive non-root labels, normalised."""
+    law: dict = {}
+    for s, w in labelled_atoms(n, GEO, gamma, x=0, root_single_child=True):
+        if all(v > 0 for v in s.labels[1:]):
+            law[s.tree.counts, s.labels] = law.get((s.tree.counts, s.labels), 0) + w
+    total = sum(law.values())
+    return {k: w / total for k, w in law.items()}
+
+
+class TestRerootedRows:
+    """The re-rooting sampler of Qbar_n against exact enumeration.
+
+    Seeds, draw counts and bounds were fixed before the first run.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_shapes_are_tilted_by_one_over_the_leaf_count(self, n):
+        draws = 200_000
+        weights = {
+            t.counts: q_weight(t, GEO) / len(leaves(t))
+            for t in enumerate_trees(n + 1, root_single_child=True)
+        }
+        total = sum(weights.values())
+        law = {k: w / total for k, w in weights.items()}
+        below = _tilted_rows(n - 1, rng_of(600 + n), draws)
+        rows = np.concatenate([np.ones((draws, 1), dtype=np.int64), below], axis=1)
+        assert tv_to_law(list(map(tuple, rows.tolist())), law) <= tv_bound(len(law), draws)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("gamma", [U3, PM1], ids=["uniform3", "pm1"])
+    def test_rerooted_draws_are_qbar(self, gamma, n):
+        draws = 20_000
+        law = qbar_law(n, gamma)
+        counts, labels = sample_measure("Qbar-n", GEO, gamma, n, 0, draws, rng_of(500 + n))
+        assert tv_to_law(list(zip(counts, labels)), law) <= tv_bound(len(law), draws)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("gamma", [U3, PM1], ids=["uniform3", "pm1"])
+    def test_qbar_without_its_root_edge_is_pbar_at_one(self, gamma, n):
+        draws = 10_000
+        law = conditional_label_law(n, GEO, gamma, 1)
+        counts, labels = sample_measure("Pbar-n-x", GEO, gamma, n, 1, draws, rng_of(550 + n))
+        assert tv_to_law(list(zip(counts, labels)), law) <= tv_bound(len(law), draws)
+
+    def test_kept_draws_have_one_minimum_at_a_leaf(self):
+        rows, labels, argmin, attempts = _rerooted_rows(U3, 60, 200, rng_of(7))
+        assert rows.shape == labels.shape == (200, 61)
+        assert attempts >= 200
+        for r, l, k in zip(rows.tolist(), labels.tolist(), argmin.tolist()):
+            PlaneTree(tuple(r))  # a valid preorder row
+            assert r[0] == 1 and l[0] == 0
+            assert r[k] == 0 and l.count(min(l)) == 1 and l[k] == min(l)
+        again = _rerooted_rows(U3, 60, 200, rng_of(7))
+        for a, b in zip(again, (rows, labels, argmin, attempts)):
+            assert np.array_equal(a, b)
+
+    def test_rows_fill_through_one_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(plane_tree, "_BLOCK_ENTRIES", 1)
+        rows, labels, argmin, attempts = _rerooted_rows(PM1, 9, 30, rng_of(8))
+        assert len(rows) == len(labels) == len(argmin) == 30
+        assert (rows[np.arange(30), argmin] == 0).all()
+        assert attempts >= 30
+
+    def test_spent_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(gw_sampler, "REJECTION_BUDGET", 40)
+        with pytest.raises(RejectionBudgetExhausted, match="Qbar-n draws at n=50"):
+            _rerooted_rows(U3, 50, 100, rng_of(9))
+
+    def test_other_laws_keep_rejection(self, monkeypatch):
+        # finite-support offspring, and Pbar at another root label or with
+        # normal steps, never reach the re-rooting kernel
+        def unused(*_args):
+            raise AssertionError("re-rooting kernel called")
+
+        monkeypatch.setattr(gw_sampler, "_rerooted_rows", unused)
+        counts, labels = sample_measure("Qbar-n", BINARY, U3, 5, 0, 20, rng_of(10))
+        assert all(v > 0 for l in labels for v in l[1:])
+        counts, labels = sample_measure("Pbar-n-x", GEO, U3, 4, 2, 20, rng_of(11))
+        assert {l[0] for l in labels} == {2} and all(v > 0 for l in labels for v in l[1:])
+        normal = StepDistribution.normal()
+        counts, labels = sample_measure("Pbar-n-x", GEO, normal, 4, 1, 5, rng_of(12))
+        assert all(v > 0 for l in labels for v in l[1:])
 
 
 class TestImportanceSampler:

@@ -5,30 +5,28 @@ from __future__ import annotations
 import itertools
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from treesnake import quadmap
 from treesnake.exact_enum import count_well_labelled
 from treesnake.gw_sampler import (
     OffspringDistribution,
     StepDistribution,
+    _rerooted_rows,
     sample_conditioned_batch,
     sample_gw_sized,
     sample_spatial,
 )
-from treesnake.plane_tree import build_tree, enumerate_trees
+from treesnake.plane_tree import PlaneTree, build_tree, enumerate_trees
 from treesnake.quadmap import (
     DistanceProfile,
     NotAQuadrangulation,
     NotWellLabelled,
     PlanarQuadrangulation,
-    _CORNER_BUDGET,
-    _arc_distances,
     _bfs_distances,
     _pointed_build,
-    _pointed_draws,
     canonical_code,
     cvs_build,
     cvs_inverse,
@@ -39,7 +37,7 @@ from treesnake.quadmap import (
     sample_uniform_quads,
 )
 from treesnake.snake_limit import ks_two_sample
-from treesnake.spatial_tree import SpatialTree
+from treesnake.spatial_tree import SpatialTree, reroot_at
 
 GEO = OffspringDistribution.geometric_half()
 U3 = StepDistribution.uniform3()
@@ -212,7 +210,7 @@ class TestPointedEncoding:
         radii, dists, attempts = sample_radius_and_distance(
             n, maps, np.random.default_rng(100)
         )
-        assert attempts == maps
+        assert attempts >= maps
         rng = np.random.default_rng(101)
         trees, _ = sample_conditioned_batch(GEO, U3, n, 1, maps, rng, strict=True)
         picks = rng.integers(0, n + 1, size=maps)
@@ -338,7 +336,7 @@ class TestUniformSampling:
         rng = np.random.default_rng(5)
         radii, dists, attempts = sample_radius_and_distance(40, 50, rng)
         assert radii.shape == dists.shape == (50,)
-        assert attempts == 50
+        assert attempts >= 50
         assert (radii >= 1).all()
         assert (dists >= 1).all()
         assert (dists <= radii).all()
@@ -350,79 +348,104 @@ class TestUniformSampling:
             sample_radius_and_distance(0, 5, np.random.default_rng(1))
 
 
+def below_the_root(s: SpatialTree, k: int) -> SpatialTree:
+    """A single-child-root tree re-rooted at its vertex k, without the new
+    root edge: the well-labelled tree of the map that a kept draw of
+    _rerooted_rows stands for, when k is its minimum."""
+    r = reroot_at(s, s.tree.vertices[k])
+    return SpatialTree(PlaneTree(r.tree.counts[1:]), r.labels[1:])
+
+
+def joint_law(n: int) -> dict:
+    """Exact law of (radius, distance to a uniform non-root vertex) of a
+    uniform rooted quadrangulation with n faces."""
+    law: dict = {}
+    for wt in enumerate_well_labelled(n):
+        profile = distances(cvs_build(wt))
+        for d, c in profile.counts.items():
+            if d:
+                key = (profile.radius, d)
+                law[key] = law.get(key, 0) + Fraction(c, n + 1)
+    total = sum(law.values())
+    return {k: w / total for k, w in law.items()}
+
+
+# Upper 0.001 quantiles of chi-square, by degrees of freedom.
+CHI2_999 = {2: 13.82, 5: 20.52, 9: 27.88, 14: 36.12}
+
+
+class TestRadiusAndDistanceLaw:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_joint_law_is_exact(self, n):
+        # seed, draws and bound fixed before the first run; Cauchy-Schwarz
+        # gives 2 TV <= sqrt(X^2 / draws) for Pearson's X^2 over the cells
+        draws = 100_000
+        law = joint_law(n)
+        rng = np.random.default_rng(700 + n)
+        radii, dists, attempts = sample_radius_and_distance(n, draws, rng)
+        assert attempts >= draws
+        seen = Counter(zip(radii.tolist(), dists.tolist()))
+        assert set(seen) <= set(law)
+        tv = sum(abs(seen[k] / draws - float(p)) for k, p in law.items()) / 2
+        assert tv <= 0.5 * (CHI2_999[len(law) - 1] / draws) ** 0.5
+
+
 class TestArcKernel:
-    """Distances from arc lists against the rotation-system route."""
+    """Radii and distances read off the labels of kept _rerooted_rows draws
+    against breadth-first distances over the arcs of the maps that
+    cvs_build draws for them."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_distances_match_the_rotation_system(self, n):
-        pairs = [(wt, sign) for wt in labelled_trees(n) for sign in (1, -1)]
-        rows = np.array([wt.tree.counts for wt, _ in pairs])
-        incs = np.array(
-            [
-                [wt.labels[i] - wt.labels[wt.tree.parent_index[i]] for i in range(1, n + 1)]
-                for wt, _ in pairs
-            ]
-        )
-        dist, root = _arc_distances(rows, incs, np.array([sign for _, sign in pairs]))
-        for (wt, sign), d, r in zip(pairs, dist, root):
-            q = _pointed_build(wt, sign)
-            assert r == q.vertex_of[q.root_dart]
-            assert d.tolist() == _bfs_distances(q, r).tolist()
+        # every labelled single-child-root tree with n + 1 edges whose label
+        # minimum is one leaf, which is what the sampler keeps
+        kept = 0
+        for s in labelled_trees(n + 1):
+            low = min(s.labels)
+            k = s.labels.index(low)
+            if s.tree.counts[0] != 1 or s.labels.count(low) > 1 or s.tree.counts[k]:
+                continue
+            kept += 1
+            q = cvs_build(below_the_root(s, k), n)
+            dist = _bfs_distances(q, q.vertex_of[q.root_dart])
+            assert sorted(dist.tolist()) == sorted(l - low for l in s.labels)
+        assert kept > 0
 
     @pytest.mark.parametrize("seed", [3, 4])
     @pytest.mark.parametrize(
         "n,maps", [(1, 40), (2, 40), (3, 40), (50, 40), (500, 25), (5001, 2)]
     )
     def test_sampler_matches_per_map_reference(self, n, maps, seed):
-        # at n = 500 the maps span three kernel batches; above n = 5000 the
-        # corner budget holds less than one map, so each batch holds one
-        assert n < 500 or maps > 2 * (_CORNER_BUDGET // (2 * n))
         radii, dists, attempts = sample_radius_and_distance(
             n, maps, np.random.default_rng(seed)
         )
+        # the same draws, each map built and searched
         rng = np.random.default_rng(seed)
+        rows, labels, argmin, again = _rerooted_rows(U3, n + 1, maps, rng)
         picks = rng.integers(0, n + 1, size=maps)
-        ref = np.array(
-            [radius_and_distance(q, k) for q, k in zip(sample_uniform_quads(n, maps, rng), picks)]
-        )
-        assert attempts == maps
-        assert radii.tolist() == ref[:, 0].tolist()
-        assert dists.tolist() == ref[:, 1].tolist()
-
-    def test_steps_must_stay_within_one(self):
-        with pytest.raises(NotWellLabelled):
-            _arc_distances(np.array([[1, 0]]), np.array([[2]]), np.array([1]))
-
-    def test_a_frontier_that_keeps_visited_vertices_raises(self, monkeypatch):
-        # the level cap turns a kernel fault that would loop forever into an
-        # error; the fault goes into quadmap's own numpy name only, so numpy
-        # itself and every other module that calls np.less keep working
-        rows, incs, signs = next(_pointed_draws(50, 4, np.random.default_rng(1)))
-
-        class EverythingUnvisited:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            @staticmethod
-            def less(a, b, out):
-                out[...] = True
-                return out
-
-        monkeypatch.setattr(quadmap, "np", EverythingUnvisited())
-        with pytest.raises(RuntimeError, match="arc kernel fault"):
-            _arc_distances(rows, incs, signs)
+        assert attempts == again >= maps
+        for b in range(maps):
+            s = SpatialTree(PlaneTree(tuple(rows[b].tolist())), tuple(labels[b].tolist()))
+            q = cvs_build(below_the_root(s, int(argmin[b])), n)
+            dist = _bfs_distances(q, q.vertex_of[q.root_dart])
+            shifted = labels[b] - labels[b, argmin[b]]
+            assert sorted(dist.tolist()) == sorted(shifted.tolist())
+            assert radii[b] == dist.max()
+            # the picked vertex is one of the n + 1 off the minimum
+            assert dists[b] == shifted[picks[b] + (picks[b] >= argmin[b])]
 
     def test_batch_memory_is_linear_in_its_corners(self):
-        # one full batch at n = 500; the kernel that sorted (map, label, time)
-        # keys peaked at 178 bytes a corner here (numpy 2.4)
-        n = 500
-        batch = _CORNER_BUDGET // (2 * n)
-        rows, incs, signs = next(_pointed_draws(n, batch, np.random.default_rng(1)))
-        _arc_distances(rows, incs, signs)  # first-call allocations stay out of the peak
+        # 100 maps at n = 500 take several kernel blocks; beyond the kept
+        # rows and labels (16 bytes a vertex), the traced peak held 41 bytes
+        # a vertex of one block here (numpy 2.4), and 58 when a block's
+        # arrays lived on into the next block's draw
+        n, maps = 500, 100
+        sample_radius_and_distance(n, maps, np.random.default_rng(1))  # first-call allocations
         tracemalloc.start()
         try:
-            _arc_distances(rows, incs, signs)
+            sample_radius_and_distance(n, maps, np.random.default_rng(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 200 * batch * 2 * n
+        block = 2**18 // (8 * (n + 1))
+        assert peak <= 48 * block * (n + 1) + 16 * maps * (n + 2)
