@@ -289,7 +289,7 @@ def _cmd_quad(args: argparse.Namespace) -> int:
         args, "quad",
         {"n": args.n, "samples": args.samples},
         buf.getvalue(), t0,
-        {"distinct_codes": len(codes), "attempts": args.samples},
+        {"distinct_codes": len(codes)},
     )
     return 0
 
@@ -369,11 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
-        "quad", help="sample uniform quadrangulations through the pointed bijection"
+        "quad",
+        help="sample uniform quadrangulations: the CVS bijection of exact "
+        "Pbar-n-x draws at x = 1, the uniform well-labelled trees",
     )
     p.add_argument("--n", type=int, required=True, help="number of faces")
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--mu", default="geometric", choices=["geometric"])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="frequency table CSV over canonical codes")
     p.set_defaults(func=_cmd_quad)

@@ -37,8 +37,11 @@ sized measures (Pi-n, P-n-x, Pbar-n-x, Q-n, Qbar-n) take a whole block of
 count rows and label rows from one kernel call.  The positivity-conditioned
 ones come from the paper's re-rooting identity under the geometric law
 (_rerooted_rows, at an acceptance flat in n), otherwise by
-rejection, both under an explicit attempt budget.  Only the unsized
-measures (Pi, P-x, Q) are drawn tree by tree.
+rejection, both under an explicit attempt budget.  The kept draws are
+re-rooted at their minimum leaf on rows (_reroot_rows), by the formula of
+plane_tree._reroot_walk that also re-roots the grid snake; reroot_at
+stays the object route of exact_enum and sample_reroot_importance.  Only
+the unsized measures (Pi, P-x, Q) are drawn tree by tree.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ from treesnake.plane_tree import (
     PlaneTree,
     _block_rows,
     _path_sums,
+    _reroot_walk,
     _row_blocks,
+    _row_contours,
     _subtree_ends,
     leaves,
 )
@@ -307,7 +312,9 @@ REJECTION_BUDGET = 50_000_000
 
 # int64 words a vertex charged to each _rerooted_rows block: five are live at
 # its peak (count rows, subtree ends, steps, path sums and one temporary), and
-# the margin keeps a block of 2**18 / 8 vertices near 1.3 MB
+# the margin keeps a block of 2**18 / 8 vertices near 1.3 MB; _reroot_rows
+# takes blocks of the same rows, whose contour arrays peak near 24 words a
+# vertex (6 MB)
 _KERNEL_WORDS = 8
 
 
@@ -549,9 +556,9 @@ def _label_blocks(
         yield start, _label_rows(_subtree_ends(rows[start:stop]), incs, x)
 
 
-def _positive(labels: np.ndarray, strict: bool) -> np.ndarray:
-    """Rows whose non-root labels are all positive (or all nonnegative)."""
-    return labels[:, 1:].min(axis=1) > (0 if strict else -1)
+def _positive(labels: np.ndarray) -> np.ndarray:
+    """Rows whose non-root labels are all positive."""
+    return labels[:, 1:].min(axis=1) > 0
 
 
 def _conditioned_rows(
@@ -561,16 +568,14 @@ def _conditioned_rows(
     x: Label,
     count: int,
     rng: np.random.Generator,
-    strict: bool = True,
     max_attempts: Optional[int] = None,
     count_rows=_sized_count_rows,
 ) -> tuple[list[tuple[tuple, tuple]], int]:
     """Accepted (counts, labels) rows with positivity, and the attempt total.
 
     Rejection from the trees count_rows(mu, n, rng, k) draws, the
-    size-conditioned law by default; with strict=False the labels only
-    need to be nonnegative.  The root label x must be nonnegative, and a
-    zero-edge draw is vacuously accepted.
+    size-conditioned law by default.  The root label x must be nonnegative,
+    and a zero-edge draw is vacuously accepted.
     """
     if x < 0:
         raise NegativeRootLabel("root label must be nonnegative for positivity conditioning")
@@ -590,7 +595,7 @@ def _conditioned_rows(
         look = chunk if max_attempts is None else min(chunk, max_attempts - attempts)
         last = -1
         for start, labels in _label_blocks(rows, gamma, x, rng):
-            ok = _positive(labels[: max(0, look - start)], strict)
+            ok = _positive(labels[: max(0, look - start)])
             hits = np.flatnonzero(ok)[: count - len(out)]
             if len(hits):
                 last = start + int(hits[-1])
@@ -601,31 +606,6 @@ def _conditioned_rows(
     return out, attempts
 
 
-def sample_conditioned_batch(
-    mu: OffspringDistribution,
-    gamma: StepDistribution,
-    n: int,
-    x: Label,
-    count: int,
-    rng: np.random.Generator,
-    strict: bool = True,
-    max_attempts: Optional[int] = None,
-) -> tuple[list[SpatialTree], int]:
-    """count labelled trees with n edges and positive non-root labels.
-
-    Rejection from the size-conditioned law at root label x, as in
-    _conditioned_rows; returns the trees and the attempts spent.
-    """
-    rows, attempts = _conditioned_rows(
-        mu, gamma, n, x, count, rng, strict=strict, max_attempts=max_attempts
-    )
-    if len(rows) < count:
-        raise RejectionBudgetExhausted(
-            f"{len(rows)} accepted of {count} wanted in {attempts} attempts"
-        )
-    return [SpatialTree(PlaneTree(c), l) for c, l in rows], attempts
-
-
 def estimate_positive_probability(
     mu: OffspringDistribution,
     gamma: StepDistribution,
@@ -633,7 +613,6 @@ def estimate_positive_probability(
     x: Label,
     attempts: int,
     rng: np.random.Generator,
-    strict: bool = True,
 ) -> int:
     """How many of the given number of conditioned draws keep labels positive."""
     if n == 0:
@@ -645,7 +624,7 @@ def estimate_positive_probability(
         take = min(chunk, attempts - done)
         rows = _sized_count_rows(mu, n, rng, take)
         for _, labels in _label_blocks(rows, gamma, x, rng):
-            accepted += int(_positive(labels, strict).sum())
+            accepted += int(_positive(labels).sum())
         done += take
     return accepted
 
@@ -782,6 +761,42 @@ def _rerooted_rows(
     return rows_out, labels_out, argmin, attempts
 
 
+def _reroot_rows(
+    rows: np.ndarray, labels: np.ndarray, leaf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Count rows and labels of trees re-rooted at a leaf, as reroot_at
+    gives them, one row block at a time.
+
+    The new contour is the old one read backwards from the leaf's one
+    visit (_reroot_walk), so the new preorder is the leaf, then the vertex
+    at each up-step.  Every vertex keeps its neighbours: its count is its
+    degree less its new parent, and the new root, a leaf, has 1.  Labels
+    are shifted by minus the leaf's.
+    """
+    count, n1 = rows.shape
+    rows_out = np.empty_like(rows)
+    labels_out = np.empty_like(labels)
+    for start, stop in _row_blocks(count, _KERNEL_WORDS * n1):
+        every = np.arange(stop - start)[:, None]
+        k = leaf[start:stop]
+        depth, _, contour = _row_contours(_subtree_ends(rows[start:stop]))
+        back = contour[:, ::-1]  # reroot_at's orientation
+        # the leaf's one visit, at time 2k - depth[k], read backwards
+        star = 2 * (n1 - 1) - 2 * k + depth[every[:, 0], k]
+        height, u = _reroot_walk(depth[every, back], star)
+        seen = back[every, u]  # the old vertex at each new time
+        new = np.empty((stop - start, n1), dtype=np.int64)
+        new[:, 0] = k
+        new[:, 1:] = seen[:, 1:][height[:, 1:] > height[:, :-1]].reshape(-1, n1 - 1)
+        degree = rows[start:stop] + 1
+        degree[:, 0] -= 1  # the old root has no parent
+        rows_out[start:stop] = degree[every, new] - 1
+        rows_out[start:stop, 0] = 1
+        block = labels[start:stop]
+        labels_out[start:stop] = block[every, new] - block[every, k[:, None]]
+    return rows_out, labels_out
+
+
 def sample_measure(
     measure: str,
     mu: OffspringDistribution,
@@ -795,12 +810,12 @@ def sample_measure(
     rows (None for the plain-tree measures Pi and Pi-n).
 
     The sized measures draw the whole block through the row kernel.  Under
-    the geometric law, Qbar-n comes from _rerooted_rows, and so does
-    Pbar-n-x at x = 1 for steps in {-1, 0, 1}, as Qbar_{n+1} without its
-    root edge; the other Pbar-n-x and Qbar-n draws are positivity
-    rejections.  Either way at most REJECTION_BUDGET attempts are spent.
-    The unsized measures draw tree by tree.  The single-child-root family
-    Q is rooted at label 0, the others at x.
+    the geometric law, Qbar-n comes from _rerooted_rows, re-rooted by
+    _reroot_rows, and so does Pbar-n-x at x = 1 for steps in {-1, 0, 1},
+    as Qbar_{n+1} without its root edge; the other Pbar-n-x and Qbar-n
+    draws are positivity rejections.  Either way at most REJECTION_BUDGET
+    attempts are spent.  The unsized measures draw tree by tree.  The
+    single-child-root family Q is rooted at label 0, the others at x.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, pick from {MEASURES}")
@@ -818,11 +833,9 @@ def sample_measure(
     unit = gamma.exact and set(gamma.support) <= {-1, 0, 1}
     if mu.is_geometric and (measure == "Qbar-n" or (measure == "Pbar-n-x" and x == 1 and unit)):
         cut = int(measure == "Pbar-n-x")  # the root edge to drop
-        rows, labels, argmin, _ = _rerooted_rows(gamma, n + cut, count, rng)
-        trees = [SpatialTree(PlaneTree(tuple(c)), tuple(l))
-                 for c, l in zip(rows.tolist(), labels.tolist())]
-        trees = [reroot_at(s, s.tree.vertices[k]) for s, k in zip(trees, argmin.tolist())]
-        return [s.tree.counts[cut:] for s in trees], [s.labels[cut:] for s in trees]
+        rows, labels = _reroot_rows(*_rerooted_rows(gamma, n + cut, count, rng)[:3])
+        return ([tuple(r[cut:]) for r in rows.tolist()],
+                [tuple(l[cut:]) for l in labels.tolist()])
     count_rows = _q_count_rows if measure.startswith("Q") else _sized_count_rows
     if measure in ("Pbar-n-x", "Qbar-n"):
         got, attempts = _conditioned_rows(

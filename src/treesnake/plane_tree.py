@@ -174,9 +174,14 @@ def _path_sums(end: np.ndarray, w: np.ndarray) -> np.ndarray:
     b, n1 = end.shape
     acc = np.zeros((b, n1 + 1), dtype=w.dtype)
     acc[:, :n1] = w
-    # one flat index per entry: ufunc.at is much slower on index tuples
-    np.subtract.at(acc.reshape(-1), (end + (n1 + 1) * np.arange(b)[:, None]).ravel(), w.ravel())
-    return np.cumsum(acc[:, :n1], axis=1)
+    # one flat index per entry (ufunc.at is much slower on index tuples), as
+    # int32, which ufunc.at takes without a copy; b (n1 + 1) stays below 2**31
+    flat = np.empty((b, n1), dtype=np.int32)
+    np.add(end, (n1 + 1) * np.arange(b)[:, None], out=flat, casting="unsafe")
+    np.subtract.at(acc.reshape(-1), flat.ravel(), w.ravel())
+    del flat  # before the sums, which are taken in place
+    np.cumsum(acc, axis=1, out=acc)
+    return acc[:, :n1]
 
 
 def _row_contours(end: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -198,6 +203,30 @@ def _row_contours(end: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     contour[rows, 2 * k - depth] = k
     contour[rows, 2 * end[:, 1:] - depth[:, 1:] - 1] = parent[:, 1:]
     return depth, parent, contour
+
+
+def _reroot_walk(walk: np.ndarray, star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of cyclic walks (last entry equal to the first) re-read from
+    column star[i] of row i: the new rows and the columns u they read.
+
+    Entry j of a new row is w[star] + w[u] - 2 min w over the plain
+    (non-cyclic) interval between star and u, with u = (star + j) mod
+    (width - 1): on a contour or a lifetime, the tree distance between the
+    points at times star and u, which is the walk of the tree re-rooted at
+    star.  Rotated to start at star, that interval is a prefix of the row
+    while star + j < width - 1, and a suffix after.
+    """
+    width = walk.shape[1]
+    j = np.arange(width)
+    u = star[:, None] + j
+    u %= width - 1
+    w = np.take_along_axis(walk, u, axis=1)
+    low = np.minimum.accumulate(w, axis=1)
+    suffix = np.minimum.accumulate(w[:, ::-1], axis=1)[:, ::-1]
+    tail = j >= width - 1 - star[:, None]
+    low[tail] = suffix[tail]
+    del suffix, tail
+    return w[:, :1] + w - 2 * low, u
 
 
 @dataclass(frozen=True)

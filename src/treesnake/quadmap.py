@@ -25,22 +25,13 @@ it breaks face degrees or the round trip on small cases.
 Distances in the map from the extra vertex coincide with the tree labels,
 which is what makes the encoding useful for metric questions.
 
-The pointed form of the same construction (Chassaing & Schaeffer, PTRF
-128, 2004) drops the root-label rule.  A tree with n edges and any integer
-labels changing by at most 1 along edges, plus a sign, is shifted by
-1 - min label so that the minimum is 1, and the extra vertex becomes the
-point of the map.  The root edge is the arc of the root corner: sign +1
-roots it at the tree root, sign -1 at the other end of that arc (the point
-itself when the root holds the minimum).  Pairs (labelled tree up to a
-shift, sign) correspond one-to-one to rooted quadrangulations with a
-marked vertex, and each rooted map has n + 2 vertices to mark, so a
-uniform pair gives a uniform rooted map with no rejection.
-
-Radii and root distances of sampled maps need no map: a uniform rooted
-quadrangulation with n faces is cvs_build of a uniform well-labelled tree
-with n edges, which is Qbar_{n+1} (geometric law, uniform steps) less its
-root edge, so sample_radius_and_distance reads both off the labels of the
-Qbar_{n+1} draws of gw_sampler._rerooted_rows.
+A uniform rooted quadrangulation with n faces is cvs_build of a uniform
+well-labelled tree with n edges, which is Qbar_{n+1} (geometric law,
+uniform steps) less its root edge, the Pbar_{n,1} draws of
+gw_sampler.sample_measure: sample_uniform_quads builds its maps from
+those.  Radii and root distances of sampled maps need no map, so
+sample_radius_and_distance reads both off the labels of the Qbar_{n+1}
+draws of gw_sampler._rerooted_rows.
 """
 
 from __future__ import annotations
@@ -56,11 +47,10 @@ import numpy as np
 from treesnake.gw_sampler import (
     OffspringDistribution,
     StepDistribution,
-    _label_rows,
     _rerooted_rows,
-    _sized_count_rows,
+    sample_measure,
 )
-from treesnake.plane_tree import PlaneTree, _subtree_ends, enumerate_trees
+from treesnake.plane_tree import PlaneTree, enumerate_trees
 from treesnake.spatial_tree import SpatialTree
 
 
@@ -165,22 +155,6 @@ class PlanarQuadrangulation:
             raise NotAQuadrangulation("Euler count fails, the map is not planar")
 
 
-def _labels_or_raise(wt: SpatialTree) -> None:
-    """Every well-labelled check except the root-label-1 rule."""
-    labels = wt.labels
-    if wt.tree.n_edges < 1:
-        raise NotWellLabelled("need at least one edge")
-    parent = wt.tree.parent_index
-    for i in range(wt.tree.size):
-        l = labels[i]
-        if not isinstance(l, (int, np.integer)) or l < 1:
-            raise NotWellLabelled(f"label {l!r} at vertex {wt.tree.vertices[i]}")
-        if i and abs(l - labels[parent[i]]) > 1:
-            raise NotWellLabelled(
-                f"labels jump by {abs(l - labels[parent[i]])} along an edge"
-            )
-
-
 def enumerate_well_labelled(n: int) -> Iterator[SpatialTree]:
     """Every well-labelled tree with n edges, in plane-tree enumeration order."""
     if n < 1:
@@ -204,34 +178,29 @@ def cvs_build(wt: SpatialTree, n: Optional[int] = None) -> PlanarQuadrangulation
     The root dart is the extra-vertex end of the root corner's arc, so the
     root vertex of the map is the extra vertex.
     """
-    _labels_or_raise(wt)
-    if wt.labels[0] != 1:
-        raise NotWellLabelled(f"root label {wt.labels[0]}, want 1")
+    labels = wt.labels
+    if wt.tree.n_edges < 1:
+        raise NotWellLabelled("need at least one edge")
+    parent = wt.tree.parent_index
+    for i in range(wt.tree.size):
+        l = labels[i]
+        if not isinstance(l, (int, np.integer)) or l < 1:
+            raise NotWellLabelled(f"label {l!r} at vertex {wt.tree.vertices[i]}")
+        if i and abs(l - labels[parent[i]]) > 1:
+            raise NotWellLabelled(
+                f"labels jump by {abs(l - labels[parent[i]])} along an edge"
+            )
+    if labels[0] != 1:
+        raise NotWellLabelled(f"root label {labels[0]}, want 1")
     if n is None:
         n = wt.tree.n_edges
     elif n != wt.tree.n_edges:
         raise ValueError(f"tree has {wt.tree.n_edges} edges, not {n}")
-    return _successor_arcs(wt, n, 1)
+    return _successor_arcs(wt, n)
 
 
-def _pointed_build(wt: SpatialTree, sign: int) -> PlanarQuadrangulation:
-    """Pointed encoding of a labelled tree and a sign +1 or -1.
-
-    The labels need only be integers changing by at most 1 along edges;
-    they are shifted to minimum 1, so the extra vertex is the point.  The
-    root dart is the tree-root end (+1) or the far end (-1) of the root
-    corner's arc.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, not {sign!r}")
-    shift = 1 - min(wt.labels)
-    wt = SpatialTree(wt.tree, tuple(l + shift for l in wt.labels))
-    _labels_or_raise(wt)
-    return _successor_arcs(wt, wt.tree.n_edges, 0 if sign == 1 else 1)
-
-
-def _successor_arcs(wt: SpatialTree, n: int, root_dart: int) -> PlanarQuadrangulation:
-    """The successor-arc map of a checked tree with labels of minimum 1.
+def _successor_arcs(wt: SpatialTree, n: int) -> PlanarQuadrangulation:
+    """The successor-arc map of a checked well-labelled tree.
 
     Arc j belongs to corner j and carries darts 2j (at the corner) and
     2j+1 (at the successor corner, or at the extra vertex for label-1
@@ -284,7 +253,7 @@ def _successor_arcs(wt: SpatialTree, n: int, root_dart: int) -> PlanarQuadrangul
         close_cycle(rot)
     close_cycle(to_a0[::-1])
 
-    return PlanarQuadrangulation(n, tuple(sigma), alpha_of(m), root_dart)
+    return PlanarQuadrangulation(n, tuple(sigma), alpha_of(m), 1)
 
 
 @lru_cache(maxsize=8)
@@ -467,25 +436,17 @@ _U3 = StepDistribution.uniform3()
 def sample_uniform_quads(
     n: int, count: int, rng: np.random.Generator
 ) -> Iterator[PlanarQuadrangulation]:
-    """Independent uniform rooted quadrangulations with n faces, no rejection.
+    """Independent uniform rooted quadrangulations with n faces.
 
-    Each map is the pointed encoding of a uniform (labelled tree, sign)
-    pair: a size-conditioned geometric tree (uniform over shapes) with
-    root label 0 and uniform steps in {-1, 0, 1}, and a fair sign.  The
-    pairs are in bijection with rooted maps carrying one of their n + 2
-    vertices as a point, so forgetting the point leaves the uniform law.
-    The pairs are drawn in chunks of about a million vertices.
+    Each map is cvs_build of a uniform well-labelled tree with n edges, a
+    Pbar_{n,1} draw of sample_measure under the geometric law and uniform
+    steps in {-1, 0, 1}, which takes it from exact Qbar_{n+1} draws.
     """
     if n < 1:
         raise ValueError(f"need at least one face, not n={n}")
-    chunk = max(1, 1_000_000 // (n + 1))
-    for start in range(0, count, chunk):
-        take = min(chunk, count - start)
-        rows = _sized_count_rows(_GEO, n, rng, take)
-        labels = _label_rows(_subtree_ends(rows), _U3.sample(rng, (take, n)), 0)
-        signs = 1 - 2 * rng.integers(0, 2, size=take)
-        for counts, labs, sign in zip(rows.tolist(), labels.tolist(), signs.tolist()):
-            yield _pointed_build(SpatialTree(PlaneTree(tuple(counts)), tuple(labs)), sign)
+    counts, labels = sample_measure("Pbar-n-x", _GEO, _U3, n, 1, count, rng)
+    for c, l in zip(counts, labels):
+        yield cvs_build(SpatialTree(PlaneTree(c), l), n)
 
 
 def sample_uniform_quad(n: int, rng: np.random.Generator) -> PlanarQuadrangulation:

@@ -20,7 +20,8 @@ Re-rooting at the spatial minimum turns the signed head into a nonnegative
 one while permuting head values, so path ranges are preserved sample by
 sample; the distribution of the re-rooted pair is the positive
 (conditioned) snake, which is the continuum reference object for the
-scaling comparisons.
+scaling comparisons.  The re-rooted lifetime comes from
+plane_tree._reroot_walk, which re-roots the sampled trees' contours too.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from treesnake.plane_tree import ContourFunction, _row_blocks
+from treesnake.plane_tree import ContourFunction, _reroot_walk, _row_blocks
 from treesnake.spatial_tree import SpatialContour
 
 
@@ -265,9 +266,9 @@ def verwaat_reroot(p: SnakePath) -> SnakePath:
 
     The new head reads the old one cyclically from the argmin, shifted to
     start at 0, and the new lifetime at offset j is the tree distance
-    between the old positions, computed from minima of e over the plain
-    (non-cyclic) index interval between them.  Requires a path started at
-    0 and a unique grid argmin.
+    between the old positions: plane_tree._reroot_walk, the formula that
+    re-roots the discrete trees too.  Requires a path started at 0 and a
+    unique grid argmin.
     """
     if p.initial != 0.0:
         raise ValueError("re-rooting is defined for paths started at 0")
@@ -278,22 +279,10 @@ def verwaat_reroot(p: SnakePath) -> SnakePath:
     hits = np.nonzero(z[:m] == low)[0]
     if len(hits) != 1:
         raise NonUniqueMinimum(f"head minimum attained {len(hits)} times on the grid")
-    star = int(hits[0])
+    star = hits[:1]
 
-    u = (star + np.arange(m + 1)) % m
-    z_new = z[u] - z[star]
-
-    forward_min = np.minimum.accumulate(e[star:])
-    backward_min = np.minimum.accumulate(e[: star + 1][::-1])[::-1]
-    between = np.where(
-        u >= star,
-        forward_min[np.clip(u - star, 0, len(forward_min) - 1)],
-        backward_min[np.minimum(u, star)],
-    )
-    e_new = e[star] + e[u] - 2.0 * between
-    e_new[0] = 0.0
-    e_new[m] = 0.0
-    return SnakePath(m, e_new, z_new, 0.0)
+    e_new, u = _reroot_walk(e[None, :], star)
+    return SnakePath(m, e_new[0], z[u[0]] - z[star], 0.0)
 
 
 def sample_positive_snake(

@@ -8,6 +8,7 @@ same flags must produce byte-identical data files.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 from collections import Counter
@@ -241,6 +242,28 @@ class TestSampleSubcommand:
         assert set(draws) <= set(law)
         tv = sum(abs(draws[k] / self.LAW_DRAWS - float(p)) for k, p in law.items()) / 2
         assert tv < tv_bound(len(law), self.LAW_DRAWS)
+
+    # sha256 of the files written when each kept Qbar-n draw was re-rooted
+    # by reroot_at, one tree at a time, and every label row summed into a
+    # new array: the row re-rooting and the in-place sums draw the same trees
+    @pytest.mark.parametrize("flags, digest", [
+        (["Qbar-n", "--n", "50"],
+         "5467cc11a3b35ab33ebb991ff90bc43e2c0bd82d6a6aa166521f58b87f20d6cb"),
+        (["Pbar-n-x", "--n", "50", "--x", "1"],
+         "5c49e248618e8e20979970eca9ec02b860feeb8d6354d0e659db49fcecd1c34b"),
+        (["Pbar-n-x", "--n", "20", "--x", "2"],
+         "4778aa611e85989f18148a106ec585a3b6b0903dbb05deeafb20482d23cc194c"),
+        (["Q-n", "--n", "50"],
+         "fdd89a930011c49ab5c1cc4b55757e04736595aa7caea8f193db13c38bb816b6"),
+        (["P-n-x", "--n", "50"],
+         "cf34597a193dbfb5dfbde65ba16a82aa71b4e416a12fb7772eb4de615f074c6a"),
+    ], ids=["Qbar-n", "Pbar-n-x-1", "Pbar-n-x-2", "Q-n", "P-n-x"])
+    def test_labelled_measures_keep_their_bytes(self, tmp_path, capsys, flags, digest):
+        out = tmp_path / "draws.csv"
+        assert run(["sample", "--measure", *flags, "--samples", "300", "--seed", "5",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_sized_measure_requires_n(self, capsys):
         assert run(["sample", "--measure", "Pi-n", "--samples", "2",

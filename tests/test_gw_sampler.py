@@ -20,12 +20,12 @@ from treesnake.gw_sampler import (
     _conditioned_rows,
     _label_rows,
     _q_count_rows,
+    _reroot_rows,
     _rerooted_rows,
     _rotate_rows,
     _sized_count_rows,
     _tilted_rows,
     estimate_positive_probability,
-    sample_conditioned_batch,
     sample_gw,
     sample_gw_sized,
     sample_label_extrema,
@@ -37,6 +37,7 @@ from treesnake.gw_sampler import (
     spawn_rngs,
 )
 from treesnake.plane_tree import PlaneTree, _subtree_ends, build_tree, enumerate_trees, leaves
+from treesnake.spatial_tree import SpatialTree, reroot_at
 
 GEO = OffspringDistribution.geometric_half()
 U3 = StepDistribution.uniform3()
@@ -288,31 +289,33 @@ class TestLabels:
 class TestConditioned:
     def test_one_edge_law(self):
         n_draws = 20_000
-        batch, _ = sample_conditioned_batch(GEO, U3, 1, 1, n_draws, rng_of(6))
-        freq = Counter(s.labels for s in batch)
+        batch, _ = _conditioned_rows(GEO, U3, 1, 1, n_draws, rng_of(6))
+        freq = Counter(labels for _, labels in batch)
         assert set(freq) == {(1, 1), (1, 2)}
         se = math.sqrt(0.25 / n_draws)
         assert abs(freq[(1, 1)] / n_draws - 0.5) < 4 * se
 
     def test_zero_edges_vacuous(self):
-        batch, _ = sample_conditioned_batch(GEO, U3, 0, 0, 1, rng_of(0))
-        assert batch[0].labels == (0,)
+        batch, _ = _conditioned_rows(GEO, U3, 0, 0, 1, rng_of(0))
+        assert batch == [((0,), (0,))]
 
     def test_negative_root_rejected(self):
         with pytest.raises(NegativeRootLabel):
-            sample_conditioned_batch(GEO, U3, 2, -1, 1, rng_of(0), max_attempts=10)
+            _conditioned_rows(GEO, U3, 2, -1, 1, rng_of(0), max_attempts=10)
 
     def test_negative_root_rejected_before_any_attempt(self):
         # no child of a root at -1 is positive under uniform3, so rejection
         # would spend the whole budget (and, with none, never return)
         with pytest.raises(NegativeRootLabel):
-            sample_conditioned_batch(GEO, U3, 3, -1, 2, rng_of(0), max_attempts=200_000)
+            _conditioned_rows(GEO, U3, 3, -1, 2, rng_of(0), max_attempts=200_000)
         with pytest.raises(NegativeRootLabel):
             _conditioned_rows(GEO, U3, 3, -1, 2, rng_of(0))
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        # x = 0 keeps Pbar-n-x on the rejection route
+        monkeypatch.setattr(gw_sampler, "REJECTION_BUDGET", 3)
         with pytest.raises(RejectionBudgetExhausted):
-            sample_conditioned_batch(GEO, U3, 100, 0, 1, rng_of(1), max_attempts=3)
+            sample_measure("Pbar-n-x", GEO, U3, 100, 0, 1, rng_of(1))
 
     def test_attempts_end_at_the_last_acceptance(self):
         # attempts count the rows up to the last accepted one, so a budget of
@@ -328,19 +331,13 @@ class TestConditioned:
         # total variation against the enumerated conditional law at n=2
         law = conditional_label_law(2, GEO, U3, x=1)
         n_draws = 50_000
-        batch, attempts = sample_conditioned_batch(GEO, U3, 2, 1, n_draws, rng_of(8))
+        batch, attempts = _conditioned_rows(GEO, U3, 2, 1, n_draws, rng_of(8))
         assert attempts >= n_draws
-        freq = Counter((s.tree.counts, s.labels) for s in batch)
+        freq = Counter(batch)
         tv = sum(
             abs(freq.get(k, 0) / n_draws - float(p)) for k, p in law.items()
         ) + sum(freq[k] / n_draws for k in freq if k not in law)
         assert tv / 2 < 0.02
-
-    def test_nonstrict_conditioning(self):
-        batch, _ = sample_conditioned_batch(GEO, U3, 3, 0, 50, rng_of(10), strict=False)
-        assert len(batch) == 50
-        assert all(x >= 0 for s in batch for x in s.labels[1:])
-        assert any(0 in s.labels[1:] for s in batch)
 
     def test_acceptance_estimate_matches_exact(self):
         # at n=1, x=1: positive labels need a step in {0, +1}
@@ -568,6 +565,53 @@ class TestRerootedRows:
         normal = StepDistribution.normal()
         counts, labels = sample_measure("Pbar-n-x", GEO, normal, 4, 1, 5, rng_of(12))
         assert all(v > 0 for l in labels for v in l[1:])
+
+
+def rerooted_by_objects(rows, labels, leaf) -> list:
+    """(counts, labels) of each row re-rooted at its leaf by reroot_at."""
+    out = []
+    for c, l, k in zip(rows.tolist(), labels.tolist(), leaf.tolist()):
+        s = SpatialTree(PlaneTree(tuple(c)), tuple(l))
+        r = reroot_at(s, s.tree.vertices[k])
+        out.append((r.tree.counts, r.labels))
+    return out
+
+
+def rerooted_by_rows(rows, labels, leaf) -> list:
+    got_rows, got_labels = _reroot_rows(rows, labels, leaf)
+    return [(tuple(c), tuple(l)) for c, l in zip(got_rows.tolist(), got_labels.tolist())]
+
+
+class TestRerootRows:
+    """The row re-rooting against the object route reroot_at."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_qbar_atom(self, n):
+        # the Q_n atoms whose label minimum is at one vertex, a leaf below
+        # the root: re-rooted there they are every atom of Qbar_n
+        rows, labels, leaf = [], [], []
+        for s, _ in labelled_atoms(n, GEO, U3, x=0, root_single_child=True):
+            low = min(s.labels)
+            k = s.labels.index(low)
+            if low < 0 and s.labels.count(low) == 1 and s.tree.counts[k] == 0:
+                rows.append(s.tree.counts)
+                labels.append(s.labels)
+                leaf.append(k)
+        rows, labels, leaf = np.array(rows), np.array(labels), np.array(leaf)
+        got = rerooted_by_rows(rows, labels, leaf)
+        assert got == rerooted_by_objects(rows, labels, leaf)
+        assert set(got) == set(qbar_law(n, U3))
+
+    @pytest.mark.parametrize("gamma", [U3, PM1], ids=["uniform3", "pm1"])
+    def test_kept_draws_at_n_500(self, gamma):
+        kept = _rerooted_rows(gamma, 500, 200, rng_of(41))[:3]
+        assert rerooted_by_rows(*kept) == rerooted_by_objects(*kept)
+
+    def test_one_row_blocks(self, monkeypatch):
+        kept = _rerooted_rows(U3, 200, 40, rng_of(42))[:3]
+        want = [a.tobytes() for a in _reroot_rows(*kept)]
+        monkeypatch.setattr(plane_tree, "_BLOCK_ENTRIES", 1)
+        assert [a.tobytes() for a in _reroot_rows(*kept)] == want
 
 
 class TestImportanceSampler:

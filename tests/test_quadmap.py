@@ -14,10 +14,8 @@ from treesnake.exact_enum import count_well_labelled
 from treesnake.gw_sampler import (
     OffspringDistribution,
     StepDistribution,
+    _conditioned_rows,
     _rerooted_rows,
-    sample_conditioned_batch,
-    sample_gw_sized,
-    sample_spatial,
 )
 from treesnake.plane_tree import PlaneTree, build_tree, enumerate_trees
 from treesnake.quadmap import (
@@ -26,7 +24,6 @@ from treesnake.quadmap import (
     NotWellLabelled,
     PlanarQuadrangulation,
     _bfs_distances,
-    _pointed_build,
     canonical_code,
     cvs_build,
     cvs_inverse,
@@ -56,6 +53,12 @@ def labelled_trees(n):
             for i in range(1, n + 1):
                 labels[i] = labels[parent[i]] + incs[i - 1]
             yield SpatialTree(tree, tuple(labels))
+
+
+def rejection_trees(n, count, rng):
+    """count well-labelled trees with n edges by positivity rejection."""
+    rows, _ = _conditioned_rows(GEO, U3, n, 1, count, rng)
+    return [SpatialTree(PlaneTree(c), l) for c, l in rows]
 
 
 def radius_and_distance(q, pick):
@@ -144,81 +147,6 @@ class TestEncodingBattery:
     def test_codes_are_injective(self, n, count):
         codes = {canonical_code(cvs_build(wt, n)) for wt in enumerate_well_labelled(n)}
         assert len(codes) == count
-
-
-class TestPointedEncoding:
-    """Labelled trees with a sign against rooted maps with a marked vertex."""
-
-    @pytest.mark.parametrize("n,maps", [(1, 2), (2, 9), (3, 54), (4, 378), (5, 2916)])
-    def test_each_rooted_map_is_hit_n_plus_2_times(self, n, maps):
-        codes = Counter()
-        for wt in labelled_trees(n):
-            for sign in (1, -1):
-                q = _pointed_build(wt, sign)
-                q.validate()
-                codes[canonical_code(q)] += 1
-        assert len(codes) == maps
-        assert set(codes.values()) == {n + 2}
-        assert set(codes) == {canonical_code(cvs_build(wt, n)) for wt in enumerate_well_labelled(n)}
-
-    @staticmethod
-    def check_point_distances(wt, sign):
-        q = _pointed_build(wt, sign)
-        shifted = [l - min(wt.labels) + 1 for l in wt.labels]
-        order = wt.tree.contour_order[:-1]
-        corner_of = {v: t for t, v in enumerate(order)}  # dart 2t leaves vertex v
-        point = q.vertex_of[2 * corner_of[shifted.index(1)] + 1]
-        dist = _bfs_distances(q, point)
-        assert dist[point] == 0
-        for v, t in corner_of.items():
-            assert dist[q.vertex_of[2 * t]] == shifted[v]
-        root_label = dist[q.vertex_of[q.root_dart]]
-        assert root_label == (shifted[0] if sign == 1 else shifted[0] - 1)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_point_distances_are_the_shifted_labels(self, n):
-        for wt in labelled_trees(n):
-            for sign in (1, -1):
-                self.check_point_distances(wt, sign)
-
-    def test_point_distances_on_large_random_trees(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            wt = sample_spatial(sample_gw_sized(GEO, 300, rng), U3, 0, rng)
-            self.check_point_distances(wt, int(rng.choice((1, -1))))
-
-    def test_sign_must_be_plus_or_minus_one(self):
-        with pytest.raises(ValueError, match="sign"):
-            _pointed_build(one_edge_tree(1), 0)
-
-    def test_pointed_labels_may_not_jump(self):
-        with pytest.raises(NotWellLabelled):
-            _pointed_build(SpatialTree(build_tree((1, 0)), (0, 2)), 1)
-
-    def test_pointed_labels_must_be_integers(self):
-        with pytest.raises(NotWellLabelled):
-            _pointed_build(SpatialTree(build_tree((1, 0)), (0, 0.5)), 1)
-
-    def test_minus_sign_on_a_well_labelled_tree_is_the_plain_encoding(self):
-        for wt in enumerate_well_labelled(3):
-            assert _pointed_build(wt, -1) == cvs_build(wt)
-
-    def test_radius_and_distance_law_matches_rejection(self):
-        # two-sample KS at 2000 maps a side; the 1% critical value is 0.0515,
-        # and fixing the sign to +1 or -1 gives 0.07 to 0.12
-        n, maps = 100, 2000
-        radii, dists, attempts = sample_radius_and_distance(
-            n, maps, np.random.default_rng(100)
-        )
-        assert attempts >= maps
-        rng = np.random.default_rng(101)
-        trees, _ = sample_conditioned_batch(GEO, U3, n, 1, maps, rng, strict=True)
-        picks = rng.integers(0, n + 1, size=maps)
-        ref = np.array(
-            [radius_and_distance(cvs_build(wt, n), k) for wt, k in zip(trees, picks)]
-        )
-        assert ks_two_sample(radii, ref[:, 0]) < 0.0515
-        assert ks_two_sample(dists, ref[:, 1]) < 0.0515
 
 
 class TestCanonicalCode:
@@ -311,19 +239,33 @@ class TestRescaledProfile:
 
 class TestUniformSampling:
     def test_two_face_frequencies_are_uniform(self):
-        # the rejection oracle and the pointed draw, each against the same bound
+        # the rejection oracle and the sampler, each against the same bound
         draws = 100_000
-        trees, _ = sample_conditioned_batch(
-            GEO, U3, 2, 1, draws, np.random.default_rng(2026), strict=True
-        )
+        trees = rejection_trees(2, draws, np.random.default_rng(2026))
         rejection = (cvs_build(wt, 2) for wt in trees)
-        pointed = sample_uniform_quads(2, draws, np.random.default_rng(2026))
+        sampled = sample_uniform_quads(2, draws, np.random.default_rng(2026))
         se = (draws * (1 / 9) * (8 / 9)) ** 0.5
-        for maps in (rejection, pointed):
+        for maps in (rejection, sampled):
             freq = Counter(canonical_code(q) for q in maps)
             assert len(freq) == 9
             for count in freq.values():
                 assert abs(count - draws / 9) < 4 * se
+
+    def test_radius_and_distance_law_matches_rejection(self):
+        # two-sample KS at 2000 maps a side; the 1% critical value is 0.0515
+        n, maps = 100, 2000
+        radii, dists, attempts = sample_radius_and_distance(
+            n, maps, np.random.default_rng(100)
+        )
+        assert attempts >= maps
+        rng = np.random.default_rng(101)
+        trees = rejection_trees(n, maps, rng)
+        picks = rng.integers(0, n + 1, size=maps)
+        ref = np.array(
+            [radius_and_distance(cvs_build(wt, n), k) for wt, k in zip(trees, picks)]
+        )
+        assert ks_two_sample(radii, ref[:, 0]) < 0.0515
+        assert ks_two_sample(dists, ref[:, 1]) < 0.0515
 
     def test_sample_uniform_quad_is_valid_and_reproducible(self):
         q1 = sample_uniform_quad(25, np.random.default_rng(99))

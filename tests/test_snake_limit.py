@@ -12,6 +12,7 @@ constants by that same offset; the frozen bands account for it.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 
@@ -350,6 +351,18 @@ class TestVerwaatReroot:
             if j in (0, m):
                 want = 0.0
             assert abs(q.excursion[j] - want) < 1e-12
+
+    # sha256 of the lifetime then head bytes, recorded from the code that
+    # computed the interval minima in verwaat_reroot itself, before the
+    # shared re-rooting kernel: the kernel changes no bit
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "4082ff4d114103e27095ad9a70296508faf911ea6f26c3250cce2cd1ea7a5595"),
+        (2, "e111cb6c601ddbb3d237fc5a6f8b8fd2c7a53ea0152c416dc54a85518788873e"),
+        (3, "f2ad1af4b22b9f808a74e2e6fb80a92def3463dde67294bb98adaa6a207205fd"),
+    ])
+    def test_arrays_keep_their_bytes(self, seed, digest):
+        q = verwaat_reroot(sample_snake(1024, np.random.default_rng(seed)))
+        assert hashlib.sha256(q.excursion.tobytes() + q.head.tobytes()).hexdigest() == digest
 
     def test_positive_pipeline(self):
         q = sample_positive_snake(64, np.random.default_rng(21))
