@@ -402,22 +402,16 @@ def conditional_label_law(
     mu: OffspringDistribution,
     gamma: StepDistribution,
     x,
-    strict: bool = True,
 ) -> dict[Atom, Fraction]:
     """Exact law of the labelled tree given n edges and positive labels.
 
     Atoms are (counts, labels); weights are normalized to total mass one.
-    The conditioning keeps non-root labels strictly positive (nonnegative
-    with strict=False), the root being pinned at x.
+    The conditioning keeps non-root labels strictly positive, the root
+    being pinned at x.
     """
     raw: dict[Atom, Fraction] = {}
     for s, w in labelled_atoms(n, mu, gamma, x=x, root_single_child=False):
-        good = (
-            all(v > 0 for v in s.labels[1:])
-            if strict
-            else all(v >= 0 for v in s.labels[1:])
-        )
-        if good:
+        if all(v > 0 for v in s.labels[1:]):
             raw[_atom_key(s)] = raw.get(_atom_key(s), Fraction(0)) + w
     total = sum(raw.values(), Fraction(0))
     if total == 0:

@@ -39,15 +39,16 @@ ones come from the paper's re-rooting identity under the geometric law
 (_rerooted_rows, at an acceptance flat in n), otherwise by
 rejection, both under an explicit attempt budget.  The kept draws are
 re-rooted at their minimum leaf on rows (_reroot_rows), by the formula of
-plane_tree._reroot_walk that also re-roots the grid snake; reroot_at
-stays the object route of exact_enum and sample_reroot_importance.  Only
+plane_tree._reroot_walk that also re-roots the grid snake; so are the
+weighted draws of sample_reroot_importance, and one keep test
+(_minimum_leaf) picks the draws that both re-root.  The object route of
+spatial_tree stays exact_enum's alone, an independent check.  Only
 the unsized measures (Pi, P-x, Q) are drawn tree by tree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union
 
@@ -61,9 +62,8 @@ from treesnake.plane_tree import (
     _row_blocks,
     _row_contours,
     _subtree_ends,
-    leaves,
 )
-from treesnake.spatial_tree import Label, SpatialTree, min_label, reroot_at
+from treesnake.spatial_tree import Label, SpatialTree
 
 Numeric = Union[int, float, Fraction]
 
@@ -318,19 +318,6 @@ REJECTION_BUDGET = 50_000_000
 _KERNEL_WORDS = 8
 
 
-@dataclass(frozen=True)
-class ImportanceSample:
-    """One re-rooted draw with its unbiasing weight.
-
-    Invalid draws (the label minimum is not unique, or is attained off the
-    leaves) carry weight 0 and return the un-rerooted tree.
-    """
-
-    tree: SpatialTree
-    weight: float
-    valid: bool
-
-
 # ---------------------------------------------------------------------------
 # unconditioned and size-conditioned tree draws
 
@@ -574,25 +561,26 @@ def _conditioned_rows(
     """Accepted (counts, labels) rows with positivity, and the attempt total.
 
     Rejection from the trees count_rows(mu, n, rng, k) draws, the
-    size-conditioned law by default.  The root label x must be nonnegative,
-    and a zero-edge draw is vacuously accepted.
+    size-conditioned law by default, spending at most max_attempts
+    attempts (REJECTION_BUDGET when left out), so fewer than count rows
+    come back when the budget runs out.  The root label x must be
+    nonnegative, and a zero-edge draw is vacuously accepted.
     """
     if x < 0:
         raise NegativeRootLabel("root label must be nonnegative for positivity conditioning")
     if n == 0:
         return [((0,), (x,)) for _ in range(count)], count
+    budget = REJECTION_BUDGET if max_attempts is None else max_attempts
     out: list[tuple[tuple, tuple]] = []
     attempts = 0
     cap = max(64, min(8192, 1_000_000 // (n + 1)))
-    while len(out) < count:
-        if max_attempts is not None and attempts >= max_attempts:
-            break
+    while len(out) < count and attempts < budget:
         chunk = max(16, min(cap, 2 * (count - len(out))))
         rows = count_rows(mu, n, rng, chunk)
         # rows are attempts in order, up to the wanted count or the budget;
         # every block is labelled, so the chunk's draws do not depend on
         # where the wanted count is reached
-        look = chunk if max_attempts is None else min(chunk, max_attempts - attempts)
+        look = min(chunk, budget - attempts)
         last = -1
         for start, labels in _label_blocks(rows, gamma, x, rng):
             ok = _positive(labels[: max(0, look - start)])
@@ -677,36 +665,25 @@ def sample_leaf_counts(
 # measures with a single-child root and the re-rooting importance sampler
 
 
-def sample_q_tree(mu: OffspringDistribution, rng: np.random.Generator, n: Optional[int] = None) -> PlaneTree:
-    """A tree whose root has exactly one child; with n, exactly n edges."""
-    if n is None:
-        return PlaneTree((1,) + sample_gw(mu, rng).counts)
-    return PlaneTree(tuple(_q_count_rows(mu, n, rng, 1)[0].tolist()))
+def sample_q_tree(mu: OffspringDistribution, rng: np.random.Generator) -> PlaneTree:
+    """A tree whose root has exactly one child, below it an unconditioned tree."""
+    return PlaneTree((1,) + sample_gw(mu, rng).counts)
 
 
-def sample_reroot_importance(
-    mu: OffspringDistribution,
-    gamma: StepDistribution,
-    n: int,
-    rng: np.random.Generator,
-) -> ImportanceSample:
-    """Draw from the single-child-root law at root label 0, then re-root.
+def _minimum_leaf(end: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's label minimum column, and whether the row is kept there.
 
-    The draw is valid when the overall label minimum (root included) is
-    attained at a unique vertex and that vertex is a leaf; the re-rooted
-    tree is returned with weight one over its leaf count, so that weighted
-    means of functionals of the output estimate the corresponding
-    positive-label expectations.  Invalid draws carry weight zero.
+    The rows are the labels of the tree hanging from a root at label 0 by
+    its root edge, with end its subtree ends (the root left out).  A row is
+    kept when its minimum is below the root, at one vertex, and a leaf:
+    the draws that re-rooting at the minimum leaf turns into Qbar_n.
     """
-    t = sample_q_tree(mu, rng, n)
-    s = sample_spatial(t, gamma, 0, rng)
-    ml = min_label(s, include_root=True)
-    i = s.tree.index_of[ml.first]
-    valid = len(ml.argmin) == 1 and i != 0 and s.tree.counts[i] == 0
-    if not valid:
-        return ImportanceSample(s, 0.0, False)
-    r = reroot_at(s, ml.first)
-    return ImportanceSample(r, 1.0 / len(leaves(r.tree)), True)
+    at = labels.argmin(axis=1)
+    every = np.arange(len(labels))
+    low = labels[every, at]
+    keep = (low < 0) & (end[every, at] == at + 1)  # below the root, at a leaf
+    keep &= np.count_nonzero(labels == low[:, None], axis=1) == 1
+    return at, keep
 
 
 def _rerooted_rows(
@@ -741,11 +718,7 @@ def _rerooted_rows(
         # the root edge's step is the root label of the tree below; the root,
         # at 0, is a minimum unless a label below it is lower
         labels = _path_sums(end, gamma.sample(rng, (take, n)))
-        at = labels.argmin(axis=1)
-        every = np.arange(take)
-        low = labels[every, at]
-        keep = (low < 0) & (end[every, at] == at + 1)  # below the root, at a leaf
-        keep &= np.count_nonzero(labels == low[:, None], axis=1) == 1
+        at, keep = _minimum_leaf(end, labels)
         hits = np.flatnonzero(keep)[:want]
         if labels_out is None:
             labels_out = np.zeros((count, n + 1), dtype=labels.dtype)
@@ -764,8 +737,8 @@ def _rerooted_rows(
 def _reroot_rows(
     rows: np.ndarray, labels: np.ndarray, leaf: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Count rows and labels of trees re-rooted at a leaf, as reroot_at
-    gives them, one row block at a time.
+    """Count rows and labels of trees re-rooted at a leaf, one row block at
+    a time, in the orientation of spatial_tree's object route.
 
     The new contour is the old one read backwards from the leaf's one
     visit (_reroot_walk), so the new preorder is the leaf, then the vertex
@@ -780,7 +753,7 @@ def _reroot_rows(
         every = np.arange(stop - start)[:, None]
         k = leaf[start:stop]
         depth, _, contour = _row_contours(_subtree_ends(rows[start:stop]))
-        back = contour[:, ::-1]  # reroot_at's orientation
+        back = contour[:, ::-1]  # the object route's orientation
         # the leaf's one visit, at time 2k - depth[k], read backwards
         star = 2 * (n1 - 1) - 2 * k + depth[every[:, 0], k]
         height, u = _reroot_walk(depth[every, back], star)
@@ -795,6 +768,37 @@ def _reroot_rows(
         block = labels[start:stop]
         labels_out[start:stop] = block[every, new] - block[every, k[:, None]]
     return rows_out, labels_out
+
+
+def sample_reroot_importance(
+    mu: OffspringDistribution,
+    gamma: StepDistribution,
+    n: int,
+    draws: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """draws Q_n draws at root label 0, each kept one re-rooted at its
+    minimum leaf: (rows, labels, weights).
+
+    A draw is kept when its label minimum, root included, is at one vertex
+    and that vertex is a leaf (_minimum_leaf).  It comes back re-rooted
+    there with weight one over its leaf count, which re-rooting at a leaf
+    keeps, so the weighted mean of a functional of the output estimates its
+    Q_n mean over the draws with positive non-root labels (criterion 02's
+    identity).  Every other draw comes back as drawn, with weight 0.
+    """
+    rows = _q_count_rows(mu, n, rng, draws)
+    end = _subtree_ends(rows[:, 1:])
+    below = _path_sums(end, gamma.sample(rng, (draws, n)))
+    at, keep = _minimum_leaf(end, below)
+    labels = np.zeros(rows.shape, dtype=below.dtype)
+    labels[:, 1:] = below
+    del end, below
+    kept = np.flatnonzero(keep)
+    rows[kept], labels[kept] = _reroot_rows(rows[kept], labels[kept], at[kept] + 1)
+    weights = np.zeros(draws)
+    weights[kept] = 1.0 / np.count_nonzero(rows[kept] == 0, axis=1)
+    return rows, labels, weights
 
 
 def sample_measure(
@@ -838,10 +842,7 @@ def sample_measure(
                 [tuple(l[cut:]) for l in labels.tolist()])
     count_rows = _q_count_rows if measure.startswith("Q") else _sized_count_rows
     if measure in ("Pbar-n-x", "Qbar-n"):
-        got, attempts = _conditioned_rows(
-            mu, gamma, n, root, count, rng,
-            max_attempts=REJECTION_BUDGET, count_rows=count_rows,
-        )
+        got, attempts = _conditioned_rows(mu, gamma, n, root, count, rng, count_rows=count_rows)
         if len(got) < count:
             raise RejectionBudgetExhausted(
                 f"{len(got)} accepted of {count} wanted in {attempts} attempts"

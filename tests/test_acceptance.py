@@ -39,6 +39,7 @@ from treesnake.gw_sampler import (
     sample_leaf_counts,
     sample_reroot_importance,
 )
+from treesnake.plane_tree import PlaneTree
 from treesnake.quadmap import (
     cvs_build,
     cvs_inverse,
@@ -47,6 +48,7 @@ from treesnake.quadmap import (
     sample_radius_and_distance,
 )
 from treesnake.snake_limit import ks_two_sample, sample_extrema, to_lattice
+from treesnake.spatial_tree import SpatialTree
 
 GEO = OffspringDistribution.geometric_half()
 UNIFORM3 = StepDistribution.uniform3()
@@ -233,13 +235,14 @@ def test_criterion_10_importance_sampler():
     exact = [informative[i][2] for i in picks]
 
     draws = 100_000
-    rng = np.random.default_rng(20240821)
-    vals = np.zeros((draws, 5))
-    for i in range(draws):
-        imp = sample_reroot_importance(GEO, UNIFORM3, n, rng)
-        if imp.valid:
-            for k, (_, fn) in enumerate(chosen):
-                vals[i, k] = imp.weight * float(fn(imp.tree))
+    rows, labels, weights = sample_reroot_importance(
+        GEO, UNIFORM3, n, draws, np.random.default_rng(20240821)
+    )
+    # each functional once per distinct atom, then spread to the draws
+    atoms, inverse = np.unique(np.hstack([rows, labels]), axis=0, return_inverse=True)
+    trees = [SpatialTree(PlaneTree(tuple(a[: n + 1])), tuple(a[n + 1 :])) for a in atoms.tolist()]
+    values = np.array([[float(fn(t)) for _, fn in chosen] for t in trees])
+    vals = weights[:, None] * values[inverse.ravel()]
 
     ok = True
     details = []

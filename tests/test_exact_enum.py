@@ -226,11 +226,6 @@ class TestConditionalLaw:
         assert len(law) == 54
         assert sum(law.values()) == 1
 
-    def test_nonstrict_is_larger(self):
-        strict = conditional_label_law(2, GEO, U3, x=1)
-        loose = conditional_label_law(2, GEO, U3, x=1, strict=False)
-        assert set(strict) < set(loose)
-
     def test_normal_steps_rejected(self):
         with pytest.raises(IrrationalMass):
             list(labelled_atoms(2, GEO, StepDistribution.normal(1.0)))

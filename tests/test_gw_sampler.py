@@ -10,7 +10,6 @@ from treesnake import gw_sampler, plane_tree
 from treesnake.exact_enum import conditional_label_law, labelled_atoms, q_weight
 from treesnake.gw_sampler import (
     MEASURES,
-    ImportanceSample,
     NegativeRootLabel,
     OffspringDistribution,
     RejectionBudgetExhausted,
@@ -51,8 +50,8 @@ def rng_of(seed: int) -> np.random.Generator:
 
 
 # Upper 0.001 quantiles of chi-square, by degrees of freedom (0 df: all mass at 0).
-CHI2_999 = {0: 0.0, 1: 10.83, 2: 13.82, 4: 18.47, 8: 26.12, 11: 31.26, 13: 34.53,
-            41: 74.74, 53: 90.57, 55: 93.17, 377: 467.58}
+CHI2_999 = {0: 0.0, 1: 10.83, 2: 13.82, 3: 16.27, 4: 18.47, 8: 26.12, 9: 27.88, 11: 31.26,
+            12: 32.91, 13: 34.53, 41: 74.74, 53: 90.57, 54: 91.87, 55: 93.17, 377: 467.58}
 
 
 def tv_bound(cells: int, draws: int) -> float:
@@ -305,7 +304,7 @@ class TestConditioned:
 
     def test_negative_root_rejected_before_any_attempt(self):
         # no child of a root at -1 is positive under uniform3, so rejection
-        # would spend the whole budget (and, with none, never return)
+        # would spend the whole budget, REJECTION_BUDGET when none is given
         with pytest.raises(NegativeRootLabel):
             _conditioned_rows(GEO, U3, 3, -1, 2, rng_of(0), max_attempts=200_000)
         with pytest.raises(NegativeRootLabel):
@@ -419,21 +418,15 @@ class TestRowBlocks:
 class TestQMeasures:
     def test_q_tree_root_degree(self):
         for n in (1, 2, 8):
-            t = sample_q_tree(GEO, rng_of(n), n)
-            assert t.counts[0] == 1
-            assert t.n_edges == n
-        t = sample_q_tree(GEO, rng_of(0))
-        assert t.counts[0] == 1
+            rows = _q_count_rows(GEO, n, rng_of(n), 5)
+            assert rows.shape == (5, n + 1) and (rows[:, 0] == 1).all()
+            for r in rows.tolist():
+                assert PlaneTree(tuple(r)).n_edges == n
+        assert sample_q_tree(GEO, rng_of(0)).counts[0] == 1
 
     def test_q_needs_an_edge(self):
         with pytest.raises(ValueError):
-            sample_q_tree(GEO, rng_of(0), 0)
-
-    def test_q_tree_draws_the_q_rows(self):
-        # one Q row per draw takes the same random numbers as sample_q_tree
-        for n in (1, 2, 8, 40):
-            row = _q_count_rows(GEO, n, rng_of(n), 1)[0]
-            assert sample_q_tree(GEO, rng_of(n), n).counts == tuple(row.tolist())
+            _q_count_rows(GEO, 0, rng_of(0), 1)
 
     def test_sample_measure_types(self):
         def draw(measure, n=None, x=0, count=3):
@@ -614,56 +607,112 @@ class TestRerootRows:
         assert [a.tobytes() for a in _reroot_rows(*kept)] == want
 
 
+def importance_by_objects(gamma, n, draws, seed) -> list:
+    """(counts, labels, weight) of each draw of sample_reroot_importance,
+    from the same random numbers: the Q_n rows, then one increment per
+    edge, labelled by a parent pass and re-rooted by reroot_at."""
+    rng = rng_of(seed)
+    rows = _q_count_rows(GEO, n, rng, draws)
+    incs = gamma.sample(rng, (draws, n))
+    out = []
+    for row, inc in zip(rows.tolist(), incs.tolist()):
+        t = PlaneTree(tuple(row))
+        labels = [0] * (n + 1)
+        for i in range(1, n + 1):
+            labels[i] = labels[t.parent_index[i]] + inc[i - 1]
+        s = SpatialTree(t, tuple(labels))
+        low = min(s.labels)
+        k = s.labels.index(low)
+        if low < 0 and s.labels.count(low) == 1 and t.counts[k] == 0:
+            r = reroot_at(s, t.vertices[k])
+            out.append((r.tree.counts, r.labels, 1.0 / len(leaves(r.tree))))
+        else:
+            out.append((s.tree.counts, s.labels, 0.0))
+    return out
+
+
 class TestImportanceSampler:
+    """The batch importance sampler: Q_n draws kept by the keep test of
+    _rerooted_rows, re-rooted on rows and weighted by one over the leaf
+    count.  Seeds, draw counts and bounds were fixed before the first run.
+    """
+
     def test_structure_of_draws(self):
-        rng = rng_of(21)
-        n_valid = 0
-        for _ in range(10_000):
-            out = sample_reroot_importance(GEO, U3, 30, rng)
-            assert out.tree.root_label == 0
-            if out.valid:
-                n_valid += 1
-                assert out.weight > 0
-                assert all(v > 0 for v in out.tree.labels[1:])
-                assert out.tree.tree.counts[0] == 1
-            else:
-                assert out.weight == 0.0
-        assert 0 < n_valid < 10_000
+        rows, labels, weights = sample_reroot_importance(GEO, U3, 30, 10_000, rng_of(21))
+        assert rows.shape == labels.shape == (10_000, 31) and weights.shape == (10_000,)
+        assert (rows[:, 0] == 1).all() and (labels[:, 0] == 0).all()
+        kept = weights > 0
+        assert 0 < kept.sum() < 10_000
+        assert (labels[kept, 1:] > 0).all()
+        for r in rows[:500].tolist():
+            PlaneTree(tuple(r))  # a valid preorder row
 
     def test_weight_is_inverse_leaf_count(self):
-        rng = rng_of(22)
-        for _ in range(200):
-            out = sample_reroot_importance(GEO, U3, 10, rng)
-            if out.valid:
-                assert out.weight == pytest.approx(
-                    1.0 / len(leaves(out.tree.tree))
-                )
+        rows, _, weights = sample_reroot_importance(GEO, U3, 10, 200, rng_of(22))
+        assert weights.any()
+        for r, w in zip(rows.tolist(), weights.tolist()):
+            if w:
+                assert w == 1.0 / len(leaves(PlaneTree(tuple(r))))
+
+    @pytest.mark.parametrize("gamma", [U3, PM1], ids=["uniform3", "pm1"])
+    def test_draws_match_the_object_route(self, gamma):
+        # kept draws are reroot_at of the draw at its minimum leaf, the
+        # others come back as drawn with weight 0
+        rows, labels, weights = sample_reroot_importance(GEO, gamma, 12, 500, rng_of(24))
+        got = list(zip(map(tuple, rows.tolist()), map(tuple, labels.tolist()), weights.tolist()))
+        want = importance_by_objects(gamma, 12, 500, 24)
+        assert 0 < sum(w > 0 for *_, w in want) < 500
+        assert got == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("gamma", [U3, PM1], ids=["uniform3", "pm1"])
+    def test_weighted_law_against_enumeration(self, gamma, n):
+        # the weight on an atom of Qbar_n estimates its Q_n mass; with
+        # weights at most 1 each cell's variance is at most the multinomial
+        # one, and without a sum constraint the chi-square bound takes one
+        # more degree of freedom: the bound for one more cell
+        draws = 50_000
+        atoms = list(labelled_atoms(n, GEO, gamma, x=0, root_single_child=True))
+        total = sum(w for _, w in atoms)
+        mass = {
+            (s.tree.counts, s.labels): float(w / total)
+            for s, w in atoms
+            if all(v > 0 for v in s.labels[1:])
+        }
+        rows, labels, weights = sample_reroot_importance(GEO, gamma, n, draws, rng_of(700 + n))
+        est = Counter()
+        for r, l, w in zip(rows.tolist(), labels.tolist(), weights.tolist()):
+            if w:
+                est[tuple(r), tuple(l)] += w / draws
+        assert set(est) <= set(mass)
+        tv = sum(abs(est[k] - p) for k, p in mass.items()) / 2
+        assert tv <= tv_bound(len(mass) + 1, draws)
 
     def test_unbiased_against_enumeration(self):
         # estimate the positive-label share of the single-child-root law at
         # n=2 and compare with exhaustive enumeration
-        from treesnake.exact_enum import labelled_atoms
-
         atoms = list(labelled_atoms(2, GEO, U3, x=0, root_single_child=True))
         total = sum(w for _, w in atoms)
         target = sum(
             w for s, w in atoms if all(v > 0 for v in s.labels[1:])
         ) / total
 
-        rng = rng_of(23)
         n_draws = 40_000
-        vals = np.empty(n_draws)
-        for i in range(n_draws):
-            out = sample_reroot_importance(GEO, U3, 2, rng)
-            vals[i] = out.weight
+        _, _, vals = sample_reroot_importance(GEO, U3, 2, n_draws, rng_of(23))
         est = vals.mean()
         se = vals.std(ddof=1) / math.sqrt(n_draws)
         assert abs(est - float(target)) < 4 * se
 
     def test_determinism(self):
-        a = sample_reroot_importance(GEO, U3, 12, rng_of(31))
-        b = sample_reroot_importance(GEO, U3, 12, rng_of(31))
-        assert a == b
+        a = sample_reroot_importance(GEO, U3, 12, 50, rng_of(31))
+        b = sample_reroot_importance(GEO, U3, 12, 50, rng_of(31))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_one_row_blocks(self, monkeypatch):
+        TestRowBlocks.assert_block_free(
+            monkeypatch,
+            lambda rng: [a.tobytes() for a in sample_reroot_importance(GEO, U3, 40, 300, rng)],
+        )
 
 
 class TestSeeding:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import tracemalloc
 from collections import Counter
@@ -282,6 +283,18 @@ class TestUniformSampling:
         assert (radii >= 1).all()
         assert (dists >= 1).all()
         assert (dists <= radii).all()
+
+    # sha256 of the radii, distances and attempts (as int64) recorded from
+    # the code that wrote _rerooted_rows' keep test inline, before the
+    # importance sampler shared it: the shared test changes no draw
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "5a58f8022e910379e7b51579b3cec7cd7620626e7a0ba7e3887ceefb0dd96b50"),
+        (2, "efb8cd42d2315162fabfb9eec340a6d7cd452b72367e4f6f65717b36a6e60910"),
+    ])
+    def test_radius_and_distance_keep_their_bytes(self, seed, digest):
+        radii, dists, attempts = sample_radius_and_distance(500, 100, np.random.default_rng(seed))
+        data = radii.tobytes() + dists.tobytes() + np.int64(attempts).tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_no_faces_is_rejected(self):
         with pytest.raises(ValueError, match="face"):
