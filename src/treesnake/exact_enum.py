@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from treesnake.gw_sampler import OffspringDistribution, StepDistribution
-from treesnake.plane_tree import PlaneTree, enumerate_trees
+from treesnake.plane_tree import PlaneTree, enumerate_trees, leaves
 from treesnake.spatial_tree import SpatialTree, reroot_at
 
 RationalWeight = Fraction
@@ -252,7 +252,7 @@ def _reroot_plan(t: PlaneTree, v: int) -> Plan:
     so one reroot_at call on the labelling by vertex index reads the
     sources off as label + v.
     """
-    s = reroot_at(SpatialTree(t, tuple(range(t.size))), t.vertices[v])
+    s = reroot_at(SpatialTree(t, tuple(range(t.size))), v)
     return s.tree.counts, tuple(x + v for x in s.labels)
 
 
@@ -292,7 +292,7 @@ def reroot_measures(
         terms += 1
         if s.tree is not shape:
             shape = s.tree
-            leafset = {i for i in range(1, shape.size) if shape.counts[i] == 0}
+            leafset = leaves(shape)
             plans: dict[int, Plan] = {}
         labels = s.labels
         low = min(labels)

@@ -17,10 +17,11 @@ Labels are root-path sums of edge increments.  A single tree gets them
 on the object route (sample_spatial, one Python pass over the PlaneTree's
 parents); a batch of count rows gets them from _label_rows, on the numpy
 kernel of plane_tree, which the Monte Carlo pipelines use.  The split
-follows the input: the exact checks build many tiny trees, for which a
-numpy call costs far more than the Python pass, while the pipelines label
-thousands of large rows at once.  Tests hold the two routes to the same
-labels.
+follows the input: sample_spatial labels the unsized measures P-x and Q
+of sample_measure, whose trees come one at a time, each of its own random
+size, from sample_gw and sample_q_tree, while the pipelines label
+thousands of rows of one size at once.  Tests hold the two routes to the
+same labels.
 
 Memory: the batch kernels fill their output one row block of at most
 2**18 entries at a time (plane_tree._row_blocks): the sized count rows, and
@@ -269,8 +270,13 @@ class StepDistribution:
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.normal_std is not None:
             return rng.normal(0.0, self.normal_std, size=size)
-        # integers returns int64 already, so there is no cast to copy
-        if self._int_valued and self.support == (-1, 0, 1):
+        # integers returns int64 already, so there is no cast to copy; only
+        # the uniform law on {-1, 0, 1} (describe's uniform3) takes it
+        if (
+            self._int_valued
+            and self.support == (-1, 0, 1)
+            and self._pmf[0] == Fraction(1, 3)
+        ):
             return rng.integers(-1, 2, size=size)
         if self._int_valued and self.support == (-1, 1):
             out = rng.integers(0, 2, size=size)

@@ -1,16 +1,16 @@
 """Rooted plane trees and their contour walks.
 
 A plane tree is a finite rooted tree in which the children of every vertex
-are ordered.  Vertices are addressed by finite tuples of positive integers:
-the root is the empty tuple ``()``, and ``v + (i,)`` is the i-th child of
-``v``.  Sorting vertices by tuple comparison (a prefix precedes its
-extensions) is exactly depth-first preorder, so a tree is stored as the
-tuple of child counts read off in that order.
+are ordered.  Vertices are named by their index in depth-first preorder,
+the root being 0, so a tree is stored as the tuple of child counts read
+off in that order, and every array on the tree (parents, depths, labels)
+is indexed the same way.
 
 The contour walk records the height of a particle that traverses the tree
 left to right at unit speed, visiting each edge twice.  A tree with n
 vertices yields 2n - 1 height values, starting and ending at 0 with steps
-of +-1, and the encoding is a bijection (``contour_of`` / ``tree_of_contour``).
+of +-1, and the encoding is a bijection: the heights are the depths read
+along contour_order, and tree_of_contour decodes them.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
-
-Vertex = tuple[int, ...]
-
-ROOT: Vertex = ()
 
 
 class InvalidPreorder(ValueError):
@@ -35,7 +31,7 @@ class InvalidContour(ValueError):
 
 
 class VertexNotInTree(ValueError):
-    """The requested vertex address does not occur in the tree."""
+    """The requested vertex index does not occur in the tree."""
 
 
 def _check_counts(counts: tuple[int, ...]) -> None:
@@ -252,27 +248,6 @@ class PlaneTree:
         return 2 * (len(self.counts) - 1)
 
     @cached_property
-    def vertices(self) -> tuple[Vertex, ...]:
-        """All vertex addresses in preorder (= lexicographic order)."""
-        verts: list[Vertex] = [ROOT]
-        # stack of [address, children spawned so far, children still owed]
-        stack: list[list] = [[ROOT, 0, self.counts[0]]]
-        for c in self.counts[1:]:
-            while stack[-1][2] == 0:
-                stack.pop()
-            top = stack[-1]
-            top[1] += 1
-            top[2] -= 1
-            child = top[0] + (top[1],)
-            verts.append(child)
-            stack.append([child, 0, c])
-        return tuple(verts)
-
-    @cached_property
-    def index_of(self) -> dict[Vertex, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
     def _arrays(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         return tuple(tuple(a) for a in contour_arrays(self.counts))
 
@@ -284,17 +259,9 @@ class PlaneTree:
     def depth(self) -> tuple[int, ...]:
         return self._arrays[1]
 
-    @cached_property
-    def subtree_sizes(self) -> tuple[int, ...]:
-        parent = self.parent_index
-        sizes = [1] * len(self.counts)
-        for i in range(len(self.counts) - 1, 0, -1):
-            sizes[parent[i]] += sizes[i]
-        return tuple(sizes)
-
     @property
     def contour_order(self) -> tuple[int, ...]:
-        """Vertex index under the particle at each contour time 0..zeta."""
+        """Index of the vertex under the particle at each contour time 0..zeta."""
         return self._arrays[2]
 
     @cached_property
@@ -325,33 +292,13 @@ class PlaneTree:
         return f"PlaneTree({','.join(map(str, self.counts))})"
 
 
-@dataclass(frozen=True)
-class ContourFunction:
-    """Heights of the contour particle at integer times 0..zeta."""
-
-    values: tuple[int, ...]
-
-    @property
-    def zeta(self) -> int:
-        return len(self.values) - 1
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def build_tree(counts: Sequence[int]) -> PlaneTree:
     """Make a tree from preorder child counts, checking they close properly."""
     return PlaneTree(tuple(int(c) for c in counts))
 
 
-def contour_of(t: PlaneTree) -> ContourFunction:
-    depth = t.depth
-    return ContourFunction(tuple(depth[i] for i in t.contour_order))
-
-
-def tree_of_contour(c: ContourFunction | Sequence[int]) -> PlaneTree:
+def tree_of_contour(values: Sequence[int]) -> PlaneTree:
     """Decode a contour walk back into the tree that produced it."""
-    values = tuple(c.values if isinstance(c, ContourFunction) else c)
     if len(values) % 2 != 1:
         raise InvalidContour(f"contour length {len(values)} is even")
     if values[0] != 0 or values[-1] != 0:
@@ -375,29 +322,17 @@ def tree_of_contour(c: ContourFunction | Sequence[int]) -> PlaneTree:
     return PlaneTree(tuple(counts))
 
 
-def visit_times(t: PlaneTree, v: Vertex) -> tuple[int, int]:
-    """First and last time the contour particle sits at v."""
-    i = t.index_of.get(tuple(v))
-    if i is None:
-        raise VertexNotInTree(f"vertex {v} not in {t!r}")
+def visit_times(t: PlaneTree, k: int) -> tuple[int, int]:
+    """First and last time the contour particle sits at vertex k."""
+    if not 0 <= k < t.size:
+        raise VertexNotInTree(f"vertex {k} not in {t!r}")
     first, last = t._visits
-    return first[i], last[i]
+    return first[k], last[k]
 
 
-def leaves(t: PlaneTree) -> frozenset[Vertex]:
+def leaves(t: PlaneTree) -> frozenset[int]:
     """Childless non-root vertices (for a singleton tree, nothing)."""
-    return frozenset(
-        v for i, v in enumerate(t.vertices) if t.counts[i] == 0 and v != ROOT
-    )
-
-
-def truncate_at(t: PlaneTree, v: Vertex) -> PlaneTree:
-    """The tree with every strict descendant of v removed (v becomes a leaf)."""
-    i = t.index_of.get(tuple(v))
-    if i is None:
-        raise VertexNotInTree(f"vertex {v} not in {t!r}")
-    s = t.subtree_sizes[i]
-    return PlaneTree(t.counts[:i] + (0,) + t.counts[i + s :])
+    return frozenset(k for k in range(1, t.size) if t.counts[k] == 0)
 
 
 def _forests(n: int) -> Iterator[tuple[int, ...]]:

@@ -105,7 +105,7 @@ class PlanarQuadrangulation:
 
     @property
     def vertex_of(self) -> tuple[int, ...]:
-        """Vertex id of each dart's origin, ids in discovery order of sigma orbits."""
+        """Id of each dart's origin vertex, ids in discovery order of sigma orbits."""
         return self._rotations[0]
 
     @property
@@ -185,7 +185,7 @@ def cvs_build(wt: SpatialTree, n: Optional[int] = None) -> PlanarQuadrangulation
     for i in range(wt.tree.size):
         l = labels[i]
         if not isinstance(l, (int, np.integer)) or l < 1:
-            raise NotWellLabelled(f"label {l!r} at vertex {wt.tree.vertices[i]}")
+            raise NotWellLabelled(f"label {l!r} at vertex {i}")
         if i and abs(l - labels[parent[i]]) > 1:
             raise NotWellLabelled(
                 f"labels jump by {abs(l - labels[parent[i]])} along an edge"

@@ -27,13 +27,12 @@ plane_tree._reroot_walk, which re-roots the sampled trees' contours too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from treesnake.plane_tree import ContourFunction, _reroot_walk, _row_blocks
-from treesnake.spatial_tree import SpatialContour
+from treesnake.plane_tree import _reroot_walk, _row_blocks
 
 
 _HEAD_BLOCK = 128  # head steps per block of normals and per stack-growth check
@@ -44,7 +43,7 @@ class NonUniqueMinimum(ValueError):
 
 
 class LengthMismatch(ValueError):
-    """Contour sequences do not have the expected grid length."""
+    """A lifetime or head does not have the expected grid length."""
 
 
 class EmptySample(ValueError):
@@ -84,32 +83,6 @@ class SnakePath:
             raise ValueError("head must start at the initial value")
         object.__setattr__(self, "excursion", e)
         object.__setattr__(self, "head", z)
-
-
-@dataclass(frozen=True)
-class RescaledPath:
-    """Rescaled contour pair on the time grid j/(2n), with its constants."""
-
-    times: np.ndarray
-    contour: np.ndarray
-    head: np.ndarray
-    sigma: float
-    rho: float
-    kappa: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "times", _read_only(self.times))
-        object.__setattr__(self, "contour", _read_only(self.contour))
-        object.__setattr__(self, "head", _read_only(self.head))
-        object.__setattr__(
-            self, "kappa", (1.0 / self.rho) * math.sqrt(self.sigma / 2.0)
-        )
-
-    def contour_at(self, t) -> np.ndarray:
-        return np.interp(t, self.times, self.contour)
-
-    def head_at(self, t) -> np.ndarray:
-        return np.interp(t, self.times, self.head)
 
 
 def _excursion_rows(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -322,36 +295,6 @@ def sample_extrema(
         infs[done : done + take] = z_min
         done += take
     return sups, infs
-
-
-def rescale_discrete(
-    c: ContourFunction,
-    v: SpatialContour,
-    n: int,
-    sigma: float,
-    rho: float,
-) -> RescaledPath:
-    """Rescaled versions of a discrete contour pair on the grid j/(2n).
-
-    The contour is shrunk by (sigma/2) n^(-1/2) and the spatial contour by
-    kappa n^(-1/4) with kappa = (1/rho) sqrt(sigma/2); between grid points
-    the rescaled path is evaluated by linear interpolation.
-    """
-    cv = np.asarray(c.values, dtype=np.float64)
-    vv = np.asarray(v.values, dtype=np.float64)
-    if len(cv) != 2 * n + 1 or len(vv) != 2 * n + 1:
-        raise LengthMismatch(
-            f"want {2 * n + 1} contour values for n={n}, got {len(cv)} and {len(vv)}"
-        )
-    kappa = (1.0 / rho) * math.sqrt(sigma / 2.0)
-    times = np.arange(2 * n + 1) / (2 * n)
-    return RescaledPath(
-        times,
-        (sigma / 2.0) * cv / math.sqrt(n),
-        kappa * vv / n**0.25,
-        sigma,
-        rho,
-    )
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:

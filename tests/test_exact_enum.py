@@ -154,7 +154,7 @@ class TestRerootPlans:
         for s, _ in labelled_atoms(n, GEO, gamma):
             for v in range(1, s.size):
                 if s.tree.counts[v] == 0:
-                    want = reroot_at(s, s.tree.vertices[v])
+                    want = reroot_at(s, v)
                     got = _apply_plan(_reroot_plan(s.tree, v), s.labels)
                     assert got == (want.tree.counts, want.labels)
                     checked += 1

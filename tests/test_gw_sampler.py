@@ -37,6 +37,7 @@ from treesnake.gw_sampler import (
 )
 from treesnake.plane_tree import PlaneTree, _subtree_ends, build_tree, enumerate_trees, leaves
 from treesnake.spatial_tree import SpatialTree, reroot_at
+from tree_addresses import addresses
 
 GEO = OffspringDistribution.geometric_half()
 U3 = StepDistribution.uniform3()
@@ -136,6 +137,14 @@ class TestStepValidation:
         assert set(np.unique(draws)) <= {-1, 0, 1}
         draws = PM1.sample(rng, 1000)
         assert set(np.unique(draws)) <= {-1, 1}
+
+    def test_sampling_follows_a_lazy_law_on_three_points(self):
+        # a law on {-1, 0, 1} other than the uniform one draws 0 at its own
+        # probability 1/2, within 4 standard errors
+        lazy = StepDistribution.from_pmf({-1: Fraction(1, 4), 0: HALF, 1: Fraction(1, 4)})
+        draws = 200_000
+        share = np.count_nonzero(lazy.sample(rng_of(3), draws) == 0) / draws
+        assert abs(share - 0.5) < 4 * (0.25 / draws) ** 0.5
 
 
 class TestUnconditioned:
@@ -238,8 +247,9 @@ class TestLabels:
     def test_labels_follow_edges(self):
         t = build_tree((2, 3, 0, 2, 0, 0, 0, 0))
         s = sample_spatial(t, U3, 5, rng_of(2))
-        for v in t.vertices[1:]:
-            step = s.label_of(v) - s.label_of(v[:-1])
+        vs = addresses(t.counts)
+        for k, v in enumerate(vs[1:], 1):
+            step = s.labels[k] - s.labels[vs.index(v[:-1])]
             assert step in (-1, 0, 1)
         assert s.root_label == 5
 
@@ -565,7 +575,7 @@ def rerooted_by_objects(rows, labels, leaf) -> list:
     out = []
     for c, l, k in zip(rows.tolist(), labels.tolist(), leaf.tolist()):
         s = SpatialTree(PlaneTree(tuple(c)), tuple(l))
-        r = reroot_at(s, s.tree.vertices[k])
+        r = reroot_at(s, k)
         out.append((r.tree.counts, r.labels))
     return out
 
@@ -624,7 +634,7 @@ def importance_by_objects(gamma, n, draws, seed) -> list:
         low = min(s.labels)
         k = s.labels.index(low)
         if low < 0 and s.labels.count(low) == 1 and t.counts[k] == 0:
-            r = reroot_at(s, t.vertices[k])
+            r = reroot_at(s, k)
             out.append((r.tree.counts, r.labels, 1.0 / len(leaves(r.tree))))
         else:
             out.append((s.tree.counts, s.labels, 0.0))

@@ -1,8 +1,10 @@
 """The package's promises to its readers: the README's library example runs
-as written, and every exported name exists."""
+as written, every exported name exists, and every public name the package
+imports from its modules is exported."""
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -26,3 +28,17 @@ def test_every_export_resolves():
     missing = [name for name in treesnake.__all__ if not hasattr(treesnake, name)]
     assert missing == []
     assert len(set(treesnake.__all__)) == len(treesnake.__all__)
+
+
+def test_every_public_import_is_exported():
+    # with the check above, a name half removed (from the imports or from
+    # __all__, not both) fails at once
+    source = ast.parse(Path(treesnake.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in source.body
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("treesnake.")
+        for alias in node.names
+    }
+    public = {name for name in imported if not name.startswith("_")}
+    assert sorted(public - set(treesnake.__all__)) == []

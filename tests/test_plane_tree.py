@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from treesnake.gw_sampler import OffspringDistribution, _sized_count_rows
 from treesnake.plane_tree import (
-    ContourFunction,
     InvalidContour,
     InvalidPreorder,
     PlaneTree,
@@ -18,20 +17,24 @@ from treesnake.plane_tree import (
     _row_contours,
     _subtree_ends,
     build_tree,
-    contour_of,
     enumerate_trees,
     leaves,
     tree_from_line,
     tree_of_contour,
     tree_to_line,
-    truncate_at,
     visit_times,
 )
+from tree_addresses import addresses, subtree_sizes, truncate
 
 # Eight-vertex worked example used throughout: root with children (1) and (2),
 # vertex (1) with children (1,1), (1,2), (1,3), and (1,2) with two children.
 EX_COUNTS = (2, 3, 0, 2, 0, 0, 0, 0)
 EX_CONTOUR = (0, 1, 2, 1, 2, 3, 2, 3, 2, 1, 2, 1, 0, 1, 0)
+
+
+def contour_walk(t: PlaneTree) -> tuple[int, ...]:
+    """The contour walk: the depth under the particle at each time."""
+    return tuple(t.depth[i] for i in t.contour_order)
 
 
 def catalan(n: int) -> int:
@@ -57,8 +60,7 @@ def random_trees(draw, max_size: int = 40) -> PlaneTree:
 
 class TestConstruction:
     def test_example_vertices_in_preorder(self):
-        t = build_tree(EX_COUNTS)
-        assert t.vertices == (
+        assert addresses(EX_COUNTS) == [
             (),
             (1,),
             (1, 1),
@@ -67,16 +69,17 @@ class TestConstruction:
             (1, 2, 2),
             (1, 3),
             (2,),
-        )
+        ]
 
     def test_preorder_is_lexicographic_with_prefix_first(self):
-        t = build_tree(EX_COUNTS)
-        assert list(t.vertices) == sorted(t.vertices)
+        vs = addresses(EX_COUNTS)
+        assert vs == sorted(vs)
 
     def test_singleton(self):
         t = build_tree([0])
         assert t.size == 1 and t.zeta == 0
-        assert t.vertices == ((),)
+        assert addresses(t.counts) == [()]
+        assert t.contour_order == (0,)
 
     @pytest.mark.parametrize(
         "bad",
@@ -95,12 +98,12 @@ class TestConstruction:
 class TestContour:
     def test_example_contour(self):
         t = build_tree(EX_COUNTS)
-        assert contour_of(t).values == EX_CONTOUR
+        assert contour_walk(t) == EX_CONTOUR
 
     def test_contour_length_and_steps(self):
         for n in range(1, 8):
             for t in enumerate_trees(n):
-                c = contour_of(t).values
+                c = contour_walk(t)
                 assert len(c) == 2 * t.size - 1
                 assert c[0] == 0 and c[-1] == 0
                 assert all(abs(a - b) == 1 for a, b in zip(c, c[1:]))
@@ -108,15 +111,16 @@ class TestContour:
     def test_round_trip_small(self):
         for n in range(1, 9):
             for t in enumerate_trees(n):
-                assert tree_of_contour(contour_of(t)) == t
+                assert tree_of_contour(contour_walk(t)) == t
 
     def test_contour_at_first_visit_is_depth(self):
+        # the depth of a vertex is the length of its address
         for n in range(1, 8):
             for t in enumerate_trees(n):
-                c = contour_of(t).values
-                for v in t.vertices:
-                    k, _ = visit_times(t, v)
-                    assert c[k] == len(v)
+                c = contour_walk(t)
+                for k, v in enumerate(addresses(t.counts)):
+                    first, _ = visit_times(t, k)
+                    assert c[first] == len(v)
 
     @pytest.mark.parametrize(
         "bad",
@@ -140,7 +144,8 @@ class TestContour:
         # counts; here they are read off the tuple addresses instead
         for n in range(1, 10):
             for t in enumerate_trees(n):
-                idx = t.index_of
+                vs = addresses(t.counts)
+                idx = {v: i for i, v in enumerate(vs)}
                 order: list[int] = []
 
                 def walk(v):
@@ -150,8 +155,8 @@ class TestContour:
                         order.append(idx[v])
 
                 walk(())
-                assert t.parent_index == tuple(-1 if not v else idx[v[:-1]] for v in t.vertices)
-                assert t.depth == tuple(len(v) for v in t.vertices)
+                assert t.parent_index == tuple(-1 if not v else idx[v[:-1]] for v in vs)
+                assert t.depth == tuple(len(v) for v in vs)
                 assert t.contour_order == tuple(order)
 
     def test_batch_kernel_matches_the_stack_pass(self):
@@ -161,7 +166,7 @@ class TestContour:
             end = _subtree_ends(np.array([t.counts for t in trees]))
             depth, parent, contour = _row_contours(end)
             for t, e, d, p, c in zip(trees, end, depth, parent, contour):
-                assert e.tolist() == [i + s for i, s in enumerate(t.subtree_sizes)]
+                assert e.tolist() == [i + s for i, s in enumerate(subtree_sizes(t.counts))]
                 assert tuple(d) == t.depth
                 assert tuple(p) == t.parent_index
                 assert tuple(c) == t.contour_order
@@ -265,47 +270,42 @@ class TestPathSums:
 class TestVisitTimes:
     def test_example_times(self):
         t = build_tree(EX_COUNTS)
-        assert visit_times(t, (1, 2)) == (4, 8)
-        assert visit_times(t, (1, 1)) == (2, 2)
+        assert visit_times(t, 3) == (4, 8)  # (1, 2)
+        assert visit_times(t, 2) == (2, 2)  # (1, 1)
 
     def test_root_spans_whole_walk(self):
         for n in range(1, 7):
             for t in enumerate_trees(n):
-                assert visit_times(t, ()) == (0, t.zeta)
+                assert visit_times(t, 0) == (0, t.zeta)
 
     def test_single_visit_iff_leaf(self):
         for n in range(2, 7):
             for t in enumerate_trees(n):
                 leafset = leaves(t)
-                for v in t.vertices:
-                    k, l = visit_times(t, v)
-                    assert (k == l) == (v in leafset or t.size == 1)
+                for k in range(t.size):
+                    first, last = visit_times(t, k)
+                    assert (first == last) == (k in leafset or t.size == 1)
 
     def test_missing_vertex(self):
         t = build_tree(EX_COUNTS)
-        with pytest.raises(VertexNotInTree):
-            visit_times(t, (3,))
+        for k in (8, -1):
+            with pytest.raises(VertexNotInTree):
+                visit_times(t, k)
 
 
 class TestLeavesAndSubtrees:
     def test_example_leaves(self):
         t = build_tree(EX_COUNTS)
-        assert leaves(t) == {(1, 1), (1, 2, 1), (1, 2, 2), (1, 3), (2,)}
+        assert leaves(t) == {2, 4, 5, 6, 7}
+        vs = addresses(EX_COUNTS)
+        assert {vs[k] for k in leaves(t)} == {(1, 1), (1, 2, 1), (1, 2, 2), (1, 3), (2,)}
 
     def test_singleton_has_no_leaves(self):
         assert leaves(build_tree([0])) == frozenset()
 
     def test_truncate_example(self):
-        t = build_tree(EX_COUNTS)
-        assert truncate_at(t, (1,)).counts == (2, 0, 0)
-        assert truncate_at(t, (2,)) == t
-
-    def test_subtree_errors(self):
-        t = build_tree(EX_COUNTS)
-        with pytest.raises(VertexNotInTree):
-            truncate_at(t, (9,))
-        with pytest.raises(VertexNotInTree):
-            truncate_at(t, (1, 4))
+        assert truncate(EX_COUNTS, 1) == (2, 0, 0)  # (1,)
+        assert truncate(EX_COUNTS, 7) == EX_COUNTS  # (2,)
 
 
 class TestEnumeration:
@@ -349,21 +349,24 @@ class TestProperties:
     @given(random_trees())
     @settings(max_examples=200, deadline=None)
     def test_contour_round_trip(self, t):
-        assert tree_of_contour(contour_of(t)) == t
+        assert tree_of_contour(contour_walk(t)) == t
 
     @given(random_trees())
     @settings(max_examples=100, deadline=None)
     def test_subtree_sizes_agree(self, t):
-        for v in t.vertices:
-            below = sum(1 for u in t.vertices if u[: len(v)] == v)
-            assert below == t.subtree_sizes[t.index_of[v]]
+        # subtree ends from the Lukasiewicz walk against prefix counts of
+        # the addresses, and leaves against addresses that prefix no other
+        end = _subtree_ends(np.array([t.counts]))[0]
+        assert (end - np.arange(t.size)).tolist() == subtree_sizes(t.counts)
+        vs = addresses(t.counts)
         assert leaves(t) == {
-            v for i, v in enumerate(t.vertices) if t.counts[i] == 0 and v != ()
+            k for k, v in enumerate(vs) if v and not any(u[:-1] == v for u in vs)
         }
 
     @given(random_trees())
     @settings(max_examples=100, deadline=None)
     def test_truncate_then_subtree_partition(self, t):
-        for v in t.vertices:
-            trunc = truncate_at(t, v)
-            assert trunc.size + t.subtree_sizes[t.index_of[v]] - 1 == t.size
+        sizes = subtree_sizes(t.counts)
+        for k in range(t.size):
+            trunc = build_tree(truncate(t.counts, k))
+            assert trunc.size + sizes[k] - 1 == t.size

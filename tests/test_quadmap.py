@@ -17,6 +17,7 @@ from treesnake.gw_sampler import (
     StepDistribution,
     _conditioned_rows,
     _rerooted_rows,
+    sample_measure,
 )
 from treesnake.plane_tree import PlaneTree, build_tree, enumerate_trees
 from treesnake.quadmap import (
@@ -240,17 +241,26 @@ class TestRescaledProfile:
 
 class TestUniformSampling:
     def test_two_face_frequencies_are_uniform(self):
-        # the rejection oracle and the sampler, each against the same bound
+        # the rejection oracle and the sampler's trees, each against the
+        # same bound; a map is built once per distinct drawn tree
         draws = 100_000
-        trees = rejection_trees(2, draws, np.random.default_rng(2026))
-        rejection = (cvs_build(wt, 2) for wt in trees)
-        sampled = sample_uniform_quads(2, draws, np.random.default_rng(2026))
+        rejection, _ = _conditioned_rows(GEO, U3, 2, 1, draws, np.random.default_rng(2026))
+        sampled = zip(*sample_measure("Pbar-n-x", GEO, U3, 2, 1, draws, np.random.default_rng(2026)))
         se = (draws * (1 / 9) * (8 / 9)) ** 0.5
-        for maps in (rejection, sampled):
-            freq = Counter(canonical_code(q) for q in maps)
+        for trees in (rejection, sampled):
+            freq: Counter = Counter()
+            for (c, l), count in Counter((tuple(c), tuple(l)) for c, l in trees).items():
+                freq[canonical_code(cvs_build(SpatialTree(PlaneTree(c), l), 2))] += count
             assert len(freq) == 9
             for count in freq.values():
                 assert abs(count - draws / 9) < 4 * se
+
+    def test_uniform_quads_are_maps_of_the_measure_draws(self):
+        # the production route: cvs_build of sample_measure's Pbar_{2,1} draws
+        got = sample_uniform_quads(2, 300, np.random.default_rng(7))
+        counts, labels = sample_measure("Pbar-n-x", GEO, U3, 2, 1, 300, np.random.default_rng(7))
+        want = [cvs_build(SpatialTree(PlaneTree(c), l), 2) for c, l in zip(counts, labels)]
+        assert [canonical_code(q) for q in got] == [canonical_code(q) for q in want]
 
     def test_radius_and_distance_law_matches_rejection(self):
         # two-sample KS at 2000 maps a side; the 1% critical value is 0.0515
@@ -307,7 +317,7 @@ def below_the_root(s: SpatialTree, k: int) -> SpatialTree:
     """A single-child-root tree re-rooted at its vertex k, without the new
     root edge: the well-labelled tree of the map that a kept draw of
     _rerooted_rows stands for, when k is its minimum."""
-    r = reroot_at(s, s.tree.vertices[k])
+    r = reroot_at(s, k)
     return SpatialTree(PlaneTree(r.tree.counts[1:]), r.labels[1:])
 
 

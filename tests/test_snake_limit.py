@@ -20,20 +20,16 @@ import numpy as np
 import pytest
 
 from treesnake import plane_tree
-from treesnake.plane_tree import build_tree, contour_of
-from treesnake.spatial_tree import SpatialTree, spatial_contour
 from treesnake.snake_limit import (
     EmptySample,
     LengthMismatch,
     NonUniqueMinimum,
-    RescaledPath,
     SnakePath,
     _excursion_rows,
     _snake_head_rows,
     functionals,
     ks_report,
     ks_two_sample,
-    rescale_discrete,
     sample_excursion,
     sample_extrema,
     sample_positive_snake,
@@ -371,57 +367,6 @@ class TestVerwaatReroot:
     def test_regeneration_budget(self):
         with pytest.raises(NonUniqueMinimum):
             sample_positive_snake(16, np.random.default_rng(0), max_regenerations=0)
-
-
-def two_edge_cherry():
-    tree = build_tree((2, 0, 0))
-    return SpatialTree(tree, (0, 1, -1))
-
-
-class TestRescaleDiscrete:
-    def test_length_mismatch(self):
-        wt = two_edge_cherry()
-        c = contour_of(wt.tree)
-        v = spatial_contour(wt)
-        with pytest.raises(LengthMismatch):
-            rescale_discrete(c, v, 3, math.sqrt(2.0), math.sqrt(2.0 / 3.0))
-
-    def test_constants_and_endpoints(self):
-        wt = two_edge_cherry()
-        r = rescale_discrete(
-            contour_of(wt.tree), spatial_contour(wt), 2, math.sqrt(2.0), math.sqrt(2.0 / 3.0)
-        )
-        assert r.contour[0] == 0.0 and r.contour[-1] == 0.0
-        assert abs(r.kappa - (9.0 / 8.0) ** 0.25) < 1e-12
-        assert r.times[0] == 0.0 and r.times[-1] == 1.0
-
-    def test_head_scaling_hits_max_label(self):
-        # root label 0: the rescaled head sup is kappa n^(-1/4) max label
-        wt = two_edge_cherry()
-        n = 2
-        r = rescale_discrete(
-            contour_of(wt.tree), spatial_contour(wt), n, math.sqrt(2.0), math.sqrt(2.0 / 3.0)
-        )
-        want = r.kappa * max(wt.labels) / n**0.25
-        assert abs(r.head.max() - want) < 1e-12
-
-    def test_linearity(self):
-        wt = two_edge_cherry()
-        c = contour_of(wt.tree)
-        v = spatial_contour(wt)
-        r = rescale_discrete(c, v, 2, math.sqrt(2.0), math.sqrt(2.0 / 3.0))
-        doubled = type(c)(values=tuple(2 * h for h in c.values))
-        r2 = rescale_discrete(doubled, v, 2, math.sqrt(2.0), math.sqrt(2.0 / 3.0))
-        assert np.allclose(r2.contour, 2.0 * r.contour)
-
-    def test_interpolation(self):
-        wt = two_edge_cherry()
-        r = rescale_discrete(
-            contour_of(wt.tree), spatial_contour(wt), 2, math.sqrt(2.0), math.sqrt(2.0 / 3.0)
-        )
-        mid = 0.5 * (r.contour[0] + r.contour[1])
-        assert abs(r.contour_at(1.0 / 8.0) - mid) < 1e-12
-        assert abs(r.head_at(0.0) - r.head[0]) < 1e-12
 
 
 class TestKolmogorovSmirnov:
