@@ -169,9 +169,6 @@ class OffspringDistribution:
             return Fraction(1, 2 ** (k + 1))
         return self._pmf.get(k, Fraction(0))
 
-    def pmf(self, k: int) -> float:
-        return float(self.exact_pmf(k))
-
     def step_pmf(self, k: int) -> Fraction:
         """Law of the associated walk step, nu(k) = mu(k + 1) for k >= -1."""
         return self.exact_pmf(k + 1)
@@ -609,6 +606,8 @@ def estimate_positive_probability(
     rng: np.random.Generator,
 ) -> int:
     """How many of the given number of conditioned draws keep labels positive."""
+    if n < 0:
+        raise ValueError("edge count must be nonnegative")
     if n == 0:
         return attempts
     accepted = 0
@@ -656,6 +655,8 @@ def sample_leaf_counts(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Leaf counts of size-conditioned trees (childless non-root vertices)."""
+    if n < 0:
+        raise ValueError("edge count must be nonnegative")
     out = np.empty(samples, dtype=np.int64)
     done = 0
     chunk = max(16, min(8192, 2_000_000 // (n + 1)))

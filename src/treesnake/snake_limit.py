@@ -20,15 +20,14 @@ Re-rooting at the spatial minimum turns the signed head into a nonnegative
 one while permuting head values, so path ranges are preserved sample by
 sample; the distribution of the re-rooted pair is the positive
 (conditioned) snake, which is the continuum reference object for the
-scaling comparisons.  The re-rooted lifetime comes from
+scaling comparisons.  sample_positive_snake draws it as rows, re-rooted
+in place one row block at a time; the re-rooted lifetime comes from
 plane_tree._reroot_walk, which re-roots the sampled trees' contours too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,47 +41,13 @@ class NonUniqueMinimum(ValueError):
     """The grid minimum of the head is attained more than once."""
 
 
-class LengthMismatch(ValueError):
-    """A lifetime or head does not have the expected grid length."""
-
-
 class EmptySample(ValueError):
     """A sample set handed to a statistic is empty."""
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
-    out.setflags(write=False)
-    return out
-
-
-def _check_lifetime(e: np.ndarray) -> None:
-    """Reject a lifetime that is not a grid excursion (0 at both ends, never
-    negative), which the head sampler's anchor stacks rely on."""
-    if len(e) < 2 or e[0] != 0.0 or e[-1] != 0.0 or (e < 0).any():
-        raise ValueError("lifetime must be a nonnegative excursion")
-
-
-@dataclass(frozen=True)
-class SnakePath:
-    """Grid snake: lifetime e and head Z on times i/m, started at Z(0) = r."""
-
-    grid_size: int
-    excursion: np.ndarray
-    head: np.ndarray
-    initial: float = 0.0
-
-    def __post_init__(self) -> None:
-        e = _read_only(self.excursion)
-        z = _read_only(self.head)
-        m = self.grid_size
-        if m < 1 or len(e) != m + 1 or len(z) != m + 1:
-            raise LengthMismatch(f"want {m + 1} grid values, got {len(e)} and {len(z)}")
-        _check_lifetime(e)
-        if z[0] != self.initial:
-            raise ValueError("head must start at the initial value")
-        object.__setattr__(self, "excursion", e)
-        object.__setattr__(self, "head", z)
+def _check_grid(m: int) -> None:
+    if m < 2:
+        raise ValueError("need a grid with at least two steps")
 
 
 def _excursion_rows(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -119,20 +84,13 @@ def _excursion_rows(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return rows
 
 
-def sample_excursion(m: int, rng: np.random.Generator) -> np.ndarray:
-    """One normalized Brownian excursion on the grid i/m, i = 0..m."""
-    if m < 2:
-        raise ValueError("need a grid with at least two steps")
-    return _excursion_rows(m, 1, rng)[0]
-
-
 def _snake_head_rows(
     e: np.ndarray,
-    r: float,
     rng: np.random.Generator,
     keep_paths: bool = True,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Head rows for excursion rows e, all samples advanced in lock step.
+    """Head rows for excursion rows e, started at 0, all samples advanced in
+    lock step.
 
     With keep_paths the full (count, m+1) head array comes back; without it
     only the per-sample running (min, max) pair, which keeps memory flat
@@ -157,21 +115,21 @@ def _snake_head_rows(
     m = mp1 - 1
     depth = 1
     levels = np.zeros(count)
-    values = np.full(count, float(r))
+    values = np.zeros(count)
     pos = np.arange(count)
 
-    z_block = np.empty((_HEAD_BLOCK + 1, count))
-    z_block[0] = r
+    z_block = np.zeros((_HEAD_BLOCK + 1, count))
     if keep_paths:
         z = np.empty((count, mp1))
-        z[:, 0] = r
+        z[:, 0] = 0.0
     else:
-        z_min = np.full(count, float(r))
-        z_max = z_min.copy()
+        z_min = np.zeros(count)
+        z_max = np.zeros(count)
 
     for start in range(0, m, _HEAD_BLOCK):
         steps = min(_HEAD_BLOCK, m - start)
-        need = int(pos.max()) // count + steps + 1
+        # slots the deepest stack needs; initial= and max() admit a batch of 0 rows
+        need = int(pos.max(initial=0)) // max(count, 1) + steps + 1
         if need > depth:
             grown = need + _HEAD_BLOCK
             levels = np.concatenate([levels, np.zeros((grown - depth) * count)])
@@ -228,48 +186,47 @@ def _snake_head_rows(
     return z_min, z_max
 
 
-def sample_snake(m: int, rng: np.random.Generator, r: float = 0.0) -> SnakePath:
-    """Fresh excursion and a head that is exact on the grid given it."""
-    e = sample_excursion(m, rng)
-    return SnakePath(m, e, _snake_head_rows(e[None, :], r, rng)[0], r)
+def _reroot_at_minimum(e: np.ndarray, z: np.ndarray) -> None:
+    """Re-root lifetime rows e and head rows z at each head's grid argmin,
+    in place, one row block at a time.
 
-
-def verwaat_reroot(p: SnakePath) -> SnakePath:
-    """Re-root the snake at the spatial minimum of its head.
-
-    The new head reads the old one cyclically from the argmin, shifted to
-    start at 0, and the new lifetime at offset j is the tree distance
-    between the old positions: plane_tree._reroot_walk, the formula that
-    re-roots the discrete trees too.  Requires a path started at 0 and a
-    unique grid argmin.
+    The new head reads the old one cyclically from the argmin, less the
+    minimum, and the new lifetime at offset j is the tree distance between
+    the old times: plane_tree._reroot_walk, the formula that re-roots the
+    discrete trees too.  A row whose minimum is attained at more than one
+    grid time raises NonUniqueMinimum.
     """
-    if p.initial != 0.0:
-        raise ValueError("re-rooting is defined for paths started at 0")
-    e = p.excursion
-    z = p.head
-    m = p.grid_size
-    low = z.min()
-    hits = np.nonzero(z[:m] == low)[0]
-    if len(hits) != 1:
-        raise NonUniqueMinimum(f"head minimum attained {len(hits)} times on the grid")
-    star = hits[:1]
-
-    e_new, u = _reroot_walk(e[None, :], star)
-    return SnakePath(m, e_new[0], z[u[0]] - z[star], 0.0)
+    count, mp1 = e.shape
+    m = mp1 - 1
+    for start, stop in _row_blocks(count, mp1):
+        head = z[start:stop]
+        star = np.argmin(head[:, :m], axis=1)
+        low = head[np.arange(stop - start), star][:, None]
+        ties = np.count_nonzero(head[:, :m] == low, axis=1)
+        tied = (ties > 1).nonzero()[0]
+        if tied.size:
+            i = tied[0]
+            raise NonUniqueMinimum(
+                f"head minimum of row {start + i} attained {ties[i]} times on the grid"
+            )
+        e[start:stop], u = _reroot_walk(e[start:stop], star)
+        np.subtract(np.take_along_axis(head, u, axis=1), low, out=head)
 
 
 def sample_positive_snake(
-    m: int, rng: np.random.Generator, max_regenerations: int = 8
-) -> SnakePath:
-    """Nonnegative snake: re-rooted draw, regenerating on grid argmin ties."""
-    for _ in range(max_regenerations):
-        try:
-            return verwaat_reroot(sample_snake(m, rng))
-        except NonUniqueMinimum:
-            continue
-    raise NonUniqueMinimum(
-        f"grid minimum still tied after {max_regenerations} regenerations"
-    )
+    m: int, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """count grid snakes re-rooted at the minimum of their heads: rows of
+    lifetimes and of nonnegative heads, each (count, m+1).
+
+    A tied grid minimum, which has probability zero for Gaussian heads,
+    raises NonUniqueMinimum.
+    """
+    _check_grid(m)
+    e = _excursion_rows(m, count, rng)
+    z = _snake_head_rows(e, rng)
+    _reroot_at_minimum(e, z)
+    return e, z
 
 
 def sample_extrema(
@@ -284,13 +241,14 @@ def sample_extrema(
     sup and inf determine the range and, through the re-rooting identity,
     the sup of the positive snake as well.
     """
+    _check_grid(m)
     sups = np.empty(count)
     infs = np.empty(count)
     done = 0
     while done < count:
         take = min(batch, count - done)
         e = _excursion_rows(m, take, rng)
-        z_min, z_max = _snake_head_rows(e, 0.0, rng, keep_paths=False)
+        z_min, z_max = _snake_head_rows(e, rng, keep_paths=False)
         sups[done : done + take] = z_max
         infs[done : done + take] = z_min
         done += take
@@ -333,34 +291,6 @@ def ks_report(a: np.ndarray, b: np.ndarray, threshold: float) -> dict:
         "threshold": threshold,
         "pass": bool(stat <= threshold),
     }
-
-
-@dataclass(frozen=True)
-class SnakeFunctionals:
-    """Path functionals: extremes and the grid occupation measures."""
-
-    sup: float
-    inf: float
-    range: float
-    occupation: tuple[np.ndarray, np.ndarray]
-    shifted_occupation: tuple[np.ndarray, np.ndarray]
-
-
-def functionals(p: SnakePath, bins: int = 64) -> SnakeFunctionals:
-    """Sup, inf, range of the head plus its occupation histograms.
-
-    The occupation measure puts mass 1/m on the head value at each grid
-    time left of a step; the shifted variant does the same for the head
-    minus its infimum.  Both histograms therefore sum to 1.
-    """
-    z = p.head
-    lo = float(z.min())
-    hi = float(z.max())
-    left = z[:-1]
-    weights = np.full(len(left), 1.0 / p.grid_size)
-    occ = np.histogram(left, bins=bins, weights=weights)
-    shifted = np.histogram(left - lo, bins=bins, weights=weights)
-    return SnakeFunctionals(hi, lo, hi - lo, occ, shifted)
 
 
 def samples_csv(values: np.ndarray) -> str:

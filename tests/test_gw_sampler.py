@@ -363,9 +363,18 @@ class TestPipelines:
         assert mins.shape == (200,)
         assert np.all(mins <= 0) and np.all(maxs >= 0)
 
-    def test_extrema_reject_negative_size(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            sample_label_extrema(GEO, U3, -1, 0, 5, rng_of(0))
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda n, rng: sample_label_extrema(GEO, U3, n, 0, 5, rng),
+            lambda n, rng: sample_leaf_counts(GEO, n, 5, rng),
+            lambda n, rng: estimate_positive_probability(GEO, U3, n, 1, 5, rng),
+        ],
+        ids=["sample_label_extrema", "sample_leaf_counts", "estimate_positive_probability"],
+    )
+    def test_extrema_reject_negative_size(self, draw):
+        with pytest.raises(ValueError, match="edge count must be nonnegative"):
+            draw(-1, rng_of(0))
 
     def test_leaf_counts_match_objects(self):
         rng = rng_of(14)

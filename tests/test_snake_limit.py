@@ -22,21 +22,16 @@ import pytest
 from treesnake import plane_tree
 from treesnake.snake_limit import (
     EmptySample,
-    LengthMismatch,
     NonUniqueMinimum,
-    SnakePath,
     _excursion_rows,
+    _reroot_at_minimum,
     _snake_head_rows,
-    functionals,
     ks_report,
     ks_two_sample,
-    sample_excursion,
     sample_extrema,
     sample_positive_snake,
-    sample_snake,
     samples_csv,
     to_lattice,
-    verwaat_reroot,
 )
 
 GRID_MIN_OFFSET = 0.5826  # mean gap between discrete and continuum bridge minima, per unit step sd
@@ -59,7 +54,7 @@ def reference_excursion_rows(m, count, rng):
     return rows
 
 
-def reference_head_rows(e, r, rng):
+def reference_head_rows(e, rng):
     """One sample at a time with a plain anchor list, as an oracle.
 
     The normals are drawn in the documented order, the bridge normals and
@@ -70,8 +65,8 @@ def reference_head_rows(e, r, rng):
     normals = [(rng.standard_normal(count), rng.standard_normal(count)) for _ in range(mp1 - 1)]
     out = np.empty((count, mp1))
     for j in range(count):
-        anchors = [(0.0, float(r))]
-        out[j, 0] = r
+        anchors = [(0.0, 0.0)]
+        out[j, 0] = 0.0
         for i, (bridge_normal, rise_normal) in enumerate(normals):
             level = min(e[j, i], e[j, i + 1])
             dropped = None
@@ -117,20 +112,22 @@ def excursion_batch():
 
 class TestExcursion:
     def test_rejects_degenerate_grid(self):
-        with pytest.raises(ValueError):
-            sample_excursion(1, np.random.default_rng(0))
+        for draw in (sample_extrema, sample_positive_snake):
+            for m in (-1, 0, 1):
+                with pytest.raises(ValueError, match="at least two steps"):
+                    draw(m, 3, np.random.default_rng(0))
 
     def test_endpoints_and_sign(self):
         rng = np.random.default_rng(3)
         for m in (2, 3, 16, 257):
-            e = sample_excursion(m, rng)
-            assert len(e) == m + 1
-            assert e[0] == 0.0 and e[m] == 0.0
-            assert e.min() == 0.0
+            e = _excursion_rows(m, 5, rng)
+            assert e.shape == (5, m + 1)
+            assert (e[:, 0] == 0.0).all() and (e[:, m] == 0.0).all()
+            assert (e.min(axis=1) == 0.0).all()
 
     def test_reproducible(self):
-        a = sample_excursion(64, np.random.default_rng(11))
-        b = sample_excursion(64, np.random.default_rng(11))
+        a = _excursion_rows(64, 3, np.random.default_rng(11))
+        b = _excursion_rows(64, 3, np.random.default_rng(11))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("m", [2, 3, 257, 4096])
@@ -168,8 +165,9 @@ class TestExcursion:
         [
             lambda rng: [_excursion_rows(4096, 130, rng).tobytes()],
             lambda rng: [a.tobytes() for a in sample_extrema(256, 30, rng)],
+            lambda rng: [a.tobytes() for a in sample_positive_snake(256, 30, rng)],
         ],
-        ids=["excursion_rows", "sample_extrema"],
+        ids=["excursion_rows", "sample_extrema", "positive_snake"],
     )
     def test_rows_do_not_depend_on_the_block(self, monkeypatch, draw):
         rng = np.random.default_rng(21)
@@ -201,43 +199,16 @@ class TestExcursion:
         assert ks_two_sample(quarter, three_quarter) < 0.02
 
 
-class TestSnakePathValidation:
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            SnakePath(4, np.zeros(4), np.zeros(5))
-
-    def test_lifetime_must_be_excursion(self):
-        with pytest.raises(ValueError):
-            SnakePath(2, np.array([0.0, -1.0, 0.0]), np.zeros(3))
-        with pytest.raises(ValueError):
-            SnakePath(2, np.array([0.0, 1.0, 0.5]), np.zeros(3))
-
-    def test_head_starts_at_initial(self):
-        with pytest.raises(ValueError):
-            SnakePath(2, np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]), 0.0)
-
-    def test_arrays_frozen(self):
-        p = sample_snake(8, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            p.head[0] = 5.0
-
-
 class TestSnakeHead:
     def test_degenerate_lifetime_gives_constant_head(self):
-        z = _snake_head_rows(np.zeros((1, 2)), 1.5, np.random.default_rng(2))[0]
-        p = SnakePath(1, np.zeros(2), z, 1.5)
-        assert np.array_equal(p.head, np.array([1.5, 1.5]))
-
-    @pytest.mark.parametrize("e", [[0.0, -1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.5]])
-    def test_rejects_a_lifetime_that_is_not_an_excursion(self, e):
-        with pytest.raises(ValueError, match="nonnegative excursion"):
-            SnakePath(len(e) - 1, np.array(e), np.zeros(len(e)))
+        z = _snake_head_rows(np.zeros((2, 3)), np.random.default_rng(2))
+        assert np.array_equal(z, np.zeros((2, 3)))
 
     def test_reproducible(self):
-        a = sample_snake(32, np.random.default_rng(6))
-        b = sample_snake(32, np.random.default_rng(6))
-        assert np.array_equal(a.excursion, b.excursion)
-        assert np.array_equal(a.head, b.head)
+        a = sample_positive_snake(32, 4, np.random.default_rng(6))
+        b = sample_positive_snake(32, 4, np.random.default_rng(6))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_covariance_matches_interval_minima(self):
         # fixed sawtooth lifetime; empirical cov(Z(s), Z(s')) must equal
@@ -245,7 +216,7 @@ class TestSnakeHead:
         e = np.array([0.0, 0.5, 1.0, 0.75, 1.25, 0.25, 0.6, 0.3, 0.0])
         count = 100_000
         rows = np.tile(e, (count, 1))
-        z = _snake_head_rows(rows, 0.0, np.random.default_rng(41))
+        z = _snake_head_rows(rows, np.random.default_rng(41))
         pairs = [(1, 3), (2, 4), (1, 7), (3, 5), (4, 6)]
         for i, j in pairs:
             want = e[i : j + 1].min()
@@ -257,7 +228,7 @@ class TestSnakeHead:
     def test_variance_matches_lifetime(self):
         e = np.array([0.0, 0.5, 1.0, 0.75, 1.25, 0.25, 0.6, 0.3, 0.0])
         count = 100_000
-        z = _snake_head_rows(np.tile(e, (count, 1)), 0.0, np.random.default_rng(43))
+        z = _snake_head_rows(np.tile(e, (count, 1)), np.random.default_rng(43))
         for s in (2, 4, 6):
             var = z[:, s].var()
             se = np.sqrt(2.0 / count) * e[s]  # sd of a chi-square mean estimate
@@ -265,10 +236,9 @@ class TestSnakeHead:
 
     @pytest.mark.parametrize(
         "case",
-        ["tall_tent", "one_step", "m300", "r1.5", "flat_steps", "excursions_257x300"],
+        ["tall_tent", "one_step", "m300", "flat_steps", "excursions_257x300"],
     )
     def test_rows_equal_the_scalar_walker(self, case):
-        r = 0.0
         if case == "tall_tent":
             # 300 rises in a row: the stacks outgrow their first allocations
             tent = np.concatenate([np.arange(301), np.arange(299, -1, -1)]) / 300.0
@@ -277,9 +247,6 @@ class TestSnakeHead:
             e = np.zeros((3, 2))
         elif case == "m300":
             e = _excursion_rows(300, 5, np.random.default_rng(1))
-        elif case == "r1.5":
-            e = _excursion_rows(64, 7, np.random.default_rng(2))
-            r = 1.5
         elif case == "flat_steps":
             e = np.array(
                 [
@@ -290,11 +257,11 @@ class TestSnakeHead:
         else:
             e = _excursion_rows(300, 257, np.random.default_rng(3))
         rng, ref_rng = np.random.default_rng(40), np.random.default_rng(40)
-        got = _snake_head_rows(e, r, rng)
-        want = reference_head_rows(e, r, ref_rng)
+        got = _snake_head_rows(e, rng)
+        want = reference_head_rows(e, ref_rng)
         assert got.tobytes() == want.tobytes()
         assert rng.random() == ref_rng.random()
-        z_min, z_max = _snake_head_rows(e, r, np.random.default_rng(40), keep_paths=False)
+        z_min, z_max = _snake_head_rows(e, np.random.default_rng(40), keep_paths=False)
         assert z_min.tobytes() == want.min(axis=1).tobytes()
         assert z_max.tobytes() == want.max(axis=1).tobytes()
 
@@ -302,71 +269,87 @@ class TestSnakeHead:
         sups, infs = sample_extrema(64, 300, np.random.default_rng(9), batch=100)
         rng = np.random.default_rng(9)
         e = _excursion_rows(64, 100, rng)
-        z = _snake_head_rows(e, 0.0, rng)
+        z = _snake_head_rows(e, rng)
         assert np.array_equal(sups[:100], z.max(axis=1))
         assert np.array_equal(infs[:100], z.min(axis=1))
 
 
-class TestVerwaatReroot:
-    def test_requires_zero_start(self):
-        p = sample_snake(2, np.random.default_rng(1), r=2.0)
-        with pytest.raises(ValueError):
-            verwaat_reroot(p)
+def snake_rows(m, count, seed):
+    """Rows of grid snakes before re-rooting: lifetimes and heads."""
+    rng = np.random.default_rng(seed)
+    e = _excursion_rows(m, count, rng)
+    return e, _snake_head_rows(e, rng)
 
+
+def rerooted(e, z):
+    """Copies of the rows, re-rooted at their head minima."""
+    e, z = e.copy(), z.copy()
+    _reroot_at_minimum(e, z)
+    return e, z
+
+
+class TestVerwaatReroot:
     def test_detects_tied_minimum(self):
-        p = SnakePath(
-            4,
-            np.array([0.0, 1.0, 2.0, 1.0, 0.0]),
-            np.array([0.0, -1.0, 0.0, -1.0, 0.0]),
-        )
-        with pytest.raises(NonUniqueMinimum):
-            verwaat_reroot(p)
+        e = np.array([[0.0, 1.0, 2.0, 1.0, 0.0], [0.0, 1.0, 2.0, 1.0, 0.0]])
+        z = np.array([[0.0, -2.0, 0.0, -1.0, 0.0], [0.0, -1.0, 0.0, -1.0, 0.0]])
+        with pytest.raises(NonUniqueMinimum, match="row 1 attained 2 times"):
+            _reroot_at_minimum(e, z)
 
     def test_per_sample_identities(self):
-        rng = np.random.default_rng(14)
-        for _ in range(200):
-            p = sample_snake(48, rng)
-            q = verwaat_reroot(p)
-            assert q.initial == 0.0
-            assert q.head[0] == 0.0
-            assert q.head.min() == 0.0
-            assert abs(q.head.max() - (p.head.max() - p.head.min())) < 1e-12
-            assert q.excursion[0] == 0.0 and q.excursion[-1] == 0.0
-            assert (q.excursion >= 0.0).all()
+        e, z = snake_rows(48, 200, 14)
+        e_new, z_new = rerooted(e, z)
+        for old, head, life in zip(z, z_new, e_new):
+            assert head[0] == 0.0
+            assert head.min() == 0.0
+            assert abs(head.max() - (old.max() - old.min())) < 1e-12
+            assert life[0] == 0.0 and life[-1] == 0.0
+            assert (life >= 0.0).all()
 
     def test_lifetime_is_tree_distance_to_argmin(self):
-        rng = np.random.default_rng(77)
-        p = sample_snake(32, rng)
-        q = verwaat_reroot(p)
-        e, z, m = p.excursion, p.head, 32
-        star = int(np.argmin(z[:m]))
-        for j in range(m + 1):
-            u = (star + j) % m
-            lo, hi = min(star, u), max(star, u)
-            want = e[star] + e[u] - 2.0 * e[lo : hi + 1].min()
-            if j in (0, m):
-                want = 0.0
-            assert abs(q.excursion[j] - want) < 1e-12
+        m = 32
+        e, z = snake_rows(m, 20, 77)
+        e_new, z_new = rerooted(e, z)
+        for row in range(len(e)):
+            star = int(np.argmin(z[row, :m]))
+            for j in range(m + 1):
+                u = (star + j) % m
+                lo, hi = min(star, u), max(star, u)
+                want = e[row, star] + e[row, u] - 2.0 * e[row, lo : hi + 1].min()
+                if j in (0, m):
+                    want = 0.0
+                assert abs(e_new[row, j] - want) < 1e-12
+                assert z_new[row, j] == z[row, u] - z[row, star]
 
-    # sha256 of the lifetime then head bytes, recorded from the code that
-    # computed the interval minima in verwaat_reroot itself, before the
-    # shared re-rooting kernel: the kernel changes no bit
+    # sha256 of the lifetime then head bytes, recorded from the per-path
+    # re-rooting that computed its own interval minima, before the shared
+    # re-rooting kernel and the row call: neither changes a bit
     @pytest.mark.parametrize("seed, digest", [
         (1, "4082ff4d114103e27095ad9a70296508faf911ea6f26c3250cce2cd1ea7a5595"),
         (2, "e111cb6c601ddbb3d237fc5a6f8b8fd2c7a53ea0152c416dc54a85518788873e"),
         (3, "f2ad1af4b22b9f808a74e2e6fb80a92def3463dde67294bb98adaa6a207205fd"),
     ])
     def test_arrays_keep_their_bytes(self, seed, digest):
-        q = verwaat_reroot(sample_snake(1024, np.random.default_rng(seed)))
-        assert hashlib.sha256(q.excursion.tobytes() + q.head.tobytes()).hexdigest() == digest
+        e, z = sample_positive_snake(1024, 1, np.random.default_rng(seed))
+        assert hashlib.sha256(e.tobytes() + z.tobytes()).hexdigest() == digest
 
     def test_positive_pipeline(self):
-        q = sample_positive_snake(64, np.random.default_rng(21))
-        assert q.head.min() == 0.0 and q.head[0] == 0.0
+        e, z = sample_positive_snake(64, 5, np.random.default_rng(21))
+        assert e.shape == z.shape == (5, 65)
+        assert (z.min(axis=1) == 0.0).all() and (z[:, 0] == 0.0).all()
+        e, z = sample_positive_snake(64, 0, np.random.default_rng(21))
+        assert e.shape == z.shape == (0, 65)
 
-    def test_regeneration_budget(self):
-        with pytest.raises(NonUniqueMinimum):
-            sample_positive_snake(16, np.random.default_rng(0), max_regenerations=0)
+    def test_memory_stays_under_three_result_arrays(self):
+        # the two result arrays, plus one row block of re-rooting temporaries
+        # and the head sampler's anchor stacks
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            sample_positive_snake(4096, 1000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 1000 * 4097 * 8
 
 
 class TestKolmogorovSmirnov:
@@ -416,31 +399,15 @@ class TestKolmogorovSmirnov:
 
 
 class TestFunctionals:
-    def test_constant_path(self):
-        p = SnakePath(1, np.zeros(2), np.full(2, 2.0), 2.0)
-        f = functionals(p)
-        assert f.range == 0.0
-        assert abs(f.occupation[0].sum() - 1.0) < 1e-12
-
-    def test_occupation_is_probability(self):
-        p = sample_snake(256, np.random.default_rng(31))
-        f = functionals(p, bins=40)
-        assert abs(f.occupation[0].sum() - 1.0) < 1e-9
-        assert abs(f.shifted_occupation[0].sum() - 1.0) < 1e-9
-        assert f.shifted_occupation[1][0] >= -1e-12
-
     def test_range_preserved_by_rerooting(self):
-        rng = np.random.default_rng(8)
-        for _ in range(25):
-            p = sample_snake(64, rng)
-            q = verwaat_reroot(p)
-            assert abs(functionals(p).range - functionals(q).range) < 1e-12
+        e, z = snake_rows(64, 25, 8)
+        _, z_new = rerooted(e, z)
+        assert np.abs(np.ptp(z_new, axis=1) - np.ptp(z, axis=1)).max() < 1e-12
 
     def test_sup_after_rerooting_is_old_range(self):
-        rng = np.random.default_rng(12)
-        p = sample_snake(128, rng)
-        q = verwaat_reroot(p)
-        assert abs(q.head.max() - functionals(p).range) < 1e-12
+        e, z = snake_rows(128, 25, 12)
+        _, z_new = rerooted(e, z)
+        assert np.abs(z_new.max(axis=1) - np.ptp(z, axis=1)).max() < 1e-12
 
 
 class TestCsvExport:
