@@ -12,9 +12,9 @@ centered Gaussian displacement.
 
 A batch of samples advances in lock step.  Its anchor stacks live in two
 flat slot-major arrays (anchor s of sample j at s * count + j) with one top
-pointer per sample, the two normals of each step are drawn for a block of
-steps at once in the order of two per-step calls, and only the samples
-whose lifetime steps down pay for popping anchors and for the bridge.
+pointer per sample, the one normal of each sample and step is drawn for a
+block of steps at once, and only the samples whose lifetime steps down pay
+for popping anchors and for the bridge.
 
 Re-rooting at the spatial minimum turns the signed head into a nonnegative
 one while permuting head values, so path ranges are preserved sample by
@@ -48,6 +48,11 @@ class EmptySample(ValueError):
 def _check_grid(m: int) -> None:
     if m < 2:
         raise ValueError("need a grid with at least two steps")
+
+
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ValueError(f"sample count must be nonnegative, got {count}")
 
 
 def _excursion_rows(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -94,11 +99,13 @@ def _snake_head_rows(
 
     With keep_paths the full (count, m+1) head array comes back; without it
     only the per-sample running (min, max) pair, which keeps memory flat
-    for large batches.  Exactly two standard normals per sample per step
-    are consumed either way, the bridge normal and then the rise normal of
-    step i drawn as standard_normal((steps, 2, count)) for a block of
-    _HEAD_BLOCK steps, the same stream as two standard_normal(count) calls
-    a step; so output is reproducible for a given rng.
+    for large batches.  Exactly one standard normal per sample per step is
+    consumed either way, drawn as standard_normal((steps, count)) for a
+    block of _HEAD_BLOCK steps, the same stream as one
+    standard_normal(count) call a step; so output is reproducible for a
+    given rng.  A sample whose lifetime steps down spends its normal on the
+    bridge, any other on the rise sqrt(e_next - e): the head has one free
+    coordinate a step, and the rise of a step down is zero.
 
     The rows of e must start at 0 and stay nonnegative, as excursion rows
     do.  The anchor stacks are two flat slot-major arrays, anchor s of
@@ -136,11 +143,15 @@ def _snake_head_rows(
             values = np.concatenate([values, np.zeros((grown - depth) * count)])
             depth = grown
 
-        normals = rng.standard_normal((steps, 2, count))
+        normals = rng.standard_normal((steps, count))
         ends = np.ascontiguousarray(e[:, start : start + steps + 1].T)
         e_next = ends[1:]
-        down = e_next < ends[:-1]
-        rise = np.sqrt(e_next - np.minimum(ends[:-1], e_next)) * normals[:, 1]
+        rise = e_next - ends[:-1]
+        down = rise < 0.0
+        # zero on a step down, whose normal goes to the bridge instead
+        np.maximum(rise, 0.0, out=rise)
+        np.sqrt(rise, out=rise)
+        rise *= normals
 
         for i in range(steps):
             z_next = z_block[i + 1]
@@ -166,7 +177,7 @@ def _snake_head_rows(
                 span = h1 - h0
                 gap = level - h0
                 w = w0 + gap / span * (w1 - w0)
-                w += np.sqrt(gap * (h1 - level) / span) * normals[i, 0, d]
+                w += np.sqrt(gap * (h1 - level) / span) * normals[i, d]
                 z_next[d] = w
                 pos[d] = p
             pos += count
@@ -223,6 +234,7 @@ def sample_positive_snake(
     raises NonUniqueMinimum.
     """
     _check_grid(m)
+    _check_count(count)
     e = _excursion_rows(m, count, rng)
     z = _snake_head_rows(e, rng)
     _reroot_at_minimum(e, z)
@@ -242,6 +254,9 @@ def sample_extrema(
     the sup of the positive snake as well.
     """
     _check_grid(m)
+    _check_count(count)
+    if batch < 1:
+        raise ValueError(f"batch must be at least 1, got {batch}")
     sups = np.empty(count)
     infs = np.empty(count)
     done = 0

@@ -57,17 +57,17 @@ def reference_excursion_rows(m, count, rng):
 def reference_head_rows(e, rng):
     """One sample at a time with a plain anchor list, as an oracle.
 
-    The normals are drawn in the documented order, the bridge normals and
-    then the rise normals of all samples, two standard_normal(count) calls
-    a step.
+    The normals are drawn in the documented order, one
+    standard_normal(count) call a step.  Sample j spends entry j on the
+    bridge when its lifetime steps down and on the rise otherwise.
     """
     count, mp1 = e.shape
-    normals = [(rng.standard_normal(count), rng.standard_normal(count)) for _ in range(mp1 - 1)]
+    normals = [rng.standard_normal(count) for _ in range(mp1 - 1)]
     out = np.empty((count, mp1))
     for j in range(count):
         anchors = [(0.0, 0.0)]
         out[j, 0] = 0.0
-        for i, (bridge_normal, rise_normal) in enumerate(normals):
+        for i, normal in enumerate(normals):
             level = min(e[j, i], e[j, i + 1])
             dropped = None
             while anchors[-1][0] > level:
@@ -78,10 +78,12 @@ def reference_head_rows(e, rng):
                 h1, w1 = dropped
                 span = h1 - h0
                 w = w0 + (level - h0) / span * (w1 - w0)
-                w += math.sqrt((level - h0) * (h1 - level) / span) * bridge_normal[j]
+                w += math.sqrt((level - h0) * (h1 - level) / span) * normal[j]
+                z = w
+            else:
+                z = w + math.sqrt(e[j, i + 1] - level) * normal[j]
             if level > h0:
                 anchors.append((level, w))
-            z = w + math.sqrt(e[j, i + 1] - level) * rise_normal[j]
             if e[j, i + 1] > level:
                 anchors.append((e[j, i + 1], z))
             out[j, i + 1] = z
@@ -225,6 +227,20 @@ class TestSnakeHead:
             se = prod.std() / math.sqrt(count)
             assert abs(got - want) < 3 * se, (i, j, got, want)
 
+    def test_every_covariance_matches_interval_minima(self):
+        # every pair of interior times, variances included: a normal spent
+        # twice, across the bridge and the rise or across two steps, shows
+        # as a covariance off min e over [i, j]
+        e = np.array([0.0, 0.5, 1.0, 0.75, 1.25, 0.25, 0.6, 0.3, 0.0])
+        count = 200_000
+        z = _snake_head_rows(np.tile(e, (count, 1)), np.random.default_rng(47))
+        for i in range(1, 8):
+            for j in range(i, 8):
+                want = e[i : j + 1].min()
+                prod = z[:, i] * z[:, j]
+                se = prod.std() / math.sqrt(count)
+                assert abs(prod.mean() - want) < 4.5 * se, (i, j, prod.mean(), want)
+
     def test_variance_matches_lifetime(self):
         e = np.array([0.0, 0.5, 1.0, 0.75, 1.25, 0.25, 0.6, 0.3, 0.0])
         count = 100_000
@@ -264,6 +280,16 @@ class TestSnakeHead:
         z_min, z_max = _snake_head_rows(e, np.random.default_rng(40), keep_paths=False)
         assert z_min.tobytes() == want.min(axis=1).tobytes()
         assert z_max.tobytes() == want.max(axis=1).tobytes()
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_extrema_reject_an_empty_batch(self, batch):
+        with pytest.raises(ValueError, match="batch must be at least 1"):
+            sample_extrema(64, 3, np.random.default_rng(0), batch=batch)
+
+    @pytest.mark.parametrize("draw", [sample_extrema, sample_positive_snake])
+    def test_rejects_a_negative_sample_count(self, draw):
+        with pytest.raises(ValueError, match="sample count must be nonnegative"):
+            draw(64, -1, np.random.default_rng(0))
 
     def test_extrema_batch_matches_full_paths(self):
         sups, infs = sample_extrema(64, 300, np.random.default_rng(9), batch=100)
@@ -320,13 +346,13 @@ class TestVerwaatReroot:
                 assert abs(e_new[row, j] - want) < 1e-12
                 assert z_new[row, j] == z[row, u] - z[row, star]
 
-    # sha256 of the lifetime then head bytes, recorded from the per-path
-    # re-rooting that computed its own interval minima, before the shared
-    # re-rooting kernel and the row call: neither changes a bit
+    # sha256 of the lifetime then head bytes, recorded once the head drew
+    # one normal a step, after the scalar walker and the covariance tests
+    # passed on it; the test ids name the seed alone
     @pytest.mark.parametrize("seed, digest", [
-        (1, "4082ff4d114103e27095ad9a70296508faf911ea6f26c3250cce2cd1ea7a5595"),
-        (2, "e111cb6c601ddbb3d237fc5a6f8b8fd2c7a53ea0152c416dc54a85518788873e"),
-        (3, "f2ad1af4b22b9f808a74e2e6fb80a92def3463dde67294bb98adaa6a207205fd"),
+        pytest.param(1, "a5f453651adb90cd7634172d8c24e882cad81f7e32838e8dbfaab6a72ba97a74", id="1"),
+        pytest.param(2, "95b89143b93772601e4a19ee9164bb0d007f6d24c018b656accdf40afe2c120a", id="2"),
+        pytest.param(3, "cd231e99ff886b7d639d4f62847bd5d0b87b258c08cbde7eda0649b0b7cb6422", id="3"),
     ])
     def test_arrays_keep_their_bytes(self, seed, digest):
         e, z = sample_positive_snake(1024, 1, np.random.default_rng(seed))
