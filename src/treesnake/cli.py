@@ -14,9 +14,10 @@ Which measures need --n, and the least n each takes, is gw_sampler's
 SIZED_MEASURES.
 
 Exit status: 0 when the requested checks pass (or a pure sampling run
-completes), 1 when a verification or comparison fails or a sampler runs
-out of its rejection or size budget, 2 for usage errors and inputs outside
-a sampler's domain.  Those errors print one line; any other exception
+completes), 1 when a verification or comparison fails, a sampler runs out
+of its rejection budget or a size passes plane_tree's MAX_VERTICES (checked
+before the rows are allocated), 2 for usage errors and inputs outside a
+sampler's domain.  Those errors print one line; any other exception
 keeps its traceback.
 """
 

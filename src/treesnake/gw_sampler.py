@@ -54,10 +54,14 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from treesnake.plane_tree import (
+    MAX_VERTICES,
     PlaneTree,
+    SizeOverflow,
     _block_rows,
+    _check_vertices,
     _path_sums,
     _reroot_walk,
     _row_blocks,
@@ -67,10 +71,6 @@ from treesnake.plane_tree import (
 from treesnake.spatial_tree import Label, SpatialTree
 
 Numeric = Union[int, float, Fraction]
-
-
-class SizeOverflow(RuntimeError):
-    """Unconditioned tree grew past the configured cap."""
 
 
 class UnreachableSize(ValueError):
@@ -328,7 +328,7 @@ _KERNEL_WORDS = 8
 def sample_gw(
     mu: OffspringDistribution,
     rng: np.random.Generator,
-    max_size: int = 10_000_000,
+    max_size: int = MAX_VERTICES,
 ) -> PlaneTree:
     """One tree from the unconditioned critical law, built in preorder."""
     counts: list[int] = []
@@ -353,24 +353,20 @@ def sample_gw(
     return PlaneTree(tuple(counts))
 
 
-def _rotate_rows(rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _rotate_rows(rows: np.ndarray) -> np.ndarray:
     """Cycle-lemma rotation of count rows, each summing to one less than its length.
 
     The rotation starting right after the first minimum of the partial sums
-    of (c - 1) is the unique one that encodes a tree in preorder.  It is
-    written into out when given, a C-contiguous array of the rows' shape.
+    of (c - 1) is the unique one that encodes a tree in preorder.
     """
     b, m = rows.shape
     partial = rows - 1
     np.cumsum(partial, axis=1, out=partial)
     jstar = np.argmin(partial, axis=1)  # first position of the minimum
     del partial
-    # flat index of entry t of a rotated row: (jstar + 1 + t) mod m in its row
-    idx = np.arange(1, m + 1) + jstar[:, None]
-    idx %= m
-    idx += m * np.arange(b)[:, None]
-    # the indices are in range; mode="clip" lets take write out unbuffered
-    return np.take(rows, idx, out=out, mode="clip")
+    # a rotated row is the window of length m at jstar + 1 of the row twice over
+    windows = sliding_window_view(np.concatenate([rows, rows], axis=1), m, axis=1)
+    return windows[np.arange(b), jstar + 1]
 
 
 def _composition_rows(n: int, rng: np.random.Generator, rows: int) -> np.ndarray:
@@ -418,6 +414,7 @@ def _sized_count_rows(
     The rows are drawn and rotated into the result one block at a time, so
     the draw's temporaries stay within a few row blocks.
     """
+    _check_vertices(n + 1)
     _check_size_reachable(mu, n)
     if n == 0:
         return np.zeros((rows, 1), dtype=np.int64)
@@ -425,7 +422,7 @@ def _sized_count_rows(
     if mu.is_geometric:
         # consecutive rng.random blocks draw what one call for all rows would
         for start, stop in _row_blocks(rows, 2 * n):
-            _rotate_rows(_composition_rows(n, rng, stop - start), out[start:stop])
+            out[start:stop] = _rotate_rows(_composition_rows(n, rng, stop - start))
         return out
     have = 0
     # aim for enough raw blocks that each batch lands a healthy number of hits
@@ -435,7 +432,7 @@ def _sized_count_rows(
         batch = int(min(max(256, want / hit * 1.3), max(256, 4_000_000 // (n + 1))))
         block = mu.sample_counts(rng, batch * (n + 1)).reshape(batch, n + 1)
         good = block[block.sum(axis=1) == n][:want]
-        _rotate_rows(good, out[have : have + len(good)])
+        out[have : have + len(good)] = _rotate_rows(good)
         have += len(good)
     return out
 
@@ -450,8 +447,35 @@ def _q_count_rows(
     the root's count 1, then a tree with n - 1 edges hanging from the child."""
     if n < 1:
         raise ValueError("a single-child root needs at least one edge")
+    _check_vertices(n + 1)
     sub = _sized_count_rows(mu, n - 1, rng, rows)
     return np.concatenate([np.ones((rows, 1), dtype=sub.dtype), sub], axis=1)
+
+
+def _marks(k: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Boolean rows of size slots, row r marking a uniform k[r]-subset.
+
+    Every slot gets a uniform 32-bit key, and a row marks the slots at or
+    below its k-th smallest key.  A row whose k-th and (k + 1)-th smallest
+    keys tie is drawn again; that event does not depend on the order of the
+    keys, so the marked subset stays uniform, and it has exactly k slots.
+    (float32 keys would take only 2**24 values and tie in most rows near
+    MAX_VERTICES slots.)
+    """
+    mask = np.zeros((len(k), size), dtype=bool)
+    todo = np.flatnonzero((k > 0) & (k < size))
+    mask[k >= size] = True
+    while len(todo):
+        keys = rng.integers(0, 2**32, size=(len(todo), size), dtype=np.uint32)
+        low = np.sort(keys, axis=1)
+        every = np.arange(len(todo))
+        at = k[todo]
+        limit = low[every, at - 1]
+        tie = low[every, at] == limit
+        del low  # freed before the compare allocates
+        mask[todo] = keys <= limit[:, None]
+        todo = todo[tie]
+    return mask
 
 
 def _tilted_rows(n: int, rng: np.random.Generator, rows: int) -> np.ndarray:
@@ -460,9 +484,12 @@ def _tilted_rows(n: int, rng: np.random.Generator, rows: int) -> np.ndarray:
 
     Narayana(n, j) of the equally likely shapes have j leaves, so j is drawn
     with weight C(n, j) C(n + 1, j), proportional to Narayana(n, j) / j; then
-    zeros go in j uniform slots of n + 1, a uniform composition of n into
-    positive parts (n - j uniform cuts of n - 1 gaps) fills the others, and
-    the cycle-lemma rotation gives each shape with j leaves alike.
+    zeros go in j uniform slots of n + 1 and a uniform composition of n into
+    positive parts, cut at n - j uniform gaps of n - 1, fills the others
+    (both subsets drawn by _marks).  The cycle-lemma rotation gives each
+    shape with j leaves alike: a shape's n + 1 rotations are distinct, as
+    in Devroye, "Simulating size-constrained Galton-Watson trees" (SIAM
+    J. Comput. 41, 2012).
     """
     if n == 0:
         return np.zeros((rows, 1), dtype=np.int64)
@@ -472,13 +499,10 @@ def _tilted_rows(n: int, rng: np.random.Generator, rows: int) -> np.ndarray:
     cdf = np.cumsum(np.exp(logw - logw.max()))
     cdf /= cdf[-1]
     j = np.searchsorted(cdf, rng.random(rows), side="right") + 1
-    # slots of a uniform permutation below j hold the zeros
-    zero = rng.permuted(np.broadcast_to(np.arange(n + 1), (rows, n + 1)), axis=1) < j[:, None]
+    zero = _marks(j, n + 1, rng)
     # cuts after the marked units of n; the last unit always ends a part
     cut = np.ones((rows, n), dtype=bool)
-    cuts = rng.permuted(np.broadcast_to(np.arange(n - 1), (rows, n - 1)), axis=1)
-    np.less(cuts, (n - j)[:, None], out=cut[:, :-1])
-    del cuts
+    cut[:, :-1] = _marks(n - j, n - 1, rng)
     # read row by row, the cut positions step by each row's parts in order
     out = np.zeros((rows, n + 1), dtype=np.int64)
     out.ravel()[np.flatnonzero(~zero)] = np.diff(np.flatnonzero(cut), prepend=-1)
@@ -707,6 +731,7 @@ def _rerooted_rows(
     in blocks sized by the acceptance so far, of at most
     _block_rows(_KERNEL_WORDS * n) rows and REJECTION_BUDGET in all.
     """
+    _check_vertices(n + 1)
     rows_out = np.empty((count, n + 1), dtype=np.int64)
     rows_out[:, 0] = 1
     labels_out = None

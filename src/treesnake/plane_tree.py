@@ -34,6 +34,10 @@ class VertexNotInTree(ValueError):
     """The requested vertex index does not occur in the tree."""
 
 
+class SizeOverflow(RuntimeError):
+    """A tree, or a row of a batch, would pass the MAX_VERTICES budget."""
+
+
 def _check_counts(counts: tuple[int, ...]) -> None:
     if not counts:
         raise InvalidPreorder("empty count sequence, a tree has at least its root")
@@ -85,6 +89,16 @@ def contour_arrays(counts: Sequence[int]) -> tuple[list[int], list[int], list[in
 # the same arrays for a batch of count rows at once
 
 _BLOCK_ENTRIES = 1 << 18  # entries per row block of a batch kernel's temporaries
+
+# Vertices one tree may have, and entries one row of a batch: the budget of
+# the unconditioned sampler's growth and of every sized draw's width
+MAX_VERTICES = 10_000_000
+
+
+def _check_vertices(vertices: int) -> None:
+    """Raise SizeOverflow, before anything is allocated, past MAX_VERTICES."""
+    if vertices > MAX_VERTICES:
+        raise SizeOverflow(f"rows of {vertices} vertices exceed the budget of {MAX_VERTICES}")
 
 
 def _block_rows(width: int) -> int:

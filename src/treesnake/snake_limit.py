@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from treesnake.plane_tree import _reroot_walk, _row_blocks
+from treesnake.plane_tree import _check_vertices, _reroot_walk, _row_blocks
 
 
 _HEAD_BLOCK = 128  # head steps per block of normals and per stack-growth check
@@ -48,6 +48,7 @@ class EmptySample(ValueError):
 def _check_grid(m: int) -> None:
     if m < 2:
         raise ValueError("need a grid with at least two steps")
+    _check_vertices(m + 1)  # a row of grid values, the contour of m / 2 edges
 
 
 def _check_count(count: int) -> None:

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from treesnake import cli
 from treesnake.cli import run
 from treesnake.exact_enum import conditional_label_law, labelled_atoms
 from treesnake.gw_sampler import OffspringDistribution, RejectionBudgetExhausted, StepDistribution
-from treesnake.plane_tree import tree_from_line, tree_to_line
+from treesnake.plane_tree import MAX_VERTICES, tree_from_line, tree_to_line
 from treesnake.quadmap import PlanarQuadrangulation, enumerate_well_labelled
 from treesnake.spatial_tree import SpatialTree
 
@@ -245,12 +246,15 @@ class TestSampleSubcommand:
 
     # sha256 of the files written when each kept Qbar-n draw was re-rooted
     # by reroot_at, one tree at a time, and every label row summed into a
-    # new array: the row re-rooting and the in-place sums draw the same trees
+    # new array: the row re-rooting and the in-place sums draw the same trees.
+    # The Qbar-n and Pbar-n-x-1 files were recorded again when _tilted_rows
+    # first drew its zero slots and cuts with _marks, a new stream of the
+    # same law; the others kept their bytes
     @pytest.mark.parametrize("flags, digest", [
         (["Qbar-n", "--n", "50"],
-         "5467cc11a3b35ab33ebb991ff90bc43e2c0bd82d6a6aa166521f58b87f20d6cb"),
+         "940a2fdf4e511f57a51ca81e13ddef887a27dbd23c6bc3431d696bff5d39686b"),
         (["Pbar-n-x", "--n", "50", "--x", "1"],
-         "5c49e248618e8e20979970eca9ec02b860feeb8d6354d0e659db49fcecd1c34b"),
+         "16a0ee44f4e2f4bc01d67f123081ea1a312478972b66adc7b7c8874dc1929aef"),
         (["Pbar-n-x", "--n", "20", "--x", "2"],
          "4778aa611e85989f18148a106ec585a3b6b0903dbb05deeafb20482d23cc194c"),
         (["Q-n", "--n", "50"],
@@ -373,3 +377,29 @@ class TestCompareSubcommand:
                       "--samples", "200", "--seed", "5", "--out", str(out)])
         assert status in (0, 1)
         assert json.loads(out.read_text()) == read_json_stdout(capsys)
+
+
+class TestSizeBudget:
+    """Each sized subcommand one vertex past MAX_VERTICES: a one-line error
+    and status 1, raised before the rows are allocated, so the traced peak
+    stays small whatever the host's memory overcommit would allow."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--measure", "Qbar-n", "--n", str(MAX_VERTICES)],
+        ["sample", "--measure", "Pi-n", "--n", str(MAX_VERTICES)],
+        # a map with n faces is drawn from a tree with n + 2 vertices
+        ["quad", "--n", str(MAX_VERTICES - 1)],
+        ["compare", "--discrete-n", str(MAX_VERTICES)],
+        ["snake", "--grid", str(MAX_VERTICES)],
+    ], ids=["sample-Qbar-n", "sample-Pi-n", "quad", "compare", "snake"])
+    def test_one_past_the_budget_is_one_line_with_status_1(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            status = run([*argv, "--samples", "2", "--seed", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err == f"error: rows of {MAX_VERTICES + 1} vertices exceed the budget of {MAX_VERTICES}\n"
+        assert peak < 1 << 20

@@ -18,6 +18,7 @@ from treesnake.gw_sampler import (
     UnreachableSize,
     _conditioned_rows,
     _label_rows,
+    _marks,
     _q_count_rows,
     _reroot_rows,
     _rerooted_rows,
@@ -52,7 +53,8 @@ def rng_of(seed: int) -> np.random.Generator:
 
 # Upper 0.001 quantiles of chi-square, by degrees of freedom (0 df: all mass at 0).
 CHI2_999 = {0: 0.0, 1: 10.83, 2: 13.82, 3: 16.27, 4: 18.47, 8: 26.12, 9: 27.88, 11: 31.26,
-            12: 32.91, 13: 34.53, 41: 74.74, 53: 90.57, 54: 91.87, 55: 93.17, 377: 467.58}
+            12: 32.91, 13: 34.53, 41: 74.74, 53: 90.57, 54: 91.87, 55: 93.17,
+            63: 103.44, 377: 467.58}
 
 
 def tv_bound(cells: int, draws: int) -> float:
@@ -504,6 +506,52 @@ def qbar_law(n: int, gamma: StepDistribution) -> dict:
     return {k: w / total for k, w in law.items()}
 
 
+class TestMarks:
+    """Uniform k-subsets of a row's slots from sorted 32-bit keys.
+
+    Seeds, draw counts and bounds were fixed before the first run.
+    """
+
+    def test_every_row_has_exactly_its_count(self):
+        rng = rng_of(30)
+        for size in (1, 2, 7, 501):
+            k = np.concatenate([[0, size], rng.integers(0, size + 1, 200)])
+            mask = _marks(k, size, rng)
+            assert mask.shape == (202, size) and mask.dtype == bool
+            assert np.array_equal(mask.sum(axis=1), k)
+        assert _marks(np.zeros(3, dtype=np.int64), 0, rng).shape == (3, 0)
+
+    def test_subsets_are_uniform(self):
+        # k cycles through 0..6 over the rows, so each subset S of the six
+        # slots has mass 1 / (7 C(6, |S|)): 64 cells
+        size, draws = 6, 140_000
+        k = np.arange(draws) % (size + 1)
+        mask = _marks(k, size, rng_of(31))
+        seen = (mask * (1 << np.arange(size))).sum(axis=1).tolist()
+        law = {s: Fraction(1, (size + 1) * math.comb(size, s.bit_count())) for s in range(64)}
+        assert tv_to_law(seen, law) <= tv_bound(64, draws)
+
+    def test_a_tie_at_the_kth_key_redraws_its_row(self):
+        # row 0's second and third smallest keys tie, so only row 0 is drawn
+        # again; row 1 keeps its first keys
+        class Stub:
+            def __init__(self):
+                self.keys = [np.array([[7, 3, 3, 9, 1], [5, 1, 2, 8, 4]], dtype=np.uint32),
+                             np.array([[10, 20, 30, 40, 50]], dtype=np.uint32)]
+                self.sizes = []
+
+            def integers(self, low, high, size, dtype):
+                assert (low, high, dtype) == (0, 2**32, np.uint32)
+                self.sizes.append(size)
+                return self.keys.pop(0)
+
+        stub = Stub()
+        mask = _marks(np.array([2, 3]), 5, stub)
+        assert stub.sizes == [(2, 5), (1, 5)]
+        assert mask.tolist() == [[True, True, False, False, False],
+                                 [False, True, True, False, True]]
+
+
 class TestRerootedRows:
     """The re-rooting sampler of Qbar_n against exact enumeration.
 
@@ -522,6 +570,29 @@ class TestRerootedRows:
         below = _tilted_rows(n - 1, rng_of(600 + n), draws)
         rows = np.concatenate([np.ones((draws, 1), dtype=np.int64), below], axis=1)
         assert tv_to_law(list(map(tuple, rows.tolist())), law) <= tv_bound(len(law), draws)
+
+    def test_leaf_counts_at_n_500(self):
+        # the leaf count j of a tilted tree with n edges has weight
+        # C(n, j) C(n + 1, j); j is grouped into ten cells of near-equal
+        # mass, cell c ending at the least j whose distribution function
+        # reaches (c + 1) / 10.  The draws are enough to tell this law from
+        # the untilted one, at a TV of 0.0126 against a bound of 0.0059
+        n, draws = 500, 200_000
+        weights = [math.comb(n, j) * math.comb(n + 1, j) for j in range(1, n + 1)]
+        total = sum(weights)
+        ends = np.searchsorted(np.cumsum([w / total for w in weights]), np.arange(1, 10) / 10) + 1
+        law = Counter()
+        for j, w in enumerate(weights, start=1):
+            law[int(np.searchsorted(ends, j))] += Fraction(w, total)
+        assert len(law) == 10
+        rng = rng_of(640)
+        seen = []
+        for _ in range(100):
+            rows = _tilted_rows(n, rng, draws // 100)
+            walk = np.cumsum(rows - 1, axis=1)
+            assert (walk[:, :-1] >= 0).all() and (walk[:, -1] == -1).all()  # preorder rows
+            seen += np.searchsorted(ends, np.count_nonzero(rows == 0, axis=1)).tolist()
+        assert tv_to_law(seen, law) <= tv_bound(10, draws)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("gamma", [U3, PM1], ids=["uniform3", "pm1"])

@@ -294,13 +294,13 @@ class TestUniformSampling:
         assert (dists >= 1).all()
         assert (dists <= radii).all()
 
-    # sha256 of the radii, distances and attempts (as int64) recorded from
-    # the code that wrote _rerooted_rows' keep test inline, before the
-    # importance sampler shared it: the shared test changes no draw
+    # sha256 of the radii, distances and attempts (as int64), recorded when
+    # _tilted_rows first drew its zero slots and cuts with _marks; the law
+    # tests of the tilted shapes and of Qbar_n pin down what they draw
     @pytest.mark.parametrize("seed, digest", [
-        (1, "5a58f8022e910379e7b51579b3cec7cd7620626e7a0ba7e3887ceefb0dd96b50"),
-        (2, "efb8cd42d2315162fabfb9eec340a6d7cd452b72367e4f6f65717b36a6e60910"),
-    ])
+        (1, "fc0599c52b16c8abda85560701946cbbeaea061e0e6c27c994bba70df6265ed2"),
+        (2, "661544bedf0f7448ed25ad2f54fae1d2f0da5daa6bec3887e784ab1f334dafa4"),
+    ], ids=["1", "2"])
     def test_radius_and_distance_keep_their_bytes(self, seed, digest):
         radii, dists, attempts = sample_radius_and_distance(500, 100, np.random.default_rng(seed))
         data = radii.tobytes() + dists.tobytes() + np.int64(attempts).tobytes()
