@@ -9,16 +9,16 @@ child 1.  Everything runs in one process.  Timing lives only in the
 manifest printed to stdout, never in the files written to --out.
 
 A `sample` block is one sample_measure call: the sized measures draw the
-whole block through the row kernel, the unsized ones tree by tree.
-Which measures need --n, and the least n each takes, is gw_sampler's
-SIZED_MEASURES.
+whole block through the row kernel, the unsized ones cut it from one count
+stream.  Which measures need --n, and the least n each takes, is
+gw_sampler's SIZED_MEASURES; the others take no --n.
 
 Exit status: 0 when the requested checks pass (or a pure sampling run
 completes), 1 when a verification or comparison fails, a sampler runs out
-of its rejection budget or a size passes plane_tree's MAX_VERTICES (checked
-before the rows are allocated), 2 for usage errors and inputs outside a
-sampler's domain.  Those errors print one line; any other exception
-keeps its traceback.
+of its rejection budget or a size or sample count passes plane_tree's
+MAX_VERTICES (checked before the rows are allocated), 2 for usage errors
+and inputs outside a sampler's domain.  Those errors print one line; any
+other exception keeps its traceback.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from treesnake.gw_sampler import (
     sample_measure,
     spawn_rngs,
 )
-from treesnake.plane_tree import PlaneTree, tree_to_line
+from treesnake.plane_tree import MAX_VERTICES, PlaneTree, tree_to_line
 from treesnake.quadmap import (
     NotWellLabelled,
     canonical_code,
@@ -110,8 +110,11 @@ def _step(name: str) -> StepDistribution:
 
 
 def _check_samples(total: int) -> None:
+    # before anything is allocated; every sample has at least one vertex
     if total < 1:
         raise UsageError("need a positive sample count")
+    if total > MAX_VERTICES:
+        raise SizeOverflow(f"{total} samples exceed the budget of {MAX_VERTICES}")
 
 
 def _catalan(k: int) -> int:
@@ -179,6 +182,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             raise UsageError(f"measure {args.measure} needs --n")
         if args.n < least:
             raise UsageError(f"measure {args.measure} needs --n at least {least}")
+    elif args.n is not None:
+        raise UsageError(f"measure {args.measure} takes no --n")
     mu = _offspring(args.mu)
     gamma = _step(args.gamma)
     blocks = _run_blocks(

@@ -13,15 +13,11 @@ law the conditioned count vector is uniform over weak compositions of n
 into n+1 parts, so it is drawn directly by stars and bars; other laws
 resample i.i.d. blocks until the sum condition holds.
 
-Labels are root-path sums of edge increments.  A single tree gets them
-on the object route (sample_spatial, one Python pass over the PlaneTree's
-parents); a batch of count rows gets them from _label_rows, on the numpy
-kernel of plane_tree, which the Monte Carlo pipelines use.  The split
-follows the input: sample_spatial labels the unsized measures P-x and Q
-of sample_measure, whose trees come one at a time, each of its own random
-size, from sample_gw and sample_q_tree, while the pipelines label
-thousands of rows of one size at once.  Tests hold the two routes to the
-same labels.
+Labels are root-path sums of edge increments, on the numpy kernel of
+plane_tree (_subtree_ends, then _path_sums), for count rows (_label_blocks)
+and for the unsized measures' forests alike: their trees are cut from one
+count stream at the new minima of its Lukasiewicz walk (_forest), and
+labelled in groups hung under a virtual root (_forest_labels).
 
 Memory: the batch kernels fill their output one row block of at most
 2**18 entries at a time (plane_tree._row_blocks): the sized count rows, and
@@ -43,8 +39,7 @@ re-rooted at their minimum leaf on rows (_reroot_rows), by the formula of
 plane_tree._reroot_walk that also re-roots the grid snake; so are the
 weighted draws of sample_reroot_importance, and one keep test
 (_minimum_leaf) picks the draws that both re-root.  The object route of
-spatial_tree stays exact_enum's alone, an independent check.  Only
-the unsized measures (Pi, P-x, Q) are drawn tree by tree.
+spatial_tree stays exact_enum's alone, an independent check.
 """
 
 from __future__ import annotations
@@ -57,8 +52,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from treesnake.plane_tree import (
-    MAX_VERTICES,
-    PlaneTree,
     SizeOverflow,
     _block_rows,
     _check_vertices,
@@ -67,8 +60,9 @@ from treesnake.plane_tree import (
     _row_blocks,
     _row_contours,
     _subtree_ends,
+    _tree_blocks,
 )
-from treesnake.spatial_tree import Label, SpatialTree
+from treesnake.spatial_tree import Label
 
 Numeric = Union[int, float, Fraction]
 
@@ -325,32 +319,37 @@ _KERNEL_WORDS = 8
 # unconditioned and size-conditioned tree draws
 
 
-def sample_gw(
-    mu: OffspringDistribution,
-    rng: np.random.Generator,
-    max_size: int = MAX_VERTICES,
-) -> PlaneTree:
-    """One tree from the unconditioned critical law, built in preorder."""
-    counts: list[int] = []
-    draws = mu.sample_counts(rng, 64)
-    pos = 0
-    stack = [1]
-    while stack:
-        if stack[-1] == 0:
-            stack.pop()
-            continue
-        stack[-1] -= 1
-        if pos == len(draws):
-            draws = mu.sample_counts(rng, min(2 * len(draws), 1 << 20))
-            pos = 0
-        c = int(draws[pos])
-        pos += 1
-        counts.append(c)
-        if len(counts) > max_size:
-            raise SizeOverflow(f"tree exceeded {max_size} vertices")
-        if c:
-            stack.append(c)
-    return PlaneTree(tuple(counts))
+def _forest(
+    mu: OffspringDistribution, trees: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Preorder counts of i.i.d. unconditioned trees read one after another,
+    and the index where each tree starts, then the total.
+
+    The trees are cut from one i.i.d. count stream where its Lukasiewicz
+    walk (partial sums of count - 1) first reaches -1, -2, ...: steps go
+    down by at most 1, so each new running minimum closes one tree (Le Gall,
+    "Random trees and applications", Probab. Surveys 2 (2005), section 1).
+    The stream comes in chunks doubling up to 2**20 counts; a chunk goes on
+    from the last walk value, and closes a tree below the running minimum.
+    A tree past MAX_VERTICES, closed or still open, raises SizeOverflow.
+    """
+    chunks, starts = [np.zeros(0, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
+    drawn = start = closed = walk = low = 0  # low: the walk's running minimum
+    size = max(64, trees)
+    while closed < trees:
+        counts = mu.sample_counts(rng, size)
+        chunk = np.cumsum(counts - 1) + walk
+        minima = np.minimum(np.minimum.accumulate(chunk), low)
+        cut = np.flatnonzero(np.diff(minima, prepend=low))[: trees - closed] + drawn + 1
+        closed += len(cut)
+        sizes = np.diff(cut, prepend=start)
+        start = int(cut[-1]) if len(cut) else start
+        drawn += size
+        _check_vertices(int(sizes.max(initial=drawn - start if closed < trees else 0)))
+        chunks.append(counts)
+        starts.append(cut)
+        walk, low, size = chunk[-1], minima[-1], min(2 * size, 1 << 20)
+    return np.concatenate(chunks)[:start], np.concatenate(starts)
 
 
 def _rotate_rows(rows: np.ndarray) -> np.ndarray:
@@ -509,48 +508,8 @@ def _tilted_rows(n: int, rng: np.random.Generator, rows: int) -> np.ndarray:
     return _rotate_rows(out)
 
 
-def sample_gw_sized(
-    mu: OffspringDistribution, n: int, rng: np.random.Generator
-) -> PlaneTree:
-    """One tree with exactly n edges under the conditioned critical law."""
-    if n < 0:
-        raise ValueError("edge count must be nonnegative")
-    row = _sized_count_rows(mu, n, rng, 1)[0]
-    return PlaneTree(tuple(int(c) for c in row))
-
-
 # ---------------------------------------------------------------------------
 # labels
-
-
-def sample_spatial(
-    t: PlaneTree,
-    gamma: StepDistribution,
-    x: Label,
-    rng: np.random.Generator,
-) -> SpatialTree:
-    """Attach labels: the root gets x, every edge an independent step."""
-    if t.size == 1:
-        return SpatialTree(t, (x,))
-    incs = gamma.sample(rng, t.size - 1).tolist()
-    labels: list[Label] = [x] * t.size
-    parent = t.parent_index
-    for i in range(1, t.size):
-        labels[i] = labels[parent[i]] + incs[i - 1]
-    return SpatialTree(t, tuple(labels))
-
-
-def _label_rows(end: np.ndarray, incs: np.ndarray, x: Label) -> np.ndarray:
-    """Preorder labels of a batch of trees given by their subtree ends
-    (_subtree_ends of the count rows), root label x.
-
-    incs[:, k - 1] is the increment on the edge into vertex k; columns past
-    the trees' edge count are ignored.
-    """
-    w = np.empty(end.shape, dtype=np.result_type(incs, x))
-    w[:, 0] = x
-    w[:, 1:] = incs[:, : end.shape[1] - 1]
-    return _path_sums(end, w)
 
 
 def _label_blocks(
@@ -560,14 +519,41 @@ def _label_blocks(
 
     Yields (start, labels) per block, labels[i] being the labels of
     rows[start + i].  Each block draws its increments with one gamma.sample
-    call of shape (block rows, max(1, n)), a zero-edge row ignoring its one
-    draw; consecutive calls draw what one call for all rows would, so the
-    labels do not depend on the block size.
+    call of shape (block rows, max(1, n)), increment k - 1 of a row on the
+    edge into vertex k and a zero-edge row ignoring its one draw;
+    consecutive calls draw what one call for all rows would, so the labels
+    do not depend on the block size.
     """
     n1 = rows.shape[1]
     for start, stop in _row_blocks(len(rows), n1):
         incs = gamma.sample(rng, (stop - start, max(1, n1 - 1)))
-        yield start, _label_rows(_subtree_ends(rows[start:stop]), incs, x)
+        w = np.empty((stop - start, n1), dtype=np.result_type(incs, x))
+        w[:, 0] = x
+        w[:, 1:] = incs[:, : n1 - 1]
+        yield start, _path_sums(_subtree_ends(rows[start:stop]), w)
+
+
+def _forest_labels(
+    counts: np.ndarray, starts: np.ndarray, gamma: StepDistribution, x: Label,
+    rng: np.random.Generator,
+) -> Iterator[tuple]:
+    """Label tuples of the trees of a forest from _forest, rooted at x.
+
+    Each group of _tree_blocks hangs under a virtual root of weight 0 as
+    one count row, labelled by one _subtree_ends and _path_sums call: a
+    tree root has weight x, any other vertex the step on its edge.  Steps
+    come one a vertex in stream order, a root's unused, as one call would.
+    """
+    for first, stop in _tree_blocks(starts):
+        row = np.concatenate(([stop - first], counts[starts[first] : starts[stop]]))
+        roots = starts[first : stop + 1] - (starts[first] - 1)  # then the row's end
+        steps = gamma.sample(rng, len(row) - 1)
+        w = np.zeros(len(row), dtype=np.result_type(steps, x))
+        w[1:] = steps
+        w[roots[:-1]] = x
+        labels = _path_sums(_subtree_ends(row[None]), w[None])[0].tolist()
+        for a, b in zip(roots[:-1].tolist(), roots[1:].tolist()):
+            yield (x, *labels[a + 1 : b])
 
 
 def _positive(labels: np.ndarray) -> np.ndarray:
@@ -694,11 +680,6 @@ def sample_leaf_counts(
 
 # ---------------------------------------------------------------------------
 # measures with a single-child root and the re-rooting importance sampler
-
-
-def sample_q_tree(mu: OffspringDistribution, rng: np.random.Generator) -> PlaneTree:
-    """A tree whose root has exactly one child, below it an unconditioned tree."""
-    return PlaneTree((1,) + sample_gw(mu, rng).counts)
 
 
 def _minimum_leaf(end: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -845,23 +826,28 @@ def sample_measure(
     """count draws from the named measure: preorder count rows, and label
     rows (None for the plain-tree measures Pi and Pi-n).
 
-    The sized measures draw the whole block through the row kernel.  Under
-    the geometric law, Qbar-n comes from _rerooted_rows, re-rooted by
-    _reroot_rows, and so does Pbar-n-x at x = 1 for steps in {-1, 0, 1},
-    as Qbar_{n+1} without its root edge; the other Pbar-n-x and Qbar-n
-    draws are positivity rejections.  Either way at most REJECTION_BUDGET
-    attempts are spent.  The unsized measures draw tree by tree.  The
-    single-child-root family Q is rooted at label 0, the others at x.
+    The sized measures draw the whole block through the row kernel, the
+    unsized ones cut it from one count stream (_forest, _forest_labels), a
+    Q tree adding a root above a tree of the stream.  Under the geometric
+    law, Qbar-n comes from _rerooted_rows, re-rooted by _reroot_rows, and
+    so does Pbar-n-x at x = 1 for steps in {-1, 0, 1}, as Qbar_{n+1}
+    without its root edge; the other Pbar-n-x and Qbar-n draws are
+    positivity rejections.  Either way at most REJECTION_BUDGET attempts
+    are spent.  The single-child-root family Q is rooted at label 0, the
+    others at x.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, pick from {MEASURES}")
     root = 0 if measure.startswith("Q") else x
-    if measure == "Pi":
-        return [sample_gw(mu, rng).counts for _ in range(count)], None
-    if measure in ("P-x", "Q"):
-        tree = sample_q_tree if measure == "Q" else sample_gw
-        draws = [sample_spatial(tree(mu, rng), gamma, root, rng) for _ in range(count)]
-        return [s.tree.counts for s in draws], [s.labels for s in draws]
+    if measure in ("Pi", "P-x", "Q"):
+        counts, starts = _forest(mu, count, rng)
+        if measure == "Q":  # a root with one child above each tree
+            counts = np.insert(counts, starts[:-1], 1)
+            starts += np.arange(count + 1)
+        flat, ends = counts.tolist(), starts.tolist()
+        trees = [tuple(flat[a:b]) for a, b in zip(ends[:-1], ends[1:])]
+        labels = None if measure == "Pi" else list(_forest_labels(counts, starts, gamma, root, rng))
+        return trees, labels
     if n is None or n < SIZED_MEASURES[measure]:
         raise ValueError(f"measure {measure} needs n at least {SIZED_MEASURES[measure]}")
     # with steps in {-1, 0, 1} the root's child in Qbar_{n+1} is at label 1,
@@ -885,8 +871,8 @@ def sample_measure(
     counts = [tuple(r) for r in rows.tolist()]
     if measure == "Pi-n":
         return counts, None
-    labels = _label_rows(_subtree_ends(rows), gamma.sample(rng, (count, n)), root)
-    return counts, [(root, *r[1:]) for r in labels.tolist()]
+    return counts, [(root, *r[1:]) for _, labels in _label_blocks(rows, gamma, root, rng)
+                    for r in labels.tolist()]
 
 
 def spawn_rngs(seed: int, streams: int) -> list[np.random.Generator]:

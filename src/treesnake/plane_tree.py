@@ -91,7 +91,7 @@ def contour_arrays(counts: Sequence[int]) -> tuple[list[int], list[int], list[in
 _BLOCK_ENTRIES = 1 << 18  # entries per row block of a batch kernel's temporaries
 
 # Vertices one tree may have, and entries one row of a batch: the budget of
-# the unconditioned sampler's growth and of every sized draw's width
+# the unconditioned trees' growth and of every sized draw's width
 MAX_VERTICES = 10_000_000
 
 
@@ -116,6 +116,17 @@ def _row_blocks(count: int, width: int) -> Iterator[tuple[int, int]]:
     step = _block_rows(width)
     for start in range(0, count, step):
         yield start, min(start + step, count)
+
+
+def _tree_blocks(starts: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive (first, stop) groups covering a forest's trees, tree i
+    taking entries starts[i] to starts[i + 1]: at most _BLOCK_ENTRIES
+    entries a group, or one larger tree alone."""
+    stop = 0
+    while stop < len(starts) - 1:
+        first = stop
+        stop = max(first + 1, int(np.searchsorted(starts, starts[first] + _BLOCK_ENTRIES, "right")) - 1)
+        yield first, stop
 
 
 def _first_returns(walk: np.ndarray) -> np.ndarray:

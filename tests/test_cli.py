@@ -249,7 +249,8 @@ class TestSampleSubcommand:
     # new array: the row re-rooting and the in-place sums draw the same trees.
     # The Qbar-n and Pbar-n-x-1 files were recorded again when _tilted_rows
     # first drew its zero slots and cuts with _marks, a new stream of the
-    # same law; the others kept their bytes
+    # same law; the others kept their bytes.  The Pi, P-x and Q files were
+    # first recorded when their trees were cut from one count stream
     @pytest.mark.parametrize("flags, digest", [
         (["Qbar-n", "--n", "50"],
          "940a2fdf4e511f57a51ca81e13ddef887a27dbd23c6bc3431d696bff5d39686b"),
@@ -261,7 +262,10 @@ class TestSampleSubcommand:
          "fdd89a930011c49ab5c1cc4b55757e04736595aa7caea8f193db13c38bb816b6"),
         (["P-n-x", "--n", "50"],
          "cf34597a193dbfb5dfbde65ba16a82aa71b4e416a12fb7772eb4de615f074c6a"),
-    ], ids=["Qbar-n", "Pbar-n-x-1", "Pbar-n-x-2", "Q-n", "P-n-x"])
+        (["Pi"], "e32bd2949d624ebdeab0418ef7821f24f5832b916fa17d03dcd5d637953f9c8d"),
+        (["P-x"], "5bb4f01cca0aefba3b49df10ac9201be1c8f4c2f1db89b0fa1d7078aad8bd0b1"),
+        (["Q"], "54fe18144296bc7099ad29d7e1d1f20b5ffb078d3891eff9aae619102db0c981"),
+    ], ids=["Qbar-n", "Pbar-n-x-1", "Pbar-n-x-2", "Q-n", "P-n-x", "Pi", "P-x", "Q"])
     def test_labelled_measures_keep_their_bytes(self, tmp_path, capsys, flags, digest):
         out = tmp_path / "draws.csv"
         assert run(["sample", "--measure", *flags, "--samples", "300", "--seed", "5",
@@ -276,6 +280,7 @@ class TestSampleSubcommand:
 
     @pytest.mark.parametrize("measure, n", [
         ("Pi-n", -1), ("P-n-x", -1), ("Pbar-n-x", -1), ("Q-n", 0), ("Qbar-n", 0),
+        ("Pi", 5), ("P-x", 5), ("Q", 5),  # the unsized measures take no n
     ])
     def test_size_outside_the_measure_is_one_line_with_status_2(self, capsys, measure, n):
         assert run(["sample", "--measure", measure, "--n", str(n), "--samples", "2",
@@ -379,27 +384,38 @@ class TestCompareSubcommand:
         assert json.loads(out.read_text()) == read_json_stdout(capsys)
 
 
-class TestSizeBudget:
-    """Each sized subcommand one vertex past MAX_VERTICES: a one-line error
-    and status 1, raised before the rows are allocated, so the traced peak
-    stays small whatever the host's memory overcommit would allow."""
+ROWS_PAST = f"error: rows of {MAX_VERTICES + 1} vertices exceed the budget of {MAX_VERTICES}\n"
+SAMPLES_PAST = f"error: {MAX_VERTICES + 1} samples exceed the budget of {MAX_VERTICES}\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["sample", "--measure", "Qbar-n", "--n", str(MAX_VERTICES)],
-        ["sample", "--measure", "Pi-n", "--n", str(MAX_VERTICES)],
+
+class TestSizeBudget:
+    """Each sized subcommand one vertex past MAX_VERTICES, and each
+    subcommand one sample past it (every sample has a vertex): a one-line
+    error and status 1, raised before the rows, the block sizes or the
+    result arrays are allocated, so the traced peak stays small whatever
+    the host's memory overcommit would allow."""
+
+    @pytest.mark.parametrize("argv, err", [
+        (["sample", "--measure", "Qbar-n", "--n", str(MAX_VERTICES), "--samples", "2"], ROWS_PAST),
+        (["sample", "--measure", "Pi-n", "--n", str(MAX_VERTICES), "--samples", "2"], ROWS_PAST),
         # a map with n faces is drawn from a tree with n + 2 vertices
-        ["quad", "--n", str(MAX_VERTICES - 1)],
-        ["compare", "--discrete-n", str(MAX_VERTICES)],
-        ["snake", "--grid", str(MAX_VERTICES)],
-    ], ids=["sample-Qbar-n", "sample-Pi-n", "quad", "compare", "snake"])
-    def test_one_past_the_budget_is_one_line_with_status_1(self, capsys, argv):
+        (["quad", "--n", str(MAX_VERTICES - 1), "--samples", "2"], ROWS_PAST),
+        (["compare", "--discrete-n", str(MAX_VERTICES), "--samples", "2"], ROWS_PAST),
+        (["snake", "--grid", str(MAX_VERTICES), "--samples", "2"], ROWS_PAST),
+        (["sample", "--measure", "Pi", "--samples", str(MAX_VERTICES + 1)], SAMPLES_PAST),
+        (["quad", "--n", "5", "--samples", str(MAX_VERTICES + 1)], SAMPLES_PAST),
+        (["compare", "--discrete-n", "10", "--grid", "16", "--samples", str(MAX_VERTICES + 1)],
+         SAMPLES_PAST),
+        (["snake", "--grid", "16", "--samples", str(MAX_VERTICES + 1)], SAMPLES_PAST),
+    ], ids=["sample-Qbar-n", "sample-Pi-n", "quad", "compare", "snake",
+            "sample-samples", "quad-samples", "compare-samples", "snake-samples"])
+    def test_one_past_the_budget_is_one_line_with_status_1(self, capsys, argv, err):
         tracemalloc.start()
         try:
-            status = run([*argv, "--samples", "2", "--seed", "1"])
+            status = run([*argv, "--seed", "1"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert status == 1
-        err = capsys.readouterr().err
-        assert err == f"error: rows of {MAX_VERTICES + 1} vertices exceed the budget of {MAX_VERTICES}\n"
+        assert capsys.readouterr().err == err
         assert peak < 1 << 20

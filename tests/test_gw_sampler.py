@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 from collections import Counter
@@ -7,7 +8,13 @@ import numpy as np
 import pytest
 
 from treesnake import gw_sampler, plane_tree
-from treesnake.exact_enum import conditional_label_law, labelled_atoms, q_weight
+from treesnake.exact_enum import (
+    _walk_point_mass,
+    conditional_label_law,
+    labelled_atoms,
+    q_weight,
+    tree_weight,
+)
 from treesnake.gw_sampler import (
     MEASURES,
     NegativeRootLabel,
@@ -17,7 +24,9 @@ from treesnake.gw_sampler import (
     StepDistribution,
     UnreachableSize,
     _conditioned_rows,
-    _label_rows,
+    _forest,
+    _forest_labels,
+    _label_blocks,
     _marks,
     _q_count_rows,
     _reroot_rows,
@@ -26,17 +35,13 @@ from treesnake.gw_sampler import (
     _sized_count_rows,
     _tilted_rows,
     estimate_positive_probability,
-    sample_gw,
-    sample_gw_sized,
     sample_label_extrema,
     sample_leaf_counts,
     sample_measure,
-    sample_q_tree,
     sample_reroot_importance,
-    sample_spatial,
     spawn_rngs,
 )
-from treesnake.plane_tree import PlaneTree, _subtree_ends, build_tree, enumerate_trees, leaves
+from treesnake.plane_tree import PlaneTree, build_tree, enumerate_trees, leaves
 from treesnake.spatial_tree import SpatialTree, reroot_at
 from tree_addresses import addresses
 
@@ -52,9 +57,9 @@ def rng_of(seed: int) -> np.random.Generator:
 
 
 # Upper 0.001 quantiles of chi-square, by degrees of freedom (0 df: all mass at 0).
-CHI2_999 = {0: 0.0, 1: 10.83, 2: 13.82, 3: 16.27, 4: 18.47, 8: 26.12, 9: 27.88, 11: 31.26,
-            12: 32.91, 13: 34.53, 41: 74.74, 53: 90.57, 54: 91.87, 55: 93.17,
-            63: 103.44, 377: 467.58}
+CHI2_999 = {0: 0.0, 1: 10.83, 2: 13.82, 3: 16.27, 4: 18.47, 8: 26.12, 9: 27.88, 10: 29.59,
+            11: 31.26, 12: 32.91, 13: 34.53, 41: 74.74, 53: 90.57, 54: 91.87, 55: 93.17,
+            63: 103.44, 66: 107.26, 157: 217.5, 377: 467.58}
 
 
 def tv_bound(cells: int, draws: int) -> float:
@@ -149,40 +154,153 @@ class TestStepValidation:
         assert abs(share - 0.5) < 4 * (0.25 / draws) ** 0.5
 
 
-class TestUnconditioned:
-    def test_small_size_frequencies(self):
-        rng = rng_of(7)
-        n_draws = 100_000
-        sizes = Counter()
-        for _ in range(n_draws):
-            try:
-                sizes[sample_gw(GEO, rng, max_size=1000).size] += 1
-            except SizeOverflow:
-                sizes["big"] += 1
-        for size, p in ((1, 0.5), (2, 0.125)):
-            se = math.sqrt(p * (1 - p) / n_draws)
-            assert abs(sizes[size] / n_draws - p) < 4 * se
+def forest_draws(monkeypatch, draw, trees: int, seed: int) -> list:
+    """trees draws of draw(16, rng), which returns 16 unsized trees cut from
+    one count stream, under a budget of 1000 vertices a tree.
 
-    def test_overflow_raises(self):
-        rng = rng_of(3)
-        raised = 0
-        for _ in range(50):
-            try:
-                sample_gw(GEO, rng, max_size=1)
-            except SizeOverflow:
-                raised += 1
-        assert raised > 0
+    A call that raises SizeOverflow is dropped, so the trees kept are
+    i.i.d. under the law conditioned on at most 1000 vertices, and the
+    calls still cut up to 16 trees from a stream of several chunks.
+    """
+    monkeypatch.setattr(plane_tree, "MAX_VERTICES", 1000)
+    rng = rng_of(seed)
+    out: list = []
+    while len(out) < trees:
+        try:
+            out += draw(16, rng)
+        except SizeOverflow:
+            pass
+    return out[:trees]
+
+
+def size_masses(budget: int) -> list[Fraction]:
+    """P(a tree has v vertices) for v = 1..budget under the geometric law,
+    Catalan(v - 1) / 2^(2v - 1), by the ratio of consecutive terms."""
+    out = [Fraction(1, 2)]
+    for v in range(1, budget):
+        out.append(out[-1] * Fraction(2 * v - 1, 2 * (v + 1)))
+    return out
+
+
+class TestUnconditioned:
+    """Unsized trees cut from one count stream (_forest).  Seeds, draw
+    counts and bounds were fixed before the first run."""
+
+    def test_small_size_frequencies(self, monkeypatch):
+        # sizes 1..8 (criterion 03's exact law), then three bins up to the
+        # budget of 1000, under the law conditioned on at most 1000 vertices
+        masses = size_masses(1000)
+        assert masses[:8] == [_walk_point_mass(GEO, v) / v for v in range(1, 9)]
+        cells = list(range(1, 9)) + [32, 128, 1000]  # each cell's largest size
+
+        def cell(v):
+            return next(c for c in cells if v <= c)
+
+        law = Counter()
+        for v, p in enumerate(masses, start=1):
+            law[cell(v)] += p
+        law = {c: p / sum(masses) for c, p in law.items()}
+        draws = 100_000
+        sizes = forest_draws(
+            monkeypatch, lambda k, rng: np.diff(_forest(GEO, k, rng)[1]).tolist(), draws, 7)
+        assert tv_to_law([cell(v) for v in sizes], law) <= tv_bound(len(law), draws)
+
+    def test_overflow_raises(self, monkeypatch):
+        # a draw whose largest tree has exactly the budget passes, and one
+        # vertex less raises before the draw ends
+        counts, starts = _forest(GEO, 50, rng_of(3))
+        largest = int(np.diff(starts).max())
+        assert largest > 1
+        monkeypatch.setattr(plane_tree, "MAX_VERTICES", largest)
+        again = _forest(GEO, 50, rng_of(3))
+        assert np.array_equal(again[0], counts) and np.array_equal(again[1], starts)
+        monkeypatch.setattr(plane_tree, "MAX_VERTICES", largest - 1)
+        with pytest.raises(SizeOverflow, match=f"exceed the budget of {largest - 1}"):
+            _forest(GEO, 50, rng_of(3))
 
     def test_determinism(self):
-        a = [sample_gw(GEO, rng_of(11)).counts for _ in range(1)]
-        b = [sample_gw(GEO, rng_of(11)).counts for _ in range(1)]
-        assert a == b
+        a = _forest(GEO, 50, rng_of(11))
+        b = _forest(GEO, 50, rng_of(11))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert _forest(GEO, 0, rng_of(11))[0].shape == (0,)
+
+    def test_trees_are_valid_and_labels_follow_the_recursion(self):
+        # one draw of 2000 trees over several chunks: every tree is a valid
+        # preorder row (a wrong carry across a chunk boundary breaks one),
+        # and its labels are the parent recursion of the steps, drawn one a
+        # vertex in stream order (a root's unused) as one call would
+        rng = rng_of(2000)
+        counts, starts = _forest(GEO, 2000, rng)
+        assert len(starts) == 2001 and starts[0] == 0 and starts[-1] == len(counts)
+        steps = U3.sample(copy.deepcopy(rng), len(counts)).tolist()
+        labels = list(_forest_labels(counts, starts, U3, 1, rng))
+        assert len(labels) == 2000
+        for a, b, got in zip(starts[:-1].tolist(), starts[1:].tolist(), labels):
+            t = PlaneTree(tuple(counts[a:b].tolist()))  # validates the counts
+            want = [1] * t.size
+            for i in range(1, t.size):
+                want[i] = want[t.parent_index[i]] + steps[a + i]
+            assert got == tuple(want)
+
+    def test_labelling_memory_stays_within_a_few_groups(self):
+        # 20,000 trees of 100 vertices; labelled all at once, the 2 million
+        # vertices would peak near 100 MB, while a group of at most 2**18
+        # vertices keeps the temporaries under 16 words a group vertex
+        counts = _sized_count_rows(GEO, 99, rng_of(3), 20_000).ravel()
+        starts = np.arange(0, len(counts) + 1, 100)
+        for _ in _forest_labels(counts[:1000], starts[:11], U3, 0, rng_of(4)):
+            pass  # first-call allocations
+        tracemalloc.start()
+        try:
+            for _ in _forest_labels(counts, starts, U3, 0, rng_of(4)):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * (plane_tree._BLOCK_ENTRIES + 1)
+
+
+def unsized_law(measure: str, gamma: StepDistribution, x) -> dict:
+    """Exact law of one tree of Pi, P-x or Q conditioned on at most 1000
+    vertices below the Q root: each atom with at most 3 edges, then "rest"."""
+    law: dict = {}
+    kept = sum(size_masses(1000))
+    for n in range(4):
+        if measure == "Pi":
+            atoms = (((t.counts, None), tree_weight(t, GEO)) for t in enumerate_trees(n + 1))
+        else:
+            single = measure == "Q"
+            atoms = (((s.tree.counts, s.labels), w)
+                     for s, w in labelled_atoms(n, GEO, gamma, x, root_single_child=single))
+        for key, w in atoms:
+            law[key] = w / kept
+    law["rest"] = 1 - sum(law.values())
+    return law
+
+
+class TestUnsizedLaws:
+    """sample_measure's unsized draws against their exact atoms.  Seeds,
+    draw counts and bounds were fixed before the first run."""
+
+    @pytest.mark.parametrize("measure, gamma, x, seed", [
+        ("Pi", U3, 0, 800), ("P-x", U3, 2, 801), ("Q", U3, 0, 802),
+    ], ids=["Pi", "P-x", "Q"])
+    def test_atoms_up_to_three_edges(self, monkeypatch, measure, gamma, x, seed):
+        def draw(k, rng):
+            counts, labels = sample_measure(measure, GEO, gamma, None, x, k, rng)
+            return [(c, l) if len(c) <= 4 else "rest"
+                    for c, l in zip(counts, labels or [None] * k)]
+
+        draws = 20_000
+        law = unsized_law(measure, gamma, x)
+        got = forest_draws(monkeypatch, draw, draws, seed)
+        assert tv_to_law(got, law) <= tv_bound(len(law), draws)
 
 
 class TestSizedSampler:
     def test_edge_cases(self):
-        assert sample_gw_sized(GEO, 0, rng_of(0)).counts == (0,)
-        assert sample_gw_sized(GEO, 1, rng_of(0)).counts == (1, 0)
+        assert sample_measure("Pi-n", GEO, U3, 0, 0, 1, rng_of(0))[0] == [(0,)]
+        assert sample_measure("Pi-n", GEO, U3, 1, 0, 1, rng_of(0))[0] == [(1, 0)]
 
     def test_rotation_worked_example(self):
         rows = np.array([[0, 2, 0]])
@@ -237,34 +355,39 @@ class TestSizedSampler:
 
     def test_unreachable_size(self):
         with pytest.raises(UnreachableSize):
-            sample_gw_sized(BINARY, 3, rng_of(0))
+            sample_measure("Pi-n", BINARY, U3, 3, 0, 1, rng_of(0))
 
     def test_determinism(self):
-        a = sample_gw_sized(GEO, 40, rng_of(123))
-        b = sample_gw_sized(GEO, 40, rng_of(123))
+        a = sample_measure("Pi-n", GEO, U3, 40, 0, 1, rng_of(123))
+        b = sample_measure("Pi-n", GEO, U3, 40, 0, 1, rng_of(123))
         assert a == b
+
+
+def forest_of(trees) -> tuple[np.ndarray, np.ndarray]:
+    """counts and starts, as _forest returns them, of the given trees."""
+    counts = np.array([c for t in trees for c in t.counts], dtype=np.int64)
+    return counts, np.cumsum([0] + [t.size for t in trees])
 
 
 class TestLabels:
     def test_labels_follow_edges(self):
         t = build_tree((2, 3, 0, 2, 0, 0, 0, 0))
-        s = sample_spatial(t, U3, 5, rng_of(2))
+        [labels] = _forest_labels(*forest_of([t]), U3, 5, rng_of(2))
         vs = addresses(t.counts)
         for k, v in enumerate(vs[1:], 1):
-            step = s.labels[k] - s.labels[vs.index(v[:-1])]
+            step = labels[k] - labels[vs.index(v[:-1])]
             assert step in (-1, 0, 1)
-        assert s.root_label == 5
+        assert labels[0] == 5
 
     def test_singleton(self):
-        s = sample_spatial(build_tree((0,)), U3, 3, rng_of(0))
-        assert s.labels == (3,)
+        assert list(_forest_labels(*forest_of([build_tree((0,))]), U3, 3, rng_of(0))) == [(3,)]
 
     def test_row_labels_match_object_route(self):
         rng = rng_of(4)
         for n in (1, 2, 5, 9):
             rows = _sized_count_rows(GEO, n, rng, 8)
-            incs = U3.sample(rng, (8, n))
-            labels = _label_rows(_subtree_ends(rows), incs, 1)
+            incs = U3.sample(copy.deepcopy(rng), (8, n))
+            [(_, labels)] = _label_blocks(rows, U3, 1, rng)
             for row, inc, got in zip(rows.tolist(), incs.tolist(), labels.tolist()):
                 t = PlaneTree(tuple(row))
                 expect = [1] * t.size
@@ -273,22 +396,26 @@ class TestLabels:
                 assert got == expect
 
     @pytest.mark.parametrize("gamma", [U3, PM1], ids=["uniform3", "pm1"])
-    def test_batch_labels_equal_sample_spatial_on_small_trees(self, gamma):
-        # all 2056 trees with at most 9 vertices, one batch per size; tree i
-        # gets the increments sample_spatial draws from generator i
+    def test_forest_labels_follow_the_recursion_on_small_trees(self, gamma):
+        # all 2056 trees with at most 9 vertices, one forest per size, whose
+        # steps come one a vertex in preorder, a root's unused
         for size in range(1, 10):
             trees = list(enumerate_trees(size))
-            incs = np.array([gamma.sample(rng_of(i), size - 1) for i in range(len(trees))])
-            labels = _label_rows(_subtree_ends(np.array([t.counts for t in trees])), incs, 2)
-            for i, (t, got) in enumerate(zip(trees, labels.tolist())):
-                assert tuple(got) == sample_spatial(t, gamma, 2, rng_of(i)).labels
+            steps = gamma.sample(rng_of(size), (len(trees), size)).tolist()
+            got = list(_forest_labels(*forest_of(trees), gamma, 2, rng_of(size)))
+            assert len(got) == len(trees)
+            for t, step, labels in zip(trees, steps, got):
+                want = [2] * t.size
+                for i in range(1, t.size):
+                    want[i] = want[t.parent_index[i]] + step[i]
+                assert labels == tuple(want)
 
     def test_normal_labels_agree_with_the_recursion(self):
         rng = rng_of(8)
         for n in (1, 10, 500, 2000):
             rows = _sized_count_rows(GEO, n, rng, 10)
-            incs = StepDistribution.normal().sample(rng, (10, n))
-            labels = _label_rows(_subtree_ends(rows), incs, 0.5)
+            incs = StepDistribution.normal().sample(copy.deepcopy(rng), (10, n))
+            [(_, labels)] = _label_blocks(rows, StepDistribution.normal(), 0.5, rng)
             for row, inc, got in zip(rows.tolist(), incs.tolist(), labels):
                 parent = PlaneTree(tuple(row)).parent_index
                 expect = [0.5] * (n + 1)
@@ -417,6 +544,11 @@ class TestRowBlocks:
             lambda rng: [a.tobytes() for a in sample_label_extrema(GEO, gamma, 2000, 0, 300, rng)],
         )
 
+    def test_unsized_labels(self, monkeypatch):
+        # one tree a group, each group drawing its own steps
+        self.assert_block_free(
+            monkeypatch, lambda rng: sample_measure("P-x", GEO, U3, None, 1, 50, rng))
+
     def test_conditioned_rows_and_their_attempts(self, monkeypatch):
         self.assert_block_free(
             monkeypatch, lambda rng: _conditioned_rows(GEO, U3, 300, 1, 5, rng, max_attempts=900)
@@ -443,7 +575,6 @@ class TestQMeasures:
             assert rows.shape == (5, n + 1) and (rows[:, 0] == 1).all()
             for r in rows.tolist():
                 assert PlaneTree(tuple(r)).n_edges == n
-        assert sample_q_tree(GEO, rng_of(0)).counts[0] == 1
 
     def test_q_needs_an_edge(self):
         with pytest.raises(ValueError):
@@ -482,7 +613,7 @@ class TestQMeasures:
         for n in (0, 1, 7, 500):
             counts, _ = sample_measure("Pi-n", GEO, U3, n, 0, 40, rng_of(n))
             rng = rng_of(n)
-            assert counts == [sample_gw_sized(GEO, n, rng).counts for _ in range(40)]
+            assert counts == [tuple(_sized_count_rows(GEO, n, rng, 1)[0]) for _ in range(40)]
 
     def test_bad_config(self):
         with pytest.raises(ValueError, match="unknown measure"):
