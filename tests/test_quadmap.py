@@ -72,23 +72,23 @@ def radius_and_distance(q, pick):
 
 class TestWellLabelledValidation:
     def test_root_label_must_be_one(self):
-        with pytest.raises(NotWellLabelled):
+        with pytest.raises(NotWellLabelled, match=r"^root label 2, want 1$"):
             cvs_build(SpatialTree(build_tree((1, 0)), (2, 1)))
 
     def test_labels_must_be_positive(self):
-        with pytest.raises(NotWellLabelled):
+        with pytest.raises(NotWellLabelled, match=r"^label 0 at vertex 1$"):
             cvs_build(SpatialTree(build_tree((1, 0)), (1, 0)))
 
     def test_labels_must_not_jump(self):
-        with pytest.raises(NotWellLabelled):
+        with pytest.raises(NotWellLabelled, match=r"^labels jump by 2 along an edge$"):
             cvs_build(SpatialTree(build_tree((1, 0)), (1, 3)))
 
     def test_labels_must_be_integers(self):
-        with pytest.raises(NotWellLabelled):
+        with pytest.raises(NotWellLabelled, match=r"^label 1\.5 at vertex 1$"):
             cvs_build(SpatialTree(build_tree((1, 0)), (1, 1.5)))
 
     def test_singleton_has_no_encoding(self):
-        with pytest.raises(NotWellLabelled):
+        with pytest.raises(NotWellLabelled, match=r"^need at least one edge$"):
             cvs_build(SpatialTree(build_tree((0,)), (1,)))
 
     def test_edge_count_mismatch_rejected(self):
@@ -145,6 +145,19 @@ class TestEncodingBattery:
         total, positive, _ = count_well_labelled(n)
         assert seen == positive
 
+    def test_every_rerooting_round_trips(self):
+        # each map re-rooted at every dart, 728 rooted maps in all, most of
+        # them with a dart numbering that cvs_build never produces
+        seen = 0
+        for n in (1, 2, 3):
+            for wt in enumerate_well_labelled(n):
+                q = cvs_build(wt, n)
+                for root in range(4 * n):
+                    moved = PlanarQuadrangulation(n, q.sigma, q.alpha, root)
+                    assert canonical_code(cvs_build(cvs_inverse(moved), n)) == canonical_code(moved)
+                    seen += 1
+        assert seen == 728
+
     @pytest.mark.parametrize("n,count", [(1, 2), (2, 9), (3, 54), (4, 378)])
     def test_codes_are_injective(self, n, count):
         codes = {canonical_code(cvs_build(wt, n)) for wt in enumerate_well_labelled(n)}
@@ -178,19 +191,19 @@ class TestStructuralValidation:
     def test_torus_square_fails_euler(self):
         # one vertex, two edges, one degree-4 face: V - E + F = 0
         q = PlanarQuadrangulation(1, (1, 2, 3, 0), (2, 3, 0, 1), 0)
-        with pytest.raises(NotAQuadrangulation, match="Euler"):
+        with pytest.raises(NotAQuadrangulation, match=r"^Euler count fails, the map is not planar$"):
             q.validate()
 
     def test_fixed_point_alpha_rejected(self):
         q = cvs_build(one_edge_tree(1), 1)
         bad = PlanarQuadrangulation(1, q.sigma, (0, 1, 3, 2), q.root_dart)
-        with pytest.raises(NotAQuadrangulation, match="involution"):
+        with pytest.raises(NotAQuadrangulation, match=r"^alpha is not a fixed-point-free involution$"):
             bad.validate()
 
     def test_wrong_face_degree_rejected(self):
         # two vertices joined by two parallel edges: both faces have degree 2
         q = PlanarQuadrangulation(1, (2, 3, 0, 1), (1, 0, 3, 2), 0)
-        with pytest.raises(NotAQuadrangulation, match="degree"):
+        with pytest.raises(NotAQuadrangulation, match=r"^face of degree 2, want 4$"):
             q.validate()
 
     def test_disconnected_darts_rejected(self):
@@ -203,12 +216,35 @@ class TestStructuralValidation:
             q.root_dart,
         )
         assert [len(f) for f in both.faces] == [4, 4]
-        with pytest.raises(NotAQuadrangulation, match="not connected"):
+        with pytest.raises(NotAQuadrangulation, match=r"^map is not connected$"):
             both.validate()
 
     def test_inverse_validates_its_input(self):
-        with pytest.raises(NotAQuadrangulation):
+        with pytest.raises(NotAQuadrangulation, match=r"^Euler count fails"):
             cvs_inverse(PlanarQuadrangulation(1, (1, 2, 3, 0), (2, 3, 0, 1), 0))
+
+    def test_sigma_must_be_a_permutation(self):
+        q = cvs_build(one_edge_tree(1), 1)
+        bad = PlanarQuadrangulation(1, (0, 0, 1, 2), q.alpha, q.root_dart)
+        with pytest.raises(NotAQuadrangulation, match=r"^sigma is not a permutation$"):
+            bad.validate()
+        with pytest.raises(NotAQuadrangulation, match=r"^sigma is not a permutation$"):
+            cvs_inverse(bad)
+
+    @pytest.mark.parametrize("alpha", [(4, 0, 3, 2), (1, 2, 3, 0)], ids=["range", "not-involution"])
+    def test_alpha_must_pair_the_darts(self, alpha):
+        q = cvs_build(one_edge_tree(1), 1)
+        with pytest.raises(NotAQuadrangulation, match=r"^alpha is not a fixed-point-free involution$"):
+            PlanarQuadrangulation(1, q.sigma, alpha, q.root_dart).validate()
+
+    @pytest.mark.parametrize("n, sigma, root, message", [
+        (0, (), 0, "need at least one face"),
+        (1, (1, 2, 3), 0, "expected 4 darts"),
+        (1, (1, 2, 3, 0), 4, "root dart out of range"),
+    ], ids=["no-face", "darts", "root"])
+    def test_construction_checks_the_dart_counts(self, n, sigma, root, message):
+        with pytest.raises(NotAQuadrangulation, match=f"^{message}$"):
+            PlanarQuadrangulation(n, sigma, (1, 0, 3, 2)[: len(sigma)], root)
 
 
 class TestDistanceProfile:
