@@ -132,14 +132,14 @@ def _run_blocks(fn, args, total: int, seed: int) -> list:
     return [fn(*args, size, seq) for size, seq in zip(sizes, seqs)]
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, *chunks: str) -> None:
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
-def _finish(args, subcommand: str, config: dict, artifact: str, t0: float,
+def _finish(args, subcommand: str, config: dict, artifact: list[str], t0: float,
             summary: dict | None = None) -> None:
-    """Route the data artifact and print the manifest.
+    """Route the data artifact, its text chunks in order, and print the manifest.
 
     The artifact goes to --out when given, otherwise to stdout; the
     manifest (with timing, hence never byte-stable) is printed only when
@@ -147,10 +147,10 @@ def _finish(args, subcommand: str, config: dict, artifact: str, t0: float,
     """
     outputs = ()
     if args.out:
-        _write_text(args.out, artifact)
+        _write_text(args.out, *artifact)
         outputs = (args.out,)
     else:
-        sys.stdout.write(artifact)
+        sys.stdout.writelines(artifact)
     manifest = RunManifest(
         subcommand, config, getattr(args, "seed", None), outputs,
         time.perf_counter() - t0,
@@ -162,16 +162,15 @@ def _finish(args, subcommand: str, config: dict, artifact: str, t0: float,
         _print_json(payload)
 
 
-def _sample_block(measure, mu, gamma, n, x, size: int, seq) -> list[tuple[str, ...]]:
-    """CSV rows of one block of `sample` draws."""
+def _sample_block(measure, mu, gamma, n, x, size: int, seq) -> str:
+    """CSV text of one block of `sample` draws."""
     counts, labels = sample_measure(measure, mu, gamma, n, x, size, np.random.default_rng(seq))
-    trees = [tree_to_line(PlaneTree(c)) for c in counts]
-    if labels is None:
-        return [(t,) for t in trees]
-    return [
-        (t, ";".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-        for t, row in zip(trees, labels)
-    ]
+    trees = (tree_to_line(PlaneTree(c)) for c in counts)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        zip(trees) if labels is None else zip(trees, (";".join(map(str, row)) for row in labels))
+    )
+    return buf.getvalue()
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -186,20 +185,16 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise UsageError(f"measure {args.measure} takes no --n")
     mu = _offspring(args.mu)
     gamma = _step(args.gamma)
+    # every block is drawn before any is written, so a failed block leaves no file
     blocks = _run_blocks(
         _sample_block, (args.measure, mu, gamma, args.n, args.x), args.samples, args.seed
     )
-    rows = [row for block in blocks for row in block]
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("tree",) if len(rows[0]) == 1 else ("tree", "labels"))
-    writer.writerows(rows)
+    header = "tree\n" if args.measure in ("Pi", "Pi-n") else "tree,labels\n"
     _finish(
         args, "sample",
         {"measure": args.measure, "n": args.n, "x": args.x, "mu": args.mu,
          "gamma": args.gamma, "samples": args.samples},
-        buf.getvalue(), t0, {"rows": len(rows)},
+        [header, *blocks], t0, {"rows": args.samples},
     )
     return 0
 
@@ -234,11 +229,12 @@ def _quad_battery_report(n: int) -> dict:
     for wt in enumerate_well_labelled(n):
         try:
             q = cvs_build(wt)  # cvs_inverse validates it
-            prof = distances(q)
-            got = dict(prof.counts)
-            want = dict(Counter(wt.labels) + Counter({0: 1}))
+            got = distances(q).counts
+            want = {0: 1}  # the extra vertex, then one vertex per label
+            for l in wt.labels:
+                want[l] = want.get(l, 0) + 1
             back = cvs_inverse(q)
-            if got != want or back.tree != wt.tree or tuple(back.labels) != tuple(wt.labels):
+            if got != want or back.tree != wt.tree or back.labels != wt.labels:
                 failures.append(tree_to_line(wt.tree))
         except Exception as exc:  # noqa: BLE001 - collect and report, don't stop the sweep
             failures.append(f"{tree_to_line(wt.tree)}: {exc}")
@@ -294,7 +290,7 @@ def _cmd_quad(args: argparse.Namespace) -> int:
     _finish(
         args, "quad",
         {"n": args.n, "samples": args.samples},
-        buf.getvalue(), t0,
+        [buf.getvalue()], t0,
         {"distinct_codes": len(codes)},
     )
     return 0
@@ -310,7 +306,7 @@ def _cmd_snake(args: argparse.Namespace) -> int:
     _finish(
         args, "snake",
         {"grid": args.grid, "samples": args.samples},
-        samples_csv(ranges), t0,
+        [samples_csv(ranges)], t0,
         {"mean_range": float(ranges.mean()), "sd_range": float(ranges.std())},
     )
     return 0

@@ -90,22 +90,37 @@ def labelled_atoms(
     relative weights of the conditioned laws, summing to the probability
     that the underlying unconditioned size is hit.
     """
+    den, atoms = _atom_numerators(n, mu, gamma, x, root_single_child)
+    for t, labels, num in atoms:
+        yield SpatialTree(t, labels), Fraction(num, den)
+
+
+def _atom_numerators(n: int, mu, gamma, x, root_single_child: bool) -> tuple[int, Iterator]:
+    """labelled_atoms in integers: one denominator, fixed before any atom,
+    and the atoms as (shape, labels, weight numerator)."""
     steps = _exact_steps(gamma)
+    weigh = q_weight if root_single_child else tree_weight
+    shapes = [(t, w) for t in enumerate_trees(n + 1, root_single_child) if (w := weigh(t, mu))]
+    shape_den = math.lcm(*(w.denominator for _, w in shapes))
+    step_den = math.lcm(*(p.denominator for _, p in steps))
+    steps = [(inc, p.numerator * step_den // p.denominator) for inc, p in steps]
     # each combination's probability once per n, not once per shape
     combos = [
         ([inc for inc, _ in combo], math.prod(p for _, p in combo))
         for combo in itertools.product(steps, repeat=n)
     ]
-    for t in enumerate_trees(n + 1, root_single_child=root_single_child):
-        shape_w = q_weight(t, mu) if root_single_child else tree_weight(t, mu)
-        if shape_w == 0:
-            continue
-        parent = t.parent_index
-        for incs, p in combos:
-            labels = [x] * (n + 1)
-            for i in range(1, n + 1):
-                labels[i] = labels[parent[i]] + incs[i - 1]
-            yield SpatialTree(t, tuple(labels)), shape_w * p
+
+    def atoms() -> Iterator[tuple[PlaneTree, tuple, int]]:
+        for t, w in shapes:
+            shape_num = w.numerator * shape_den // w.denominator
+            parent = t.parent_index
+            for incs, p in combos:
+                labels = [x] * (n + 1)
+                for i in range(1, n + 1):
+                    labels[i] = labels[parent[i]] + incs[i - 1]
+                yield t, tuple(labels), shape_num * p
+
+    return shape_den * step_den**n, atoms()
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +299,17 @@ def reroot_measures(
     are built once per shape and re-rooting plans once per (shape, leaf);
     each atom only reads its labels through them.
     """
-    lhs: dict[Atom, Fraction] = {}
-    rhs: dict[Atom, Fraction] = {}
+    den, atoms = _atom_numerators(n, mu, gamma, 0, True)
+    lhs: dict[Atom, int] = {}  # weight numerators over den
+    rhs: dict[Atom, int] = {}
     terms = 0
     shape = None
-    for s, w in labelled_atoms(n, mu, gamma, x=0, root_single_child=True):
+    for t, labels, w in atoms:
         terms += 1
-        if s.tree is not shape:
-            shape = s.tree
+        if t is not shape:
+            shape = t
             leafset = leaves(shape)
             plans: dict[int, Plan] = {}
-        labels = s.labels
         low = min(labels)
         argmin = [i for i, x in enumerate(labels) if x == low]
         if closed:
@@ -306,13 +321,14 @@ def reroot_measures(
             if plan is None:
                 plan = plans[v] = _reroot_plan(shape, v)
             key = _apply_plan(plan, labels)
-            lhs[key] = lhs.get(key, Fraction(0)) + w
+            lhs[key] = lhs.get(key, 0) + w
         # the root sits at 0, so the non-root labels are all positive exactly
         # when 0 is the minimum and only the root attains it (closed form:
         # nonnegative exactly when 0 is the minimum)
         if low == 0 and (closed or argmin == [0]):
             key = (shape.counts, labels)
-            rhs[key] = rhs.get(key, Fraction(0)) + w * len(leafset)
+            rhs[key] = rhs.get(key, 0) + w * len(leafset)
+    lhs, rhs = ({key: Fraction(w, den) for key, w in side.items()} for side in (lhs, rhs))
     return lhs, rhs, terms
 
 

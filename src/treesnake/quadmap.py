@@ -25,6 +25,10 @@ it breaks face degrees or the round trip on small cases.
 Distances in the map from the extra vertex coincide with the tree labels,
 which is what makes the encoding useful for metric questions.
 
+The object route (maps, validation, distances, both directions of the
+encoding) is plain Python, with no array round trips; numpy serves only
+the batch samplers below and the arrays of DistanceProfile.rescaled.
+
 A uniform rooted quadrangulation with n faces is cvs_build of a uniform
 well-labelled tree with n edges, which is Qbar_{n+1} (geometric law,
 uniform steps) less its root edge, the Pbar_{n,1} draws of
@@ -37,6 +41,7 @@ draws of gw_sampler._rerooted_rows.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -115,11 +120,12 @@ class PlanarQuadrangulation:
     @cached_property
     def root_distances(self) -> tuple[int, ...]:
         """Graph distance from the root vertex to each vertex, by vertex id."""
-        return tuple(_bfs_distances(self, self.vertex_of[self.root_dart]).tolist())
+        return _bfs_distances(self, self.vertex_of[self.root_dart])
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the face permutation (alpha then sigma)."""
+        sigma, alpha = self.sigma, self.alpha
         seen = [False] * (4 * self.n)
         out = []
         for d in range(4 * self.n):
@@ -130,19 +136,20 @@ class PlanarQuadrangulation:
             while not seen[e]:
                 seen[e] = True
                 cyc.append(e)
-                e = self.sigma[self.alpha[e]]
+                e = sigma[alpha[e]]
             out.append(tuple(cyc))
         return tuple(out)
 
     def validate(self) -> None:
         """Full structural check; raises NotAQuadrangulation on any failure."""
-        m = 4 * self.n
-        if sorted(self.sigma) != list(range(m)):
+        darts = list(range(4 * self.n))
+        if sorted(self.sigma) != darts:
             raise NotAQuadrangulation("sigma is not a permutation")
-        for d in range(m):
-            a = self.alpha[d]
-            if not (0 <= a < m) or a == d or self.alpha[a] != d:
-                raise NotAQuadrangulation("alpha is not a fixed-point-free involution")
+        alpha = self.alpha
+        # a permutation that squares to the identity and moves every dart
+        if (sorted(alpha) != darts or [alpha[a] for a in alpha] != darts
+                or any(map(operator.eq, alpha, darts))):
+            raise NotAQuadrangulation("alpha is not a fixed-point-free involution")
         # the darts of a vertex share a sigma orbit, so the dart graph is
         # connected exactly when the root BFS over alpha reaches every
         # vertex; it raises otherwise, and distances and cvs_inverse reuse it
@@ -209,49 +216,40 @@ def _successor_arcs(wt: SpatialTree, n: int) -> PlanarQuadrangulation:
     two_n = 2 * n
     order = wt.tree.contour_order  # vertex index per corner, then the root again
     labels = wt.labels
-    lab = [labels[order[t]] for t in range(two_n)]
-
-    # successor corner: next corner cyclically with label one lower
-    succ: list[int] = [-1] * two_n
-    next_at: dict[int, int] = {}
-    for t in range(2 * two_n - 1, -1, -1):
-        tt = t % two_n
-        if t < two_n and lab[tt] >= 2:
-            succ[tt] = next_at[lab[tt] - 1]
-        next_at[lab[tt]] = tt
 
     # each arc leaves its corner hugging the contour's forward direction and
-    # lands at the opening of its successor corner, freshly started arcs
-    # sliding in closest to the tree; sweeping a corner in contour direction
-    # therefore meets landed arcs from the latest-started inward, then the
-    # corner's own outgoing arc on the far flank
-    landed: list[list[tuple[int, int]]] = [[] for _ in range(two_n)]
-    to_a0: list[int] = []
-    for t in range(two_n):
-        if lab[t] == 1:
-            to_a0.append(2 * t + 1)
+    # lands at the opening of its successor corner (the next corner, going
+    # round, one label lower), freshly started arcs sliding in closest to
+    # the tree, so a corner meets its landed arcs latest-started first.  A
+    # backward sweep lists them so; labels step by at most 1 and the root
+    # closes the contour at label 1, so only label-2 corners wrap, to corner
+    # 0.  The extra vertex takes its spokes in reverse corner order: later
+    # spokes had less far to travel and arrive nearest the tree.
+    landed: list[list[int]] = [[] for _ in range(two_n)]
+    spokes: list[int] = []
+    latest = [0] * (n + 2)  # per label, the latest corner seen in the sweep
+    for t in range(two_n - 1, -1, -1):
+        l = labels[order[t]]
+        if l == 1:
+            spokes.append(2 * t + 1)
         else:
-            s = succ[t]
-            landed[s].append(((t - s) % two_n, 2 * t + 1))
-
-    m = 4 * n
-    sigma = [-1] * m
-
-    def close_cycle(darts: list[int]) -> None:
-        for i, d in enumerate(darts):
-            sigma[d] = darts[(i + 1) % len(darts)]
+            landed[latest[l - 1]].append(2 * t + 1)
+        latest[l] = t
 
     # rotations are written in sweep order, the orientation for which the
-    # composite of the edge pairing followed by the rotation traces faces;
-    # the extra vertex collects its spokes in reverse corner order because
-    # later spokes had less far to travel and arrive nearest the tree
+    # composite of the edge pairing followed by the rotation traces faces:
+    # each dart points to the next, the last of a cycle back to its first
+    m = 4 * n
+    sigma = [0] * m
     for corners in wt.tree.corners:
-        rot: list[int] = []
+        prev = 2 * corners[-1]
         for t in corners:
-            rot.extend(d for _, d in sorted(landed[t], reverse=True))
-            rot.append(2 * t)
-        close_cycle(rot)
-    close_cycle(to_a0[::-1])
+            for d in landed[t]:
+                sigma[prev] = prev = d
+            sigma[prev] = prev = 2 * t
+    prev = spokes[-1]
+    for d in spokes:
+        sigma[prev] = prev = d
 
     return PlanarQuadrangulation(n, tuple(sigma), alpha_of(m), 1)
 
@@ -263,24 +261,26 @@ def alpha_of(m: int) -> tuple[int, ...]:
     return tuple(d ^ 1 for d in range(m))
 
 
-def _bfs_distances(q: PlanarQuadrangulation, start_vertex: int) -> np.ndarray:
-    origin = q.vertex_of
-    nv = q.n_vertices
-    adj: list[list[int]] = [[] for _ in range(nv)]
-    for d in range(4 * q.n):
-        adj[origin[d]].append(origin[q.alpha[d]])
-    dist = [-1] * nv
+def _bfs_distances(q: PlanarQuadrangulation, start_vertex: int) -> tuple[int, ...]:
+    """Graph distance from start_vertex to each vertex, by vertex id: each
+    vertex's neighbours are read off a walk of its degree around its
+    rotation, which stays finite on any sigma, checked or not."""
+    origin, _, degree = q._rotations
+    sigma, alpha = q.sigma, q.alpha
+    dist = [-1] * len(degree)
     dist[start_vertex] = 0
-    todo = deque([start_vertex])
-    while todo:
-        v = todo.popleft()
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                todo.append(w)
+    queue = [origin.index(start_vertex)]
+    for d in queue:
+        near = dist[origin[d]] + 1
+        for _ in range(degree[origin[d]]):
+            e = alpha[d]
+            if dist[origin[e]] < 0:
+                dist[origin[e]] = near
+                queue.append(e)
+            d = sigma[d]
     if -1 in dist:
         raise NotAQuadrangulation("map is not connected")
-    return np.array(dist, dtype=np.int64)
+    return tuple(dist)
 
 
 @dataclass(frozen=True)
@@ -299,8 +299,12 @@ class DistanceProfile:
 
 
 def distances(q: PlanarQuadrangulation) -> DistanceProfile:
-    counts = np.bincount(q.root_distances).tolist()
-    return DistanceProfile(q.n, len(counts) - 1, {k: c for k, c in enumerate(counts) if c})
+    dist = q.root_distances
+    counts = [0] * (max(dist) + 1)
+    for d in dist:
+        counts[d] += 1
+    # no breadth-first layer below the radius is empty
+    return DistanceProfile(q.n, len(counts) - 1, dict(enumerate(counts)))
 
 
 def canonical_code(q: PlanarQuadrangulation) -> bytes:
@@ -349,77 +353,59 @@ def cvs_inverse(q: PlanarQuadrangulation) -> SpatialTree:
     q.validate()
     # each dart's vertex and position in its rotation cycle, and the cycle lengths
     origin, pos, cycle_len = q._rotations
-    a0 = origin[q.root_dart]
+    alpha = q.alpha
     dist = q.root_distances
 
-    # one tree edge per face: ends are (vertex, angular key)
-    edges: list[tuple[tuple[int, float], tuple[int, float]]] = []
+    # one tree edge per face, edge e with ends 2e and 2e + 1, each a vertex
+    # and an angular key around it: twice a dart's position for the dart,
+    # one more for the corner after it
+    ends: list[tuple[int, int]] = []
     for face in q.faces:
         labs = [dist[origin[d]] for d in face]
-        imin = min(range(4), key=lambda i: labs[i])
-        l = labs[imin]
-        rot = [face[(imin + i) % 4] for i in range(4)]
-        pattern = [labs[(imin + i) % 4] for i in range(4)]
+        l = min(labs)
+        i = labs.index(l)
+        rot = face[i:] + face[:i]
+        pattern = labs[i:] + labs[:i]
         if pattern == [l, l + 1, l + 2, l + 1]:
-            d = rot[1]
-            edges.append(
-                (
-                    (origin[d], float(pos[d])),
-                    (origin[q.alpha[d]], float(pos[q.alpha[d]])),
-                )
-            )
+            d, e = rot[1], alpha[rot[1]]
+            ends += ((origin[d], 2 * pos[d]), (origin[e], 2 * pos[e]))
         elif pattern == [l, l + 1, l, l + 1]:
-            ends = []
-            for i in (1, 3):
-                e = q.alpha[rot[i - 1]]  # arriving dart at the corner vertex
-                ends.append((origin[rot[i]], pos[e] + 0.5))
-            edges.append((ends[0], ends[1]))
+            # the two l+1 corners, each after the dart arriving there
+            a, b = alpha[rot[0]], alpha[rot[2]]
+            ends += ((origin[a], 2 * pos[a] + 1), (origin[b], 2 * pos[b] + 1))
         else:
             raise NotAQuadrangulation(f"face label pattern {pattern} is impossible")
 
     # group edge ends around each vertex
-    fan: dict[int, list[tuple[float, int, int]]] = {}
-    for eid, (end_a, end_b) in enumerate(edges):
-        for (v, key), (w, _) in ((end_a, end_b), (end_b, end_a)):
-            fan.setdefault(v, []).append((key, eid, w))
-    if a0 in fan or len(edges) != q.n:
+    fan: list[list[tuple[int, int]]] = [[] for _ in cycle_len]
+    for j, (v, key) in enumerate(ends):
+        fan[v].append((key, j))
+    if fan[origin[q.root_dart]] or len(ends) != 2 * q.n:
         raise NotAQuadrangulation("face edges do not avoid the root vertex")
 
-    root = origin[q.alpha[q.root_dart]]
+    up = alpha[q.root_dart]
+    root = origin[up]
     if dist[root] != 1:
         raise NotWellLabelled(f"root label {dist[root]}, want 1")
 
-    def ordered_from(v: int, start: float, skip_eid: int) -> list[tuple[int, int]]:
-        """Edges at v in rotation order strictly after the angular start."""
-        items = fan.get(v, [])
-        period = cycle_len[v]
-
-        out = sorted(
-            ((key - start) % period, eid, w) for key, eid, w in items if eid != skip_eid
-        )
-        return [(eid, w) for _, eid, w in out]
-
-    # rebuild the embedded tree from the root, children in rotation order;
-    # labels are distances, so only their steps along tree edges need a check
+    # rebuild the embedded tree from the root, children in rotation order
+    # after the edge up (for the root, after the root edge); labels are
+    # distances, so only their steps along tree edges need a check
     counts: list[int] = []
     labels: list[int] = []
-    start_key = float(pos[q.alpha[q.root_dart]])
-    stack = [(root, start_key, -1)]
-    order_guard = 0
+    stack = [(root, 2 * pos[up], -1)]  # vertex, key of the edge up, its end there
     while stack:
-        v, start, skip = stack.pop()
-        kids = ordered_from(v, start, skip)
+        v, start, j_up = stack.pop()
+        period = 2 * cycle_len[v]
+        kids = sorted(((key - start) % period, j) for key, j in fan[v] if j != j_up)
         counts.append(len(kids))
         labels.append(dist[v])
-        for eid, w in reversed(kids):
+        for _, j in reversed(kids):
+            w, key = ends[j ^ 1]
             if abs(dist[w] - dist[v]) > 1:
                 raise NotWellLabelled(f"labels jump by {abs(dist[w] - dist[v])} along an edge")
-            # the child's own fan starts from this edge's key at the child
-            (va, ka), (vb, kb) = edges[eid]
-            child_key = ka if (va == w) else kb
-            stack.append((w, child_key, eid))
-        order_guard += 1
-        if order_guard > q.n + 1:
+            stack.append((w, key, j ^ 1))
+        if len(counts) > q.n + 1:
             raise NotAQuadrangulation("face edges do not form a tree")
     if len(counts) != q.n + 1:
         raise NotAQuadrangulation("face edges do not span the map")

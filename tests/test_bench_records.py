@@ -40,3 +40,18 @@ def test_record_has_medians_for_every_workload(path):
             for side in ("parent", "change"):
                 median = metrics[metric][side]["median"]
                 assert isinstance(median, (int, float)) and median > 0, (name, metric, side)
+
+
+BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"] + BENCHMARK["per_layer"]}
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_record_claim_improves_its_metric(path):
+    # the change median beats the parent median in the direction that
+    # BENCHMARK.json gives for the claimed metric
+    record = json.loads(path.read_text())
+    claim = record["claim"]
+    medians = record["workloads"][claim["workload"]]["metrics"][claim["metric"]]
+    parent, change = medians["parent"]["median"], medians["change"]["median"]
+    assert BETTER[claim["metric"]] in ("higher", "lower")
+    assert change > parent if BETTER[claim["metric"]] == "higher" else change < parent

@@ -67,7 +67,7 @@ def radius_and_distance(q, pick):
     """Radius from the root vertex, and the distance to non-root vertex pick."""
     root = q.vertex_of[q.root_dart]
     dist = _bfs_distances(q, root)
-    return dist.max(), dist[pick if pick < root else pick + 1]
+    return max(dist), dist[pick if pick < root else pick + 1]
 
 
 class TestWellLabelledValidation:
@@ -254,10 +254,10 @@ class TestDistanceProfile:
             dist = _bfs_distances(q, q.vertex_of[q.root_dart])
             vals, counts = np.unique(dist, return_counts=True)
             want = DistanceProfile(
-                q.n, int(dist.max()), {int(v): int(c) for v, c in zip(vals, counts)}
+                q.n, max(dist), {int(v): int(c) for v, c in zip(vals, counts)}
             )
             assert distances(q) == want
-            assert q.root_distances == tuple(dist.tolist())
+            assert q.root_distances == dist
 
 
 class TestRescaledProfile:
@@ -409,7 +409,7 @@ class TestArcKernel:
             kept += 1
             q = cvs_build(below_the_root(s, k), n)
             dist = _bfs_distances(q, q.vertex_of[q.root_dart])
-            assert sorted(dist.tolist()) == sorted(l - low for l in s.labels)
+            assert sorted(dist) == sorted(l - low for l in s.labels)
         assert kept > 0
 
     @pytest.mark.parametrize("seed", [3, 4])
@@ -430,8 +430,8 @@ class TestArcKernel:
             q = cvs_build(below_the_root(s, int(argmin[b])), n)
             dist = _bfs_distances(q, q.vertex_of[q.root_dart])
             shifted = labels[b] - labels[b, argmin[b]]
-            assert sorted(dist.tolist()) == sorted(shifted.tolist())
-            assert radii[b] == dist.max()
+            assert sorted(dist) == sorted(shifted.tolist())
+            assert radii[b] == max(dist)
             # the picked vertex is one of the n + 1 off the minimum
             assert dists[b] == shifted[picks[b] + (picks[b] >= argmin[b])]
 
