@@ -162,15 +162,15 @@ def _finish(args, subcommand: str, config: dict, artifact: list[str], t0: float,
         _print_json(payload)
 
 
-def _sample_block(measure, mu, gamma, n, x, size: int, seq) -> str:
-    """CSV text of one block of `sample` draws."""
+def _sample_block(measure, mu, gamma, n, x, size: int, seq) -> tuple[str, str]:
+    """The CSV header line and the CSV text of one block of `sample` draws."""
     counts, labels = sample_measure(measure, mu, gamma, n, x, size, np.random.default_rng(seq))
     trees = (tree_to_line(PlaneTree(c)) for c in counts)
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(
         zip(trees) if labels is None else zip(trees, (";".join(map(str, row)) for row in labels))
     )
-    return buf.getvalue()
+    return "tree\n" if labels is None else "tree,labels\n", buf.getvalue()
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -189,12 +189,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     blocks = _run_blocks(
         _sample_block, (args.measure, mu, gamma, args.n, args.x), args.samples, args.seed
     )
-    header = "tree\n" if args.measure in ("Pi", "Pi-n") else "tree,labels\n"
     _finish(
         args, "sample",
         {"measure": args.measure, "n": args.n, "x": args.x, "mu": args.mu,
          "gamma": args.gamma, "samples": args.samples},
-        [header, *blocks], t0, {"rows": args.samples},
+        [blocks[0][0], *(text for _, text in blocks)], t0, {"rows": args.samples},
     )
     return 0
 

@@ -95,7 +95,8 @@ def labelled_atoms(
         yield SpatialTree(t, labels), Fraction(num, den)
 
 
-def _atom_numerators(n: int, mu, gamma, x, root_single_child: bool) -> tuple[int, Iterator]:
+def _atom_numerators(n: int, mu: OffspringDistribution, gamma: StepDistribution, x,
+                     root_single_child: bool) -> tuple[int, Iterator]:
     """labelled_atoms in integers: one denominator, fixed before any atom,
     and the atoms as (shape, labels, weight numerator)."""
     steps = _exact_steps(gamma)
