@@ -56,7 +56,7 @@ from treesnake.gw_sampler import (
     sample_measure,
     spawn_rngs,
 )
-from treesnake.plane_tree import MAX_VERTICES, PlaneTree, tree_to_line
+from treesnake.plane_tree import MAX_VERTICES, tree_to_line
 from treesnake.quadmap import (
     NotWellLabelled,
     canonical_code,
@@ -165,7 +165,9 @@ def _finish(args, subcommand: str, config: dict, artifact: list[str], t0: float,
 def _sample_block(measure, mu, gamma, n, x, size: int, seq) -> tuple[str, str]:
     """The CSV header line and the CSV text of one block of `sample` draws."""
     counts, labels = sample_measure(measure, mu, gamma, n, x, size, np.random.default_rng(seq))
-    trees = (tree_to_line(PlaneTree(c)) for c in counts)
+    # tree_to_line's format, without PlaneTree's re-check of rows that the
+    # samplers only ever draw as valid trees
+    trees = (",".join(map(str, c)) for c in counts)
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(
         zip(trees) if labels is None else zip(trees, (";".join(map(str, row)) for row in labels))

@@ -13,8 +13,10 @@ centered Gaussian displacement.
 A batch of samples advances in lock step.  Its anchor stacks live in two
 flat slot-major arrays (anchor s of sample j at s * count + j) with one top
 pointer per sample, the one normal of each sample and step is drawn for a
-block of steps at once, and only the samples whose lifetime steps down pay
-for popping anchors and for the bridge.
+block of 32 steps at once, and only the samples whose lifetime steps down
+pay for popping anchors and for the bridge.  Besides the excursion rows the
+head holds only its stacks, grown in place one at a time, and one block of
+scratch allocated once per call.
 
 Re-rooting at the spatial minimum turns the signed head into a nonnegative
 one while permuting head values, so path ranges are preserved sample by
@@ -34,7 +36,7 @@ import numpy as np
 from treesnake.plane_tree import _check_vertices, _reroot_walk, _row_blocks
 
 
-_HEAD_BLOCK = 128  # head steps per block of normals and per stack-growth check
+_HEAD_BLOCK = 32  # head steps per block of normals and per stack-growth check
 
 
 class NonUniqueMinimum(ValueError):
@@ -117,7 +119,11 @@ def _snake_head_rows(
     that anchor's value, so it changes no later draw.  Only the rows that
     step down run the pop loop and the bridge, and since a step adds at
     most one anchor the stacks are checked once a block and grown to what
-    the block needs plus one block more.
+    the block needs plus one block more, one stack at a time and in place
+    where the allocator can extend it (ndarray.resize), so two copies of
+    both stacks never coexist.  The block's normals, transposed lifetimes,
+    rises and step-down mask are buffers of _HEAD_BLOCK rows, allocated
+    once per call and refilled in place block after block.
     """
     count, mp1 = e.shape
     m = mp1 - 1
@@ -126,7 +132,12 @@ def _snake_head_rows(
     values = np.zeros(count)
     pos = np.arange(count)
 
-    z_block = np.zeros((_HEAD_BLOCK + 1, count))
+    block = min(_HEAD_BLOCK, m)  # rows of scratch, one per step of a block
+    normals = np.empty((block, count))
+    ends = np.empty((block + 1, count))
+    rise = np.empty((block, count))
+    down = np.empty((block, count), dtype=bool)
+    z_block = np.zeros((block + 1, count))
     if keep_paths:
         z = np.empty((count, mp1))
         z[:, 0] = 0.0
@@ -139,20 +150,24 @@ def _snake_head_rows(
         # slots the deepest stack needs; initial= and max() admit a batch of 0 rows
         need = int(pos.max(initial=0)) // max(count, 1) + steps + 1
         if need > depth:
-            grown = need + _HEAD_BLOCK
-            levels = np.concatenate([levels, np.zeros((grown - depth) * count)])
-            values = np.concatenate([values, np.zeros((grown - depth) * count)])
-            depth = grown
+            # in place where the allocator can extend the memory; no view
+            # of either stack exists, every index into them is fancy
+            depth = need + _HEAD_BLOCK
+            levels.resize(depth * count, refcheck=False)
+            values.resize(depth * count, refcheck=False)
 
-        normals = rng.standard_normal((steps, count))
-        ends = np.ascontiguousarray(e[:, start : start + steps + 1].T)
-        e_next = ends[1:]
-        rise = e_next - ends[:-1]
-        down = rise < 0.0
+        # the buffers' first steps rows hold this block
+        normal = rng.standard_normal(out=normals[:steps])
+        end = ends[: steps + 1]
+        np.copyto(end, e[:, start : start + steps + 1].T)
+        e_next = end[1:]
+        up = rise[:steps]
+        np.subtract(e_next, end[:-1], out=up)
+        np.less(up, 0.0, out=down[:steps])
         # zero on a step down, whose normal goes to the bridge instead
-        np.maximum(rise, 0.0, out=rise)
-        np.sqrt(rise, out=rise)
-        rise *= normals
+        np.maximum(up, 0.0, out=up)
+        np.sqrt(up, out=up)
+        up *= normal
 
         for i in range(steps):
             z_next = z_block[i + 1]

@@ -8,6 +8,7 @@ workload there.  Only the files are read; no benchmark runs.
 from __future__ import annotations
 
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,22 @@ def test_record_claim_improves_its_metric(path):
     parent, change = medians["parent"]["median"], medians["change"]["median"]
     assert BETTER[claim["metric"]] in ("higher", "lower")
     assert change > parent if BETTER[claim["metric"]] == "higher" else change < parent
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_record_claim_meets_the_protocol_rule(path):
+    # recounted from the runs: the change is better in at least 9 of 10
+    # pairs, as many as the record says, and its median gain exceeds the
+    # parent's quartile spread
+    record = json.loads(path.read_text())
+    claim = record["claim"]
+    runs = record["workloads"][claim["workload"]]["metrics"][claim["metric"]]
+    parent, change = runs["parent_runs"], runs["change_runs"]
+    assert len(parent) == len(change) == record["workloads"][claim["workload"]]["pairs"]
+    sign = 1 if BETTER[claim["metric"]] == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    assert wins == runs["change_better_pairs"]
+    assert wins >= 0.9 * len(parent)
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    gain = sign * (statistics.median(change) - statistics.median(parent))
+    assert gain > q3 - q1

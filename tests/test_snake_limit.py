@@ -19,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from treesnake import plane_tree
+from treesnake import plane_tree, snake_limit
 from treesnake.snake_limit import (
     EmptySample,
     NonUniqueMinimum,
@@ -281,6 +281,27 @@ class TestSnakeHead:
         assert z_min.tobytes() == want.min(axis=1).tobytes()
         assert z_max.tobytes() == want.max(axis=1).tobytes()
 
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("case", ["tall_tent", "excursions_257x300"])
+    def test_head_does_not_depend_on_its_block(self, monkeypatch, case, block):
+        if case == "tall_tent":
+            # 300 rises in a row: the stacks outgrow their first allocations
+            tent = np.concatenate([np.arange(301), np.arange(299, -1, -1)]) / 300.0
+            e = np.stack([tent, tent**2, np.sqrt(tent)])
+        else:
+            e = _excursion_rows(300, 257, np.random.default_rng(3))
+
+        def draw():
+            rng = np.random.default_rng(40)
+            z = _snake_head_rows(e, rng).tobytes()
+            rng_ext = np.random.default_rng(40)
+            ext = [a.tobytes() for a in _snake_head_rows(e, rng_ext, keep_paths=False)]
+            return z, ext, rng.random(), rng_ext.random()
+
+        want = draw()
+        monkeypatch.setattr(snake_limit, "_HEAD_BLOCK", block)
+        assert draw() == want
+
     @pytest.mark.parametrize("batch", [0, -1])
     def test_extrema_reject_an_empty_batch(self, batch):
         with pytest.raises(ValueError, match="batch must be at least 1"):
@@ -290,6 +311,17 @@ class TestSnakeHead:
     def test_rejects_a_negative_sample_count(self, draw):
         with pytest.raises(ValueError, match="sample count must be nonnegative"):
             draw(64, -1, np.random.default_rng(0))
+
+    def test_extrema_memory_stays_under_thirteen_tenths_of_the_excursions(self):
+        # the excursion rows, the anchor stacks and a fixed block of scratch
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            sample_extrema(4096, 256, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * 256 * 4097 * 8
 
     def test_extrema_batch_matches_full_paths(self):
         sups, infs = sample_extrema(64, 300, np.random.default_rng(9), batch=100)
