@@ -122,8 +122,8 @@ def _snake_head_rows(
     the block needs plus one block more, one stack at a time and in place
     where the allocator can extend it (ndarray.resize), so two copies of
     both stacks never coexist.  The block's normals, transposed lifetimes,
-    rises and step-down mask are buffers of _HEAD_BLOCK rows, allocated
-    once per call and refilled in place block after block.
+    rises and step-down mask are buffers with a row per step of a block,
+    allocated once per call and refilled in place block after block.
     """
     count, mp1 = e.shape
     m = mp1 - 1
