@@ -273,6 +273,32 @@ class TestSampleSubcommand:
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    # recorded before every route handed its count and label rows to one
+    # conversion; Pbar-n-x at x = 0 is a positivity rejection
+    @pytest.mark.parametrize("flags, digest", [
+        (["P-n-x", "--n", "50"],
+         "69e147d4d6f8a99e6fb530e4f9ba81ed0acfca8e0940c43a9a79e21e7c15eee2"),
+        (["Pbar-n-x", "--n", "50", "--x", "0"],
+         "7196c61dcb82966a7f7c3a558027758e4c78784fe0439488200a090ec9f2e35e"),
+        (["P-x"], "e6c9094cac242c0797fc1604fbf2ffcd3030fa79cc3580748a68c505e71d81f4"),
+    ], ids=["P-n-x", "Pbar-n-x-0", "P-x"])
+    def test_normal_steps_keep_their_bytes(self, tmp_path, capsys, flags, digest):
+        out = tmp_path / "draws.csv"
+        assert run(["sample", "--measure", *flags, "--gamma", "normal", "--samples", "300",
+                    "--seed", "5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_rerooted_draws_print_the_root_label_as_given(self, tmp_path, capsys):
+        # Qbar-n is rooted at 0, printed as the integer it is given as, also
+        # when the re-rooted labels under normal steps are floats
+        out = tmp_path / "draws.csv"
+        assert run(["sample", "--measure", "Qbar-n", "--n", "3", "--gamma", "normal",
+                    "--samples", "20", "--seed", "5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 20 and all(r["labels"].startswith("0;") for r in rows)
+
     def test_sized_measure_requires_n(self, capsys):
         assert run(["sample", "--measure", "Pi-n", "--samples", "2",
                     "--seed", "1"]) == 2

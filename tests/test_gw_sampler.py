@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import tracemalloc
 from collections import Counter
@@ -566,6 +567,45 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 999 * 2001 * 8
+
+
+class TestStreamBytes:
+    """sha256 of sampler outputs, then of four more draws of the generator,
+    recorded before the rejection route and the batch reductions shared
+    one row contract: the contract changes no draw."""
+
+    # x = 2 keeps Pbar-n-x on the rejection route; 600 rows at n = 300 take
+    # 16882 attempts in 76 chunks, from 1200 rows (two label blocks) down to 16
+    CONDITIONED_ATTEMPTS = 16882
+
+    def test_conditioned_rows(self):
+        rng = rng_of(24)
+        draw = sample_measure("Pbar-n-x", GEO, U3, 300, 2, 600, rng)
+        assert hashlib.sha256(repr(draw).encode() + rng.random(4).tobytes()).hexdigest() == (
+            "9696010877d5fc2ce3e77808bd6c200fb625dc1efc48828d44e46385caf9dab8")
+        assert _conditioned_rows(GEO, U3, 300, 2, 600, rng_of(24))[-1] == self.CONDITIONED_ATTEMPTS
+
+    def test_conditioned_rows_end_at_their_budget(self, monkeypatch):
+        # a budget of exactly the attempts draws the same rows, one fewer raises
+        want = sample_measure("Pbar-n-x", GEO, U3, 300, 2, 600, rng_of(24))
+        monkeypatch.setattr(gw_sampler, "REJECTION_BUDGET", self.CONDITIONED_ATTEMPTS)
+        assert sample_measure("Pbar-n-x", GEO, U3, 300, 2, 600, rng_of(24)) == want
+        monkeypatch.setattr(gw_sampler, "REJECTION_BUDGET", self.CONDITIONED_ATTEMPTS - 1)
+        with pytest.raises(RejectionBudgetExhausted):
+            sample_measure("Pbar-n-x", GEO, U3, 300, 2, 600, rng_of(24))
+
+    # n = 2000 and 2500 draws: chunks of 999, 999 and 502 rows
+    @pytest.mark.parametrize("draw, digest", [
+        (lambda rng: repr(estimate_positive_probability(GEO, U3, 2000, 1, 2500, rng)).encode(),
+         "857fcf560d7335c26e5b463f9c00f4fdfd51af08452c5fddd8058c9d20b3bb7a"),
+        (lambda rng: sample_leaf_counts(GEO, 2000, 2500, rng).tobytes(),
+         "75249efd475a51282f1691fe698c754c87b0830b4820cf700b8610733f806614"),
+        (lambda rng: b"".join(a.tobytes() for a in sample_label_extrema(GEO, U3, 2000, 0, 2500, rng)),
+         "1dc6927442dc3ccb396965a37a74739475f0c2066d79cc278136f8e082e68aee"),
+    ], ids=["estimate_positive_probability", "sample_leaf_counts", "sample_label_extrema"])
+    def test_chunked_reductions(self, draw, digest):
+        rng = rng_of(25)
+        assert hashlib.sha256(draw(rng) + rng.random(4).tobytes()).hexdigest() == digest
 
 
 class TestQMeasures:
