@@ -21,25 +21,28 @@ labelled in groups hung under a virtual root (_forest_labels).
 
 Memory: the batch kernels fill their output one row block of at most
 2**18 entries at a time (plane_tree._row_blocks): the sized count rows, and
-the labels that sample_label_extrema, estimate_positive_probability and
-_conditioned_rows reduce block by block.  A chunk's count rows are then its
-only array of the chunk's size (16 MB for 999 rows at n = 2000, where
-sample_label_extrema's traced peak is about 29 MB).  The blocks change no
-draw: consecutive blocks of rng.random, standard_normal or integers draw
-what one call would, and the chunk sizes, which fix the order of the
-draws, are unchanged.
+the labels that _conditioned_rows and the batch reductions reduce block by
+block.  The reductions walk one generator of sized count rows in chunks
+(_sized_chunks), so a chunk's count rows are its only array of the chunk's
+size (16 MB for 999 rows at n = 2000, where sample_label_extrema's traced
+peak is about 29 MB).  The blocks change no draw: consecutive blocks of
+rng.random, standard_normal or integers draw what one call would, and the
+chunk sizes fix the order of the draws.
 
-sample_measure is the one route from a measure token to its draws.  The
-sized measures (Pi-n, P-n-x, Pbar-n-x, Q-n, Qbar-n) take a whole block of
-count rows and label rows from one kernel call.  The positivity-conditioned
-ones come from the paper's re-rooting identity under the geometric law
-(_rerooted_rows, at an acceptance flat in n), otherwise by
-rejection, both under an explicit attempt budget.  The kept draws are
-re-rooted at their minimum leaf on rows (_reroot_rows), by the formula of
-plane_tree._reroot_walk that also re-roots the grid snake; so are the
-weighted draws of sample_reroot_importance, and one keep test
-(_minimum_leaf) picks the draws that both re-root.  The object route of
-spatial_tree stays exact_enum's alone, an independent check.
+sample_measure is the one route from a measure token to its draws.  Every
+route hands it count and label arrays, rows or a forest, which it turns
+into tuples in one place.  The sized measures (Pi-n, P-n-x, Pbar-n-x, Q-n,
+Qbar-n) take a whole block of rows from one kernel call.  The
+positivity-conditioned ones come from the paper's re-rooting identity under
+the geometric law (_rerooted_rows, at an acceptance flat in n), otherwise
+by rejection (_conditioned_rows); both return their rows, labels and
+attempts, and raise RejectionBudgetExhausted once REJECTION_BUDGET attempts
+are spent.  The kept draws are re-rooted at their minimum leaf on rows
+(_reroot_rows), by the formula of plane_tree._reroot_walk that also
+re-roots the grid snake; so are the weighted draws of
+sample_reroot_importance, and one keep test (_minimum_leaf) picks the draws
+that both re-root.  The object route of spatial_tree stays exact_enum's
+alone, an independent check.
 """
 
 from __future__ import annotations
@@ -536,24 +539,26 @@ def _label_blocks(
 def _forest_labels(
     counts: np.ndarray, starts: np.ndarray, gamma: StepDistribution, x: Label,
     rng: np.random.Generator,
-) -> Iterator[tuple]:
-    """Label tuples of the trees of a forest from _forest, rooted at x.
+) -> np.ndarray:
+    """Labels of the trees of a forest from _forest, rooted at x: one array
+    aligned with counts.
 
     Each group of _tree_blocks hangs under a virtual root of weight 0 as
     one count row, labelled by one _subtree_ends and _path_sums call: a
     tree root has weight x, any other vertex the step on its edge.  Steps
     come one a vertex in stream order, a root's unused, as one call would.
     """
+    out = np.zeros(0, dtype=np.int64)  # an empty forest has no group
     for first, stop in _tree_blocks(starts):
         row = np.concatenate(([stop - first], counts[starts[first] : starts[stop]]))
-        roots = starts[first : stop + 1] - (starts[first] - 1)  # then the row's end
         steps = gamma.sample(rng, len(row) - 1)
         w = np.zeros(len(row), dtype=np.result_type(steps, x))
         w[1:] = steps
-        w[roots[:-1]] = x
-        labels = _path_sums(_subtree_ends(row[None]), w[None])[0].tolist()
-        for a, b in zip(roots[:-1].tolist(), roots[1:].tolist()):
-            yield (x, *labels[a + 1 : b])
+        w[starts[first:stop] - (starts[first] - 1)] = x
+        if first == 0:  # the first group's weights give the dtype
+            out = np.empty(len(counts), dtype=w.dtype)
+        out[starts[first] : starts[stop]] = _path_sums(_subtree_ends(row[None]), w[None])[0, 1:]
+    return out
 
 
 def _positive(labels: np.ndarray) -> np.ndarray:
@@ -568,43 +573,57 @@ def _conditioned_rows(
     x: Label,
     count: int,
     rng: np.random.Generator,
-    max_attempts: Optional[int] = None,
     count_rows=_sized_count_rows,
-) -> tuple[list[tuple[tuple, tuple]], int]:
-    """Accepted (counts, labels) rows with positivity, and the attempt total.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """count draws with positive non-root labels by rejection: (rows,
+    labels, attempts).
 
-    Rejection from the trees count_rows(mu, n, rng, k) draws, the
-    size-conditioned law by default, spending at most max_attempts
-    attempts (REJECTION_BUDGET when left out), so fewer than count rows
-    come back when the budget runs out.  The root label x must be
-    nonnegative, and a zero-edge draw is vacuously accepted.
+    The attempts are trees count_rows(mu, n, rng, k) draws, the
+    size-conditioned law by default, labelled from root label x, which must
+    be nonnegative; a zero-edge draw is vacuously kept.  Attempts, counted
+    up to the last kept draw, come in chunks of max(16, min(cap, twice the
+    draws still wanted)) rows, every label block of a chunk drawn, so where
+    the wanted count is reached changes no draw.  RejectionBudgetExhausted
+    is raised once REJECTION_BUDGET attempts keep fewer than count draws.
     """
     if x < 0:
         raise NegativeRootLabel("root label must be nonnegative for positivity conditioning")
-    if n == 0:
-        return [((0,), (x,)) for _ in range(count)], count
-    budget = REJECTION_BUDGET if max_attempts is None else max_attempts
-    out: list[tuple[tuple, tuple]] = []
-    attempts = 0
+    if n == 0 or count == 0:  # vacuously positive, or nothing wanted
+        return np.zeros((count, n + 1), dtype=np.int64), np.full((count, n + 1), x), count
+    kept_rows, kept_labels = [], []
+    kept = attempts = 0
     cap = max(64, min(8192, 1_000_000 // (n + 1)))
-    while len(out) < count and attempts < budget:
-        chunk = max(16, min(cap, 2 * (count - len(out))))
+    while kept < count:
+        if attempts >= REJECTION_BUDGET:
+            raise RejectionBudgetExhausted(
+                f"{kept} of {count} positive draws at n={n} kept in {attempts} attempts")
+        chunk = max(16, min(cap, 2 * (count - kept)))
         rows = count_rows(mu, n, rng, chunk)
-        # rows are attempts in order, up to the wanted count or the budget;
-        # every block is labelled, so the chunk's draws do not depend on
-        # where the wanted count is reached
-        look = min(chunk, budget - attempts)
+        look = min(chunk, REJECTION_BUDGET - attempts)  # the attempts left
         last = -1
         for start, labels in _label_blocks(rows, gamma, x, rng):
-            ok = _positive(labels[: max(0, look - start)])
-            hits = np.flatnonzero(ok)[: count - len(out)]
+            hits = np.flatnonzero(_positive(labels[: max(0, look - start)]))[: count - kept]
             if len(hits):
                 last = start + int(hits[-1])
-            out.extend(
-                (tuple(rows[start + i].tolist()), (x, *labels[i, 1:].tolist())) for i in hits
-            )
-        attempts += last + 1 if len(out) == count else look
-    return out, attempts
+            kept_rows.append(rows[start + hits])
+            kept_labels.append(labels[hits])
+            kept += len(hits)
+        attempts += last + 1 if kept == count else look
+    return np.concatenate(kept_rows), np.concatenate(kept_labels), attempts
+
+
+def _sized_chunks(
+    mu: OffspringDistribution, n: int, total: int, rng: np.random.Generator,
+    least: int, most: int,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(done, rows): total sized count rows with n edges in consecutive
+    chunks of max(least, min(most, 2_000_000 // (n + 1))) rows, done rows
+    before each."""
+    if n < 0:
+        raise ValueError("edge count must be nonnegative")
+    chunk = max(least, min(most, 2_000_000 // (n + 1)))
+    for done in range(0, total, chunk):
+        yield done, _sized_count_rows(mu, n, rng, min(chunk, total - done))
 
 
 def estimate_positive_probability(
@@ -616,19 +635,12 @@ def estimate_positive_probability(
     rng: np.random.Generator,
 ) -> int:
     """How many of the given number of conditioned draws keep labels positive."""
-    if n < 0:
-        raise ValueError("edge count must be nonnegative")
     if n == 0:
         return attempts
     accepted = 0
-    done = 0
-    chunk = max(64, min(16384, 2_000_000 // (n + 1)))
-    while done < attempts:
-        take = min(chunk, attempts - done)
-        rows = _sized_count_rows(mu, n, rng, take)
+    for _, rows in _sized_chunks(mu, n, attempts, rng, 64, 16384):
         for _, labels in _label_blocks(rows, gamma, x, rng):
             accepted += int(_positive(labels).sum())
-        done += take
     return accepted
 
 
@@ -641,20 +653,13 @@ def sample_label_extrema(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample (min, max) label over the whole tree under the sized law."""
-    if n < 0:
-        raise ValueError("edge count must be nonnegative")
     mins = np.empty(samples)
     maxs = np.empty(samples)
-    done = 0
-    chunk = max(16, min(8192, 2_000_000 // (n + 1)))
-    while done < samples:
-        take = min(chunk, samples - done)
-        rows = _sized_count_rows(mu, n, rng, take)
+    for done, rows in _sized_chunks(mu, n, samples, rng, 16, 8192):
         for start, labels in _label_blocks(rows, gamma, x, rng):
             at = slice(done + start, done + start + len(labels))
             mins[at] = labels.min(axis=1)
             maxs[at] = labels.max(axis=1)
-        done += take
     return mins, maxs
 
 
@@ -665,16 +670,9 @@ def sample_leaf_counts(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Leaf counts of size-conditioned trees (childless non-root vertices)."""
-    if n < 0:
-        raise ValueError("edge count must be nonnegative")
     out = np.empty(samples, dtype=np.int64)
-    done = 0
-    chunk = max(16, min(8192, 2_000_000 // (n + 1)))
-    while done < samples:
-        take = min(chunk, samples - done)
-        rows = _sized_count_rows(mu, n, rng, take)
-        out[done : done + take] = (rows == 0).sum(axis=1) - (rows[:, 0] == 0)
-        done += take
+    for done, rows in _sized_chunks(mu, n, samples, rng, 16, 8192):
+        out[done : done + len(rows)] = (rows == 0).sum(axis=1) - (rows[:, 0] == 0)
     return out
 
 
@@ -823,18 +821,18 @@ def sample_measure(
     count: int,
     rng: np.random.Generator,
 ) -> tuple[list[tuple[int, ...]], Optional[list[tuple]]]:
-    """count draws from the named measure: preorder count rows, and label
-    rows (None for the plain-tree measures Pi and Pi-n).
+    """count draws from the named measure: preorder count tuples, and label
+    tuples (None for the plain-tree measures Pi and Pi-n).
 
-    The sized measures draw the whole block through the row kernel, the
-    unsized ones cut it from one count stream (_forest, _forest_labels), a
-    Q tree adding a root above a tree of the stream.  Under the geometric
-    law, Qbar-n comes from _rerooted_rows, re-rooted by _reroot_rows, and
-    so does Pbar-n-x at x = 1 for steps in {-1, 0, 1}, as Qbar_{n+1}
-    without its root edge; the other Pbar-n-x and Qbar-n draws are
-    positivity rejections.  Either way at most REJECTION_BUDGET attempts
-    are spent.  The single-child-root family Q is rooted at label 0, the
-    others at x.
+    The unsized measures cut their trees from one count stream (_forest,
+    _forest_labels), a Q tree adding a root above a tree of the stream; the
+    sized ones draw rows.  Under the geometric law Qbar-n comes from
+    _rerooted_rows, re-rooted by _reroot_rows, and so does Pbar-n-x at x = 1
+    for steps in {-1, 0, 1}, as Qbar_{n+1} without its root edge; the other
+    Pbar-n-x and Qbar-n draws are rejections (_conditioned_rows).  Either
+    route raises RejectionBudgetExhausted past REJECTION_BUDGET attempts.
+    One conversion turns every route's arrays into tuples, each tree at the
+    root label asked for: 0 for the single-child-root family Q, x otherwise.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, pick from {MEASURES}")
@@ -844,35 +842,34 @@ def sample_measure(
         if measure == "Q":  # a root with one child above each tree
             counts = np.insert(counts, starts[:-1], 1)
             starts += np.arange(count + 1)
-        flat, ends = counts.tolist(), starts.tolist()
-        trees = [tuple(flat[a:b]) for a, b in zip(ends[:-1], ends[1:])]
-        labels = None if measure == "Pi" else list(_forest_labels(counts, starts, gamma, root, rng))
-        return trees, labels
-    if n is None or n < SIZED_MEASURES[measure]:
-        raise ValueError(f"measure {measure} needs n at least {SIZED_MEASURES[measure]}")
-    # with steps in {-1, 0, 1} the root's child in Qbar_{n+1} is at label 1,
-    # and the tree below it is Pbar_{n,1}
-    unit = gamma.exact and set(gamma.support) <= {-1, 0, 1}
-    if mu.is_geometric and (measure == "Qbar-n" or (measure == "Pbar-n-x" and x == 1 and unit)):
+        labels = None if measure == "Pi" else _forest_labels(counts, starts, gamma, root, rng)
+    else:
+        if n is None or n < SIZED_MEASURES[measure]:
+            raise ValueError(f"measure {measure} needs n at least {SIZED_MEASURES[measure]}")
+        # with steps in {-1, 0, 1} the root's child in Qbar_{n+1} is at
+        # label 1, and the tree below it is Pbar_{n,1}
+        unit = gamma.exact and set(gamma.support) <= {-1, 0, 1}
         cut = int(measure == "Pbar-n-x")  # the root edge to drop
-        rows, labels = _reroot_rows(*_rerooted_rows(gamma, n + cut, count, rng)[:3])
-        return ([tuple(r[cut:]) for r in rows.tolist()],
-                [tuple(l[cut:]) for l in labels.tolist()])
-    count_rows = _q_count_rows if measure.startswith("Q") else _sized_count_rows
-    if measure in ("Pbar-n-x", "Qbar-n"):
-        got, attempts = _conditioned_rows(mu, gamma, n, root, count, rng, count_rows=count_rows)
-        if len(got) < count:
-            raise RejectionBudgetExhausted(
-                f"{len(got)} accepted of {count} wanted in {attempts} attempts"
-                f" of {measure} at n={n}"
-            )
-        return [c for c, _ in got], [l for _, l in got]
-    rows = count_rows(mu, n, rng, count)
-    counts = [tuple(r) for r in rows.tolist()]
-    if measure == "Pi-n":
-        return counts, None
-    return counts, [(root, *r[1:]) for _, labels in _label_blocks(rows, gamma, root, rng)
-                    for r in labels.tolist()]
+        count_rows = _q_count_rows if measure.startswith("Q") else _sized_count_rows
+        if mu.is_geometric and (measure == "Qbar-n" or (cut and x == 1 and unit)):
+            rows, labels = _reroot_rows(*_rerooted_rows(gamma, n + cut, count, rng)[:3])
+            rows, labels = rows[:, cut:], labels[:, cut:]
+        elif measure in ("Pbar-n-x", "Qbar-n"):
+            rows, labels, _ = _conditioned_rows(mu, gamma, n, root, count, rng, count_rows)
+        else:
+            rows = count_rows(mu, n, rng, count)
+            # the empty int64 piece stands for count = 0 and takes the blocks' dtype
+            labels = None if measure == "Pi-n" else np.concatenate(
+                [np.zeros((0, n + 1), dtype=np.int64),
+                 *(block for _, block in _label_blocks(rows, gamma, root, rng))])
+        counts, starts = rows.ravel(), rows.shape[1] * np.arange(count + 1)
+    flat, ends = counts.tolist(), starts.tolist()
+    spans = list(zip(ends[:-1], ends[1:]))
+    trees = [tuple(flat[a:b]) for a, b in spans]
+    if labels is None:
+        return trees, None
+    flat = labels.ravel().tolist()
+    return trees, [(root, *flat[a + 1 : b]) for a, b in spans]
 
 
 def spawn_rngs(seed: int, streams: int) -> list[np.random.Generator]:

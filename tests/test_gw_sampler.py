@@ -234,31 +234,30 @@ class TestUnconditioned:
         counts, starts = _forest(GEO, 2000, rng)
         assert len(starts) == 2001 and starts[0] == 0 and starts[-1] == len(counts)
         steps = U3.sample(copy.deepcopy(rng), len(counts)).tolist()
-        labels = list(_forest_labels(counts, starts, U3, 1, rng))
-        assert len(labels) == 2000
-        for a, b, got in zip(starts[:-1].tolist(), starts[1:].tolist(), labels):
+        labels = _forest_labels(counts, starts, U3, 1, rng).tolist()
+        assert len(labels) == len(counts)
+        for a, b in zip(starts[:-1].tolist(), starts[1:].tolist()):
             t = PlaneTree(tuple(counts[a:b].tolist()))  # validates the counts
             want = [1] * t.size
             for i in range(1, t.size):
                 want[i] = want[t.parent_index[i]] + steps[a + i]
-            assert got == tuple(want)
+            assert labels[a:b] == want
 
     def test_labelling_memory_stays_within_a_few_groups(self):
         # 20,000 trees of 100 vertices; labelled all at once, the 2 million
         # vertices would peak near 100 MB, while a group of at most 2**18
         # vertices keeps the temporaries under 16 words a group vertex
+        # beside the one word a vertex of the labels returned
         counts = _sized_count_rows(GEO, 99, rng_of(3), 20_000).ravel()
         starts = np.arange(0, len(counts) + 1, 100)
-        for _ in _forest_labels(counts[:1000], starts[:11], U3, 0, rng_of(4)):
-            pass  # first-call allocations
+        _forest_labels(counts[:1000], starts[:11], U3, 0, rng_of(4))  # first-call allocations
         tracemalloc.start()
         try:
-            for _ in _forest_labels(counts, starts, U3, 0, rng_of(4)):
-                pass
+            _forest_labels(counts, starts, U3, 0, rng_of(4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 8 * (plane_tree._BLOCK_ENTRIES + 1)
+        assert peak < 8 * len(counts) + 16 * 8 * (plane_tree._BLOCK_ENTRIES + 1)
 
 
 def unsized_law(measure: str, gamma: StepDistribution, x) -> dict:
@@ -373,7 +372,7 @@ def forest_of(trees) -> tuple[np.ndarray, np.ndarray]:
 class TestLabels:
     def test_labels_follow_edges(self):
         t = build_tree((2, 3, 0, 2, 0, 0, 0, 0))
-        [labels] = _forest_labels(*forest_of([t]), U3, 5, rng_of(2))
+        labels = _forest_labels(*forest_of([t]), U3, 5, rng_of(2)).tolist()
         vs = addresses(t.counts)
         for k, v in enumerate(vs[1:], 1):
             step = labels[k] - labels[vs.index(v[:-1])]
@@ -381,7 +380,7 @@ class TestLabels:
         assert labels[0] == 5
 
     def test_singleton(self):
-        assert list(_forest_labels(*forest_of([build_tree((0,))]), U3, 3, rng_of(0))) == [(3,)]
+        assert _forest_labels(*forest_of([build_tree((0,))]), U3, 3, rng_of(0)).tolist() == [3]
 
     def test_row_labels_match_object_route(self):
         rng = rng_of(4)
@@ -403,13 +402,13 @@ class TestLabels:
         for size in range(1, 10):
             trees = list(enumerate_trees(size))
             steps = gamma.sample(rng_of(size), (len(trees), size)).tolist()
-            got = list(_forest_labels(*forest_of(trees), gamma, 2, rng_of(size)))
-            assert len(got) == len(trees)
-            for t, step, labels in zip(trees, steps, got):
+            got = _forest_labels(*forest_of(trees), gamma, 2, rng_of(size))
+            assert got.shape == (len(trees) * size,)
+            for t, step, labels in zip(trees, steps, got.reshape(-1, size).tolist()):
                 want = [2] * t.size
                 for i in range(1, t.size):
                     want[i] = want[t.parent_index[i]] + step[i]
-                assert labels == tuple(want)
+                assert labels == want
 
     def test_normal_labels_agree_with_the_recursion(self):
         rng = rng_of(8)
@@ -428,25 +427,24 @@ class TestLabels:
 class TestConditioned:
     def test_one_edge_law(self):
         n_draws = 20_000
-        batch, _ = _conditioned_rows(GEO, U3, 1, 1, n_draws, rng_of(6))
-        freq = Counter(labels for _, labels in batch)
+        _, labels, _ = _conditioned_rows(GEO, U3, 1, 1, n_draws, rng_of(6))
+        freq = Counter(map(tuple, labels.tolist()))
         assert set(freq) == {(1, 1), (1, 2)}
         se = math.sqrt(0.25 / n_draws)
         assert abs(freq[(1, 1)] / n_draws - 0.5) < 4 * se
 
     def test_zero_edges_vacuous(self):
-        batch, _ = _conditioned_rows(GEO, U3, 0, 0, 1, rng_of(0))
-        assert batch == [((0,), (0,))]
+        rows, labels, attempts = _conditioned_rows(GEO, U3, 0, 0, 1, rng_of(0))
+        assert (rows.tolist(), labels.tolist(), attempts) == ([[0]], [[0]], 1)
 
-    def test_negative_root_rejected(self):
+    def test_negative_root_rejected(self, monkeypatch):
+        monkeypatch.setattr(gw_sampler, "REJECTION_BUDGET", 10)
         with pytest.raises(NegativeRootLabel):
-            _conditioned_rows(GEO, U3, 2, -1, 1, rng_of(0), max_attempts=10)
+            _conditioned_rows(GEO, U3, 2, -1, 1, rng_of(0))
 
     def test_negative_root_rejected_before_any_attempt(self):
         # no child of a root at -1 is positive under uniform3, so rejection
-        # would spend the whole budget, REJECTION_BUDGET when none is given
-        with pytest.raises(NegativeRootLabel):
-            _conditioned_rows(GEO, U3, 3, -1, 2, rng_of(0), max_attempts=200_000)
+        # would spend the whole of REJECTION_BUDGET
         with pytest.raises(NegativeRootLabel):
             _conditioned_rows(GEO, U3, 3, -1, 2, rng_of(0))
 
@@ -455,24 +453,29 @@ class TestConditioned:
         monkeypatch.setattr(gw_sampler, "REJECTION_BUDGET", 3)
         with pytest.raises(RejectionBudgetExhausted):
             sample_measure("Pbar-n-x", GEO, U3, 100, 0, 1, rng_of(1))
+        with pytest.raises(RejectionBudgetExhausted, match="0 of 1 positive draws at n=100"):
+            _conditioned_rows(GEO, U3, 100, 0, 1, rng_of(1))
 
-    def test_attempts_end_at_the_last_acceptance(self):
+    def test_attempts_end_at_the_last_acceptance(self, monkeypatch):
         # attempts count the rows up to the last accepted one, so a budget of
-        # exactly that many reproduces the draw and one fewer loses its last row
-        rows, attempts = _conditioned_rows(GEO, U3, 20, 1, 30, rng_of(5))
-        assert len(rows) == 30 and attempts > 30
-        assert _conditioned_rows(GEO, U3, 20, 1, 30, rng_of(5), max_attempts=attempts) == (
-            rows, attempts)
-        cut, spent = _conditioned_rows(GEO, U3, 20, 1, 30, rng_of(5), max_attempts=attempts - 1)
-        assert (cut, spent) == (rows[:-1], attempts - 1)
+        # exactly that many reproduces the draw and one fewer raises
+        rows, labels, attempts = _conditioned_rows(GEO, U3, 20, 1, 30, rng_of(5))
+        assert rows.shape == labels.shape == (30, 21) and attempts > 30
+        monkeypatch.setattr(gw_sampler, "REJECTION_BUDGET", attempts)
+        again = _conditioned_rows(GEO, U3, 20, 1, 30, rng_of(5))
+        assert [a.tobytes() for a in again[:2]] == [rows.tobytes(), labels.tobytes()]
+        assert again[2] == attempts
+        monkeypatch.setattr(gw_sampler, "REJECTION_BUDGET", attempts - 1)
+        with pytest.raises(RejectionBudgetExhausted, match=f"29 of 30 .* in {attempts - 1} attempts"):
+            _conditioned_rows(GEO, U3, 20, 1, 30, rng_of(5))
 
     def test_batch_route_matches_exact_law(self):
         # total variation against the enumerated conditional law at n=2
         law = conditional_label_law(2, GEO, U3, x=1)
         n_draws = 50_000
-        batch, attempts = _conditioned_rows(GEO, U3, 2, 1, n_draws, rng_of(8))
+        rows, labels, attempts = _conditioned_rows(GEO, U3, 2, 1, n_draws, rng_of(8))
         assert attempts >= n_draws
-        freq = Counter(batch)
+        freq = Counter(zip(map(tuple, rows.tolist()), map(tuple, labels.tolist())))
         tv = sum(
             abs(freq.get(k, 0) / n_draws - float(p)) for k, p in law.items()
         ) + sum(freq[k] / n_draws for k in freq if k not in law)
@@ -517,8 +520,8 @@ class TestPipelines:
         assert counts.tolist() == expect
 
     def test_conditioned_rows_zero_edges(self):
-        rows, attempts = _conditioned_rows(GEO, U3, 0, 2, 3, rng_of(0))
-        assert rows == [((0,), (2,))] * 3
+        rows, labels, attempts = _conditioned_rows(GEO, U3, 0, 2, 3, rng_of(0))
+        assert rows.tolist() == [[0]] * 3 and labels.tolist() == [[2]] * 3
         assert attempts == 3
 
 
@@ -552,7 +555,8 @@ class TestRowBlocks:
 
     def test_conditioned_rows_and_their_attempts(self, monkeypatch):
         self.assert_block_free(
-            monkeypatch, lambda rng: _conditioned_rows(GEO, U3, 300, 1, 5, rng, max_attempts=900)
+            monkeypatch,
+            lambda rng: [np.asarray(a).tobytes() for a in _conditioned_rows(GEO, U3, 300, 1, 5, rng)],
         )
 
     def test_label_extrema_memory_stays_near_the_count_rows(self):

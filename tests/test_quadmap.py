@@ -59,8 +59,9 @@ def labelled_trees(n):
 
 def rejection_trees(n, count, rng):
     """count well-labelled trees with n edges by positivity rejection."""
-    rows, _ = _conditioned_rows(GEO, U3, n, 1, count, rng)
-    return [SpatialTree(PlaneTree(c), l) for c, l in rows]
+    rows, labels, _ = _conditioned_rows(GEO, U3, n, 1, count, rng)
+    return [SpatialTree(PlaneTree(tuple(c)), tuple(l))
+            for c, l in zip(rows.tolist(), labels.tolist())]
 
 
 def radius_and_distance(q, pick):
@@ -280,7 +281,8 @@ class TestUniformSampling:
         # the rejection oracle and the sampler's trees, each against the
         # same bound; a map is built once per distinct drawn tree
         draws = 100_000
-        rejection, _ = _conditioned_rows(GEO, U3, 2, 1, draws, np.random.default_rng(2026))
+        rejection = zip(*(a.tolist() for a in
+                          _conditioned_rows(GEO, U3, 2, 1, draws, np.random.default_rng(2026))[:2]))
         sampled = zip(*sample_measure("Pbar-n-x", GEO, U3, 2, 1, draws, np.random.default_rng(2026)))
         se = (draws * (1 / 9) * (8 / 9)) ** 0.5
         for trees in (rejection, sampled):

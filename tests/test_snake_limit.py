@@ -399,7 +399,8 @@ class TestVerwaatReroot:
 
     def test_memory_stays_under_three_result_arrays(self):
         # the two result arrays, plus one row block of re-rooting temporaries
-        # and the head sampler's anchor stacks
+        # and the head sampler's anchor stacks: about 2.38 result arrays, so
+        # a bound of 2.5 fails a rise of an eighth of a result array
         rng = np.random.default_rng(1)
         tracemalloc.start()
         try:
@@ -407,7 +408,7 @@ class TestVerwaatReroot:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 1000 * 4097 * 8
+        assert peak <= 2.5 * 1000 * 4097 * 8
 
 
 class TestKolmogorovSmirnov:
