@@ -16,9 +16,10 @@ gw_sampler's SIZED_MEASURES; the others take no --n.
 Exit status: 0 when the requested checks pass (or a pure sampling run
 completes), 1 when a verification or comparison fails, a sampler runs out
 of its rejection budget or a size or sample count passes plane_tree's
-MAX_VERTICES (checked before the rows are allocated), 2 for usage errors
-and inputs outside a sampler's domain.  Those errors print one line; any
-other exception keeps its traceback.
+MAX_VERTICES (checked before the rows are allocated; `verify` checks the
+closed-form count of what it would enumerate before it starts), 2 for
+usage errors and inputs outside a sampler's domain.  Those errors print
+one line; any other exception keeps its traceback.
 """
 
 from __future__ import annotations
@@ -249,11 +250,50 @@ def _quad_battery_report(n: int) -> dict:
     }
 
 
+# what each identity enumerates, as the size budget counts it
+_VERIFY_ITEMS = {"reroot": "atoms", "reroot-closed": "atoms", "size-law": "trees",
+                 "census": "well-labelled trees", "quad": "maps"}
+
+
+def _verify_items(identity: str, n: int, gamma: StepDistribution) -> int:
+    """How many items verify enumerates at --n n, by closed form.
+
+    The re-rooting identities run over the |support|^n Cat(n-1) labelled
+    single-child-root trees with n edges, the quad battery over the
+    2 3^n Cat(n)/(n+2) well-labelled trees with n edges (one map each),
+    the census over the well-labelled trees with 1..n edges and the size
+    law over the trees with 1..n vertices.
+    """
+    if identity in ("reroot", "reroot-closed"):
+        return len(gamma.support) ** n * _catalan(n - 1)
+    if identity == "size-law":
+        return sum(_catalan(k - 1) for k in range(1, n + 1))
+    sizes = range(1, n + 1) if identity == "census" else (n,)
+    return sum(2 * 3**k * _catalan(k) // (k + 2) for k in sizes)
+
+
+def _check_verify_size(identity: str, n: int, gamma: StepDistribution) -> None:
+    # the counts grow with n, so sizes are tried upwards and the first one
+    # past the budget is named: the count at a huge --n is never computed
+    for k in range(1, n + 1):
+        items = _verify_items(identity, k, gamma)
+        if items > MAX_VERTICES:
+            raise SizeOverflow(
+                f"--n {n} passes the budget of {MAX_VERTICES} "
+                f"{_VERIFY_ITEMS[identity]} ({items} at --n {k})"
+            )
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     mu = _offspring(args.mu)
     gamma = _step(args.gamma)
     if args.n < 1:
         raise UsageError("need --n at least 1")
+    if args.identity in ("size-law", "census", "quad") and args.gamma != "uniform3":
+        # the census and the battery are statements about steps in
+        # {-1, 0, 1}, and the size law has no steps
+        raise UsageError(f"identity {args.identity} takes only --gamma uniform3")
+    _check_verify_size(args.identity, args.n, gamma)
     if args.identity == "reroot":
         report = verify_reroot_identity(args.n, mu, gamma)
     elif args.identity == "reroot-closed":

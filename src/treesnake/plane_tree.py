@@ -16,7 +16,6 @@ along contour_order, and tree_of_contour decodes them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,6 +35,30 @@ class VertexNotInTree(ValueError):
 
 class SizeOverflow(RuntimeError):
     """A tree, or a row of a batch, would pass the MAX_VERTICES budget."""
+
+
+class cached:
+    """A derived structure of a frozen object, computed on first access and
+    kept in the instance dict, where every later read finds it first.
+
+    functools.cached_property does the same under a lock that Python 3.11
+    takes on every first access, a cost paid per object by the exact
+    batteries, which derive a few structures of each of thousands of small
+    objects; Python 3.12 dropped that lock.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 def _check_counts(counts: tuple[int, ...]) -> None:
@@ -272,7 +295,7 @@ class PlaneTree:
         """Contour walk duration, twice the edge count."""
         return 2 * (len(self.counts) - 1)
 
-    @cached_property
+    @cached
     def _arrays(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         return tuple(tuple(a) for a in contour_arrays(self.counts))
 
@@ -289,7 +312,7 @@ class PlaneTree:
         """Index of the vertex under the particle at each contour time 0..zeta."""
         return self._arrays[2]
 
-    @cached_property
+    @cached
     def _visits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         first = [-1] * self.size
         last = [-1] * self.size
@@ -299,7 +322,7 @@ class PlaneTree:
             last[i] = t
         return tuple(first), tuple(last)
 
-    @cached_property
+    @cached
     def corners(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex's corners: the contour times 0..zeta-1 at which the
         particle sits at it, in order (the root's closing time zeta is not

@@ -16,11 +16,13 @@ edges are scaffolding only.  The local arc order follows from drawing the
 arcs without crossings in the region around the tree: arc ends at a corner
 sort by how far away their other endpoint sits along the contour cycle.
 The inverse walks the faces of the map: each face contributes exactly one
-tree edge, read off its label pattern around the face.  The handedness
-(children kept in order, inverse fans read by ascending angular offset, a
-simple face's tree edge leaving the corner after its lowest one) is pinned
-by the round-trip and distance battery in the tests; flipping any part of
-it breaks face degrees or the round trip on small cases.
+tree edge, read off its label pattern around the face, and the tree is
+reassembled by one walk around each vertex's rotation.  The handedness
+(children kept in order, each vertex's edge ends read in rotation order
+from its edge up, a simple face's tree edge leaving the corner after its
+lowest one) is pinned by the round-trip and distance battery in the
+tests; flipping any part of it breaks face degrees or the round trip on
+small cases.
 
 Distances in the map from the extra vertex coincide with the tree labels,
 which is what makes the encoding useful for metric questions.
@@ -40,11 +42,10 @@ draws of gw_sampler._rerooted_rows.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -55,7 +56,7 @@ from treesnake.gw_sampler import (
     _rerooted_rows,
     sample_measure,
 )
-from treesnake.plane_tree import PlaneTree, enumerate_trees
+from treesnake.plane_tree import PlaneTree, cached, enumerate_trees
 from treesnake.spatial_tree import SpatialTree
 
 
@@ -85,14 +86,12 @@ class PlanarQuadrangulation:
         if not (0 <= self.root_dart < m):
             raise NotAQuadrangulation("root dart out of range")
 
-    @cached_property
-    def _rotations(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    @cached
+    def _rotations(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """One pass over the sigma orbits: each dart's vertex id (ids in
-        discovery order), its position in its orbit counted from the orbit's
-        first dart, and each vertex's degree."""
+        discovery order) and each vertex's degree."""
         m = 4 * self.n
         origin = [-1] * m
-        pos = [0] * m
         degree: list[int] = []
         for d in range(m):
             if origin[d] >= 0:
@@ -102,11 +101,10 @@ class PlanarQuadrangulation:
             i = 0
             while origin[e] < 0:
                 origin[e] = v
-                pos[e] = i
                 i += 1
                 e = self.sigma[e]
             degree.append(i)
-        return tuple(origin), tuple(pos), tuple(degree)
+        return tuple(origin), tuple(degree)
 
     @property
     def vertex_of(self) -> tuple[int, ...]:
@@ -115,14 +113,14 @@ class PlanarQuadrangulation:
 
     @property
     def n_vertices(self) -> int:
-        return len(self._rotations[2])
+        return len(self._rotations[1])
 
-    @cached_property
+    @cached
     def root_distances(self) -> tuple[int, ...]:
         """Graph distance from the root vertex to each vertex, by vertex id."""
         return _bfs_distances(self, self.vertex_of[self.root_dart])
 
-    @cached_property
+    @cached
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the face permutation (alpha then sigma)."""
         sigma, alpha = self.sigma, self.alpha
@@ -163,20 +161,29 @@ class PlanarQuadrangulation:
 
 
 def enumerate_well_labelled(n: int) -> Iterator[SpatialTree]:
-    """Every well-labelled tree with n edges, in plane-tree enumeration order."""
+    """Every well-labelled tree with n edges, in plane-tree enumeration order.
+
+    The labels of a shape are extended depth-first in preorder, increments
+    -1, 0, 1 in turn, and a branch is cut as soon as a label falls below 1:
+    the order of the filtered increment tuples of itertools.product.
+    """
     if n < 1:
         raise ValueError("need at least one edge")
     for tree in enumerate_trees(n + 1):
         parent = tree.parent_index
-        for incs in itertools.product((-1, 0, 1), repeat=n):
-            labels = [1] + [0] * n
-            for i in range(1, n + 1):
-                l = labels[parent[i]] + incs[i - 1]
-                if l < 1:
-                    break
-                labels[i] = l
-            else:
+        labels = [1] * (n + 1)
+        stack = [(0, 1)]  # (vertex, label), the next to try on top
+        while stack:
+            i, l = stack.pop()
+            labels[i] = l
+            if i == n:
                 yield SpatialTree(tree, tuple(labels))
+                continue
+            base = labels[parent[i + 1]]
+            stack.append((i + 1, base + 1))
+            stack.append((i + 1, base))
+            if base > 1:
+                stack.append((i + 1, base - 1))
 
 
 def cvs_build(wt: SpatialTree, n: Optional[int] = None) -> PlanarQuadrangulation:
@@ -265,7 +272,7 @@ def _bfs_distances(q: PlanarQuadrangulation, start_vertex: int) -> tuple[int, ..
     """Graph distance from start_vertex to each vertex, by vertex id: each
     vertex's neighbours are read off a walk of its degree around its
     rotation, which stays finite on any sigma, checked or not."""
-    origin, _, degree = q._rotations
+    origin, degree = q._rotations
     sigma, alpha = q.sigma, q.alpha
     dist = [-1] * len(degree)
     dist[start_vertex] = 0
@@ -347,64 +354,79 @@ def cvs_inverse(q: PlanarQuadrangulation) -> SpatialTree:
     one tree edge read from its label pattern: a face seen from its lowest
     corner reads (l, l+1, l+2, l+1) (the edge joins the l+2 corner to one
     of its l+1 neighbours) or (l, l+1, l, l+1) (the edge is the diagonal
-    between the two l+1 corners).  The embedded tree is reassembled from
-    the angular positions of those edge ends around each vertex.
+    between the two l+1 corners).  Each edge end sits in a slot of its
+    vertex's rotation, 2d for dart d or 2d+1 for the corner after dart d;
+    the embedded tree is reassembled by one walk around each vertex's
+    rotation, from the slot of its edge up (for the root, the root edge).
     """
     q.validate()
-    # each dart's vertex and position in its rotation cycle, and the cycle lengths
-    origin, pos, cycle_len = q._rotations
-    alpha = q.alpha
+    origin = q.vertex_of
+    sigma, alpha = q.sigma, q.alpha
     dist = q.root_distances
+    lab = [dist[v] for v in origin]  # each dart's origin label
 
-    # one tree edge per face, edge e with ends 2e and 2e + 1, each a vertex
-    # and an angular key around it: twice a dart's position for the dart,
-    # one more for the corner after it
-    ends: list[tuple[int, int]] = []
+    # one tree edge per face, edge e with ends 2e and 2e + 1 at the slots
+    # ends[2e] and ends[2e + 1]
+    ends: list[int] = []
     for face in q.faces:
-        labs = [dist[origin[d]] for d in face]
+        w, x, y, z = face  # validated: four darts each
+        labs = [lab[w], lab[x], lab[y], lab[z]]
         l = min(labs)
         i = labs.index(l)
-        rot = face[i:] + face[:i]
-        pattern = labs[i:] + labs[:i]
-        if pattern == [l, l + 1, l + 2, l + 1]:
-            d, e = rot[1], alpha[rot[1]]
-            ends += ((origin[d], 2 * pos[d]), (origin[e], 2 * pos[e]))
-        elif pattern == [l, l + 1, l, l + 1]:
-            # the two l+1 corners, each after the dart arriving there
-            a, b = alpha[rot[0]], alpha[rot[2]]
-            ends += ((origin[a], 2 * pos[a] + 1), (origin[b], 2 * pos[b] + 1))
+        # the three corners after the lowest one, by negative index
+        a, b, c = face[i - 3], face[i - 2], face[i - 1]
+        if lab[a] != l + 1 or lab[c] != l + 1 or lab[b] not in (l, l + 2):
+            raise NotAQuadrangulation(
+                f"face label pattern {labs[i:] + labs[:i]} is impossible"
+            )
+        if lab[b] == l + 2:
+            # the edge along dart a, from the first l+1 corner up to l+2
+            ends += (2 * a, 2 * alpha[a])
         else:
-            raise NotAQuadrangulation(f"face label pattern {pattern} is impossible")
-
-    # group edge ends around each vertex
-    fan: list[list[tuple[int, int]]] = [[] for _ in cycle_len]
-    for j, (v, key) in enumerate(ends):
-        fan[v].append((key, j))
-    if fan[origin[q.root_dart]] or len(ends) != 2 * q.n:
+            # the two l+1 corners, each after the dart arriving there
+            ends += (2 * alpha[face[i]] + 1, 2 * alpha[b] + 1)
+    root = origin[q.root_dart]
+    if len(ends) != 2 * q.n or any(origin[s >> 1] == root for s in ends):
         raise NotAQuadrangulation("face edges do not avoid the root vertex")
+    end_at = [-1] * (8 * q.n)  # each slot's end
+    for j, s in enumerate(ends):
+        end_at[s] = j
 
     up = alpha[q.root_dart]
-    root = origin[up]
-    if dist[root] != 1:
-        raise NotWellLabelled(f"root label {dist[root]}, want 1")
+    if lab[up] != 1:
+        raise NotWellLabelled(f"root label {lab[up]}, want 1")
 
     # rebuild the embedded tree from the root, children in rotation order
-    # after the edge up (for the root, after the root edge); labels are
-    # distances, so only their steps along tree edges need a check
+    # after the edge up: slots after slot s run 2d+1 when s = 2d, then
+    # 2e, 2e+1 for e = sigma(d), sigma^2(d), ... back round to d, then 2d
+    # when s = 2d+1.  Labels are distances, so only their steps along tree
+    # edges need a check
     counts: list[int] = []
     labels: list[int] = []
-    stack = [(root, 2 * pos[up], -1)]  # vertex, key of the edge up, its end there
+    stack = [2 * up]  # the slot of each vertex's edge up
     while stack:
-        v, start, j_up = stack.pop()
-        period = 2 * cycle_len[v]
-        kids = sorted(((key - start) % period, j) for key, j in fan[v] if j != j_up)
+        s = stack.pop()
+        d = s >> 1
+        here = lab[d]
+        kids = []
+        if not s & 1 and (j := end_at[s + 1]) >= 0:
+            kids.append(j)
+        e = sigma[d]
+        while e != d:
+            if (j := end_at[2 * e]) >= 0:
+                kids.append(j)
+            if (j := end_at[2 * e + 1]) >= 0:
+                kids.append(j)
+            e = sigma[e]
+        if s & 1 and (j := end_at[s - 1]) >= 0:
+            kids.append(j)
         counts.append(len(kids))
-        labels.append(dist[v])
-        for _, j in reversed(kids):
-            w, key = ends[j ^ 1]
-            if abs(dist[w] - dist[v]) > 1:
-                raise NotWellLabelled(f"labels jump by {abs(dist[w] - dist[v])} along an edge")
-            stack.append((w, key, j ^ 1))
+        labels.append(here)
+        for j in reversed(kids):
+            t = ends[j ^ 1]
+            if abs(lab[t >> 1] - here) > 1:
+                raise NotWellLabelled(f"labels jump by {abs(lab[t >> 1] - here)} along an edge")
+            stack.append(t)
         if len(counts) > q.n + 1:
             raise NotAQuadrangulation("face edges do not form a tree")
     if len(counts) != q.n + 1:

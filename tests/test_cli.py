@@ -151,6 +151,32 @@ class TestVerifySubcommand:
         assert run(["verify", "--identity", "census", "--n", "0"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("identity", ["quad", "census", "size-law"])
+    def test_gamma_other_than_uniform3_is_usage_error(self, capsys, identity):
+        # the census and the battery are about steps in {-1, 0, 1}, and the
+        # size law has no steps; the re-rooting forms take pm1
+        assert run(["verify", "--identity", identity, "--n", "2", "--gamma", "pm1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: identity {identity} takes only --gamma uniform3\n"
+
+    @pytest.mark.parametrize("identity, gamma", [
+        ("reroot", "uniform3"), ("reroot-closed", "pm1"), ("quad", "uniform3"),
+        ("census", "uniform3"), ("size-law", "uniform3"),
+    ])
+    def test_budget_counts_what_verify_enumerates(self, capsys, identity, gamma):
+        # the closed forms against the counts of the enumerations themselves
+        for n in range(1, 5):
+            assert run(["verify", "--identity", identity, "--n", str(n), "--gamma", gamma]) == 0
+            report = read_json_stdout(capsys)
+            if identity == "quad":
+                got = report["checked"]
+            elif identity == "census":
+                got = sum(e["well_labelled"] for e in report["entries"])
+            else:
+                got = report["terms"]
+            assert cli._verify_items(identity, n, cli._step(gamma)) == got
+
     def test_catalan_numbers_past_the_census_sizes(self):
         # Segner's recurrence, beyond the n <= 8 the census used to stop at
         cat = [1]
@@ -445,3 +471,20 @@ class TestSizeBudget:
         assert status == 1
         assert capsys.readouterr().err == err
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("identity, err", [
+        ("quad", "maps (17399772 at --n 9)"),
+        ("reroot", "atoms (28146690 at --n 9)"),
+    ])
+    def test_verify_past_the_budget_enumerates_nothing(self, monkeypatch, capsys, identity, err):
+        # at --n 12 the battery would build about 1.6e10 maps and the
+        # re-rooting identity enumerate about 3.1e10 atoms
+        def never(*args):
+            raise AssertionError("enumerated past the budget")
+
+        monkeypatch.setattr(cli, "enumerate_well_labelled", never)
+        monkeypatch.setattr(cli, "verify_reroot_identity", never)
+        assert run(["verify", "--identity", identity, "--n", "12"]) == 1
+        out, got = capsys.readouterr()
+        assert out == ""
+        assert got == f"error: --n 12 passes the budget of {MAX_VERTICES} {err}\n"

@@ -64,6 +64,15 @@ def rejection_trees(n, count, rng):
             for c, l in zip(rows.tolist(), labels.tolist())]
 
 
+def renumbered(q, rng):
+    """The same rooted map with its darts renumbered by a random permutation."""
+    perm = rng.permutation(4 * q.n)
+    inv = np.argsort(perm)
+    sigma = tuple(int(perm[q.sigma[inv[d]]]) for d in range(4 * q.n))
+    alpha = tuple(int(perm[q.alpha[inv[d]]]) for d in range(4 * q.n))
+    return PlanarQuadrangulation(q.n, sigma, alpha, int(perm[q.root_dart]))
+
+
 def radius_and_distance(q, pick):
     """Radius from the root vertex, and the distance to non-root vertex pick."""
     root = q.vertex_of[q.root_dart]
@@ -159,6 +168,36 @@ class TestEncodingBattery:
                     seen += 1
         assert seen == 728
 
+    def test_every_dart_renumbering_round_trips(self):
+        # every map with up to 4 faces, its darts renumbered at random: the
+        # inverse walks rotations from slots that cvs_build's numbering
+        # never produces
+        rng = np.random.default_rng(12)
+        seen = 0
+        for n in (1, 2, 3, 4):
+            for wt in enumerate_well_labelled(n):
+                back = cvs_inverse(renumbered(cvs_build(wt, n), rng))
+                assert back.tree == wt.tree
+                assert back.labels == wt.labels
+                seen += 1
+        assert seen == 443
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_enumeration_order_is_the_filtered_product(self, n):
+        # the pruned depth-first extension against every increment tuple
+        # of every shape, filtered: the same trees in the same order
+        want = []
+        for tree in enumerate_trees(n + 1):
+            parent = tree.parent_index
+            for incs in itertools.product((-1, 0, 1), repeat=n):
+                labels = [1] * (n + 1)
+                for i in range(1, n + 1):
+                    labels[i] = labels[parent[i]] + incs[i - 1]
+                if min(labels) >= 1:
+                    want.append((tree.counts, tuple(labels)))
+        got = [(wt.tree.counts, wt.labels) for wt in enumerate_well_labelled(n)]
+        assert got == want
+
     @pytest.mark.parametrize("n,count", [(1, 2), (2, 9), (3, 54), (4, 378)])
     def test_codes_are_injective(self, n, count):
         codes = {canonical_code(cvs_build(wt, n)) for wt in enumerate_well_labelled(n)}
@@ -170,13 +209,7 @@ class TestCanonicalCode:
         rng = np.random.default_rng(11)
         for _ in range(20):
             q = sample_uniform_quad(8, rng)
-            perm = rng.permutation(4 * q.n)
-            inv = np.argsort(perm)
-            sigma = tuple(int(perm[q.sigma[inv[d]]]) for d in range(4 * q.n))
-            alpha = tuple(int(perm[q.alpha[inv[d]]]) for d in range(4 * q.n))
-            relabelled = PlanarQuadrangulation(
-                q.n, sigma, alpha, int(perm[q.root_dart])
-            )
+            relabelled = renumbered(q, rng)
             relabelled.validate()
             assert canonical_code(relabelled) == canonical_code(q)
 
