@@ -17,7 +17,8 @@ Exit status: 0 when the requested checks pass (or a pure sampling run
 completes), 1 when a verification or comparison fails, a sampler runs out
 of its rejection budget or a size or sample count passes plane_tree's
 MAX_VERTICES (checked before the rows are allocated; `verify` checks the
-closed-form count of what it would enumerate before it starts), 2 for
+closed-form count of what it would enumerate before it starts, against a
+smaller cap of 10^6 maps or atoms for quad and the re-rooting forms), 2 for
 usage errors and inputs outside a sampler's domain.  Those errors print
 one line; any other exception keeps its traceback.
 """
@@ -253,6 +254,11 @@ def _quad_battery_report(n: int) -> dict:
 # what each identity enumerates, as the size budget counts it
 _VERIFY_ITEMS = {"reroot": "atoms", "reroot-closed": "atoms", "size-law": "trees",
                  "census": "well-labelled trees", "quad": "maps"}
+# the budgets below MAX_VERTICES: the battery builds, checks and inverts a
+# map in about 55 us (quad --n 7, 208494 maps, 11 s), and the re-rooting
+# forms hold their measures in dicts at about 7 us an atom (reroot-closed
+# --n 7, 288684 atoms, 2 s and 100 MB); 10^6 items is under a minute
+_VERIFY_CAPS = {"reroot": 10**6, "reroot-closed": 10**6, "quad": 10**6}
 
 
 def _verify_items(identity: str, n: int, gamma: StepDistribution) -> int:
@@ -275,11 +281,12 @@ def _verify_items(identity: str, n: int, gamma: StepDistribution) -> int:
 def _check_verify_size(identity: str, n: int, gamma: StepDistribution) -> None:
     # the counts grow with n, so sizes are tried upwards and the first one
     # past the budget is named: the count at a huge --n is never computed
+    cap = _VERIFY_CAPS.get(identity, MAX_VERTICES)
     for k in range(1, n + 1):
         items = _verify_items(identity, k, gamma)
-        if items > MAX_VERTICES:
+        if items > cap:
             raise SizeOverflow(
-                f"--n {n} passes the budget of {MAX_VERTICES} "
+                f"--n {n} passes the budget of {cap} "
                 f"{_VERIFY_ITEMS[identity]} ({items} at --n {k})"
             )
 

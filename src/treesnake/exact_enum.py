@@ -380,6 +380,13 @@ def count_well_labelled(n: int) -> tuple[int, int, Fraction]:
     Returns (all such trees, those with every label at least 1, their
     ratio).  The positive ones are the well-labelled trees, in bijection
     with rooted quadrangulations with n faces.
+
+    Every shape has 3^n labellings.  Its positive ones are counted by a
+    label DP, children before parents: f_v(l), the positive labellings of
+    the subtree below vertex v given label l at v, is the product over the
+    children c of f_c(l-1) + f_c(l) + f_c(l+1), the term at label 0
+    dropped; a leaf has f = 1, and the shape has f_root(1).  A vertex at
+    depth d is reached with label at most d + 1, so labels 1..n+1 suffice.
     """
     if n < 0:
         raise ValueError("edge count must be nonnegative")
@@ -388,24 +395,19 @@ def count_well_labelled(n: int) -> tuple[int, int, Fraction]:
     shapes = list(enumerate_trees(n + 1))
     count_all = len(shapes) * 3**n
     count_pos = 0
+    ones = [1] * (n + 1)
     for t in shapes:
-        parent = t.parent_index
-        labels = [0] * (n + 1)
-        labels[0] = 1
-
-        def branch(i: int) -> int:
-            if i == n + 1:
-                return 1
-            total = 0
-            base = labels[parent[i]]
-            for inc in (-1, 0, 1):
-                lab = base + inc
-                if lab >= 1:
-                    labels[i] = lab
-                    total += branch(i + 1)
-            return total
-
-        count_pos += branch(1)
+        # a reverse preorder pass finds each vertex's children on top of a
+        # stack, as their sums g_c(l) = f_c(l-1) + f_c(l) + f_c(l+1), at
+        # index l - 1 for l = 1..n+1
+        sums: list[list[int]] = []
+        for k in reversed(t.counts):
+            f = ones
+            for _ in range(k):
+                f = [a * b for a, b in zip(f, sums.pop())]
+            g = [0, *f, 0]
+            sums.append([a + b + c for a, b, c in zip(g, g[1:], g[2:])])
+        count_pos += f[0]  # the root's product, at label 1
     return count_all, count_pos, Fraction(count_pos, count_all)
 
 

@@ -89,26 +89,39 @@ class PlanarQuadrangulation:
     @cached
     def _rotations(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """One pass over the sigma orbits: each dart's vertex id (ids in
-        discovery order) and each vertex's degree."""
+        discovery order) and each vertex's degree.
+
+        The pass is also the check that sigma is a permutation: with every
+        entry a dart, each orbit walk must close on its start before it
+        meets a dart already walked, for such a dart has two preimages.
+        """
         m = 4 * self.n
+        sigma = self.sigma
+        # a negative entry would index from the end instead of failing
+        if min(sigma) < 0 or max(sigma) >= m:
+            raise NotAQuadrangulation("sigma is not a permutation")
         origin = [-1] * m
         degree: list[int] = []
         for d in range(m):
             if origin[d] >= 0:
                 continue
             v = len(degree)
-            e = d
-            i = 0
-            while origin[e] < 0:
+            origin[d] = v
+            e = sigma[d]
+            i = 1
+            while e != d:
+                if origin[e] >= 0:
+                    raise NotAQuadrangulation("sigma is not a permutation")
                 origin[e] = v
                 i += 1
-                e = self.sigma[e]
+                e = sigma[e]
             degree.append(i)
         return tuple(origin), tuple(degree)
 
     @property
     def vertex_of(self) -> tuple[int, ...]:
-        """Id of each dart's origin vertex, ids in discovery order of sigma orbits."""
+        """Id of each dart's origin vertex, ids in discovery order of sigma
+        orbits; raises NotAQuadrangulation if sigma is not a permutation."""
         return self._rotations[0]
 
     @property
@@ -140,13 +153,9 @@ class PlanarQuadrangulation:
 
     def validate(self) -> None:
         """Full structural check; raises NotAQuadrangulation on any failure."""
-        darts = list(range(4 * self.n))
-        if sorted(self.sigma) != darts:
-            raise NotAQuadrangulation("sigma is not a permutation")
-        alpha = self.alpha
-        # a permutation that squares to the identity and moves every dart
-        if (sorted(alpha) != darts or [alpha[a] for a in alpha] != darts
-                or any(map(operator.eq, alpha, darts))):
+        self._rotations  # raises unless sigma is a permutation
+        # every cvs_build map shares the pairing of alpha_of, built to pass
+        if self.alpha is not alpha_of(4 * self.n) and not _pairs_darts(self.alpha):
             raise NotAQuadrangulation("alpha is not a fixed-point-free involution")
         # the darts of a vertex share a sigma orbit, so the dart graph is
         # connected exactly when the root BFS over alpha reaches every
@@ -268,10 +277,18 @@ def alpha_of(m: int) -> tuple[int, ...]:
     return tuple(d ^ 1 for d in range(m))
 
 
+def _pairs_darts(alpha: tuple[int, ...]) -> bool:
+    """Whether alpha is a fixed-point-free involution of its darts: a
+    permutation that squares to the identity and moves every dart."""
+    darts = list(range(len(alpha)))
+    return (sorted(alpha) == darts and [alpha[a] for a in alpha] == darts
+            and not any(map(operator.eq, alpha, darts)))
+
+
 def _bfs_distances(q: PlanarQuadrangulation, start_vertex: int) -> tuple[int, ...]:
     """Graph distance from start_vertex to each vertex, by vertex id: each
     vertex's neighbours are read off a walk of its degree around its
-    rotation, which stays finite on any sigma, checked or not."""
+    rotation, whose orbit walk has checked sigma."""
     origin, degree = q._rotations
     sigma, alpha = q.sigma, q.alpha
     dist = [-1] * len(degree)

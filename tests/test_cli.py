@@ -7,6 +7,7 @@ same flags must produce byte-identical data files.
 
 from __future__ import annotations
 
+import ast
 import csv
 import hashlib
 import json
@@ -14,16 +15,25 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from treesnake import cli
 from treesnake.cli import run
 from treesnake.exact_enum import conditional_label_law, labelled_atoms
-from treesnake.gw_sampler import OffspringDistribution, RejectionBudgetExhausted, StepDistribution
+from treesnake.gw_sampler import (
+    OffspringDistribution,
+    RejectionBudgetExhausted,
+    SizeOverflow,
+    StepDistribution,
+)
 from treesnake.plane_tree import MAX_VERTICES, tree_from_line, tree_to_line
 from treesnake.quadmap import PlanarQuadrangulation, enumerate_well_labelled
 from treesnake.spatial_tree import SpatialTree
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def read_json_stdout(capsys) -> dict:
@@ -105,6 +115,20 @@ class TestVerifySubcommand:
         report = read_json_stdout(capsys)
         assert report["checked"] == 9
         assert report["failures"] == []
+
+    # sha256 of the stdout of the four verify calls of the exact-n5
+    # benchmark, recorded before validate folded its sigma check into the
+    # orbit walk and the census counted labellings by a label DP
+    @pytest.mark.parametrize("identity, n, digest", [
+        ("reroot", 5, "5d5a63e66ec391457b09c3ae827c4d8aa62623a83c5dc310030077c4ba5ec1fc"),
+        ("reroot-closed", 5, "9931e46dba1abefaba61f0e3a0a4bd52ef83d0ec0dd7641f7641aa4790695159"),
+        ("quad", 5, "3bebfe7792f4e47b8dbf6641d6b4f1bf8a77aa64c56674613c630d81948d314d"),
+        ("census", 6, "cfac957ac99eece8f3ddb69e762d75c5b5eeb1ae2048b885a6b553b659f556c7"),
+    ], ids=["reroot", "reroot-closed", "quad", "census"])
+    def test_exact_reports_keep_their_bytes(self, capsys, identity, n, digest):
+        assert run(["verify", "--identity", identity, "--n", str(n)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_quad_battery_reports_a_broken_map(self, monkeypatch, capsys):
         build = cli.cvs_build
@@ -473,9 +497,9 @@ class TestSizeBudget:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("identity, err", [
-        ("quad", "maps (17399772 at --n 9)"),
-        ("reroot", "atoms (28146690 at --n 9)"),
-    ])
+        ("quad", "maps (1876446 at --n 8)"),
+        ("reroot", "atoms (2814669 at --n 8)"),
+    ], ids=["quad", "reroot"])
     def test_verify_past_the_budget_enumerates_nothing(self, monkeypatch, capsys, identity, err):
         # at --n 12 the battery would build about 1.6e10 maps and the
         # re-rooting identity enumerate about 3.1e10 atoms
@@ -487,4 +511,26 @@ class TestSizeBudget:
         assert run(["verify", "--identity", identity, "--n", "12"]) == 1
         out, got = capsys.readouterr()
         assert out == ""
-        assert got == f"error: --n 12 passes the budget of {MAX_VERTICES} {err}\n"
+        assert got == f"error: --n 12 passes the budget of 1000000 {err}\n"
+
+    @pytest.mark.parametrize("identity, gamma, largest", [
+        ("quad", "uniform3", 7), ("reroot", "uniform3", 7), ("reroot-closed", "pm1", 9),
+        ("census", "uniform3", 8), ("size-law", "uniform3", 15),
+    ])
+    def test_largest_verify_size_in_the_budget(self, identity, gamma, largest):
+        step = cli._step(gamma)
+        cli._check_verify_size(identity, largest, step)
+        with pytest.raises(SizeOverflow):
+            cli._check_verify_size(identity, largest + 1, step)
+
+    def test_benchmark_verify_calls_are_in_the_budget(self):
+        # the argv lists of the exact-n5 workload, read from the benchmark
+        # script without running it
+        tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+        calls = next(ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and [t.id for t in node.targets] == ["EXACT_CALLS"])
+        assert len(calls) == 4
+        for argv in calls:
+            args = cli.build_parser().parse_args(argv)
+            cli._check_verify_size(args.identity, args.n, cli._step(args.gamma))

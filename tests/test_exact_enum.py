@@ -25,6 +25,7 @@ from treesnake.exact_enum import (
 )
 from treesnake.gw_sampler import OffspringDistribution, StepDistribution
 from treesnake.plane_tree import PlaneTree, build_tree, enumerate_trees, leaves
+from treesnake.quadmap import enumerate_well_labelled
 from treesnake.spatial_tree import SpatialTree, reroot_at
 
 
@@ -194,6 +195,15 @@ class TestCensus:
 
     def test_zero_edges(self):
         assert count_well_labelled(0) == (1, 1, Fraction(1))
+
+    # the label DP against the labellings it replaced and the map census
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_dp_counts_the_enumerated_labellings(self, k):
+        assert count_well_labelled(k)[1] == sum(1 for _ in enumerate_well_labelled(k))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_dp_counts_the_maps(self, k):
+        assert count_well_labelled(k)[1] == 2 * 3**k * catalan(k) // (k + 2)
 
 
 def mean_leaves(mu, n):

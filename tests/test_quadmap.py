@@ -26,6 +26,8 @@ from treesnake.quadmap import (
     NotWellLabelled,
     PlanarQuadrangulation,
     _bfs_distances,
+    _pairs_darts,
+    alpha_of,
     canonical_code,
     cvs_build,
     cvs_inverse,
@@ -265,11 +267,48 @@ class TestStructuralValidation:
         with pytest.raises(NotAQuadrangulation, match=r"^sigma is not a permutation$"):
             cvs_inverse(bad)
 
+    # the orbit walk of _rotations is the permutation check: the walk would
+    # read the -3 in (-3, 2, 3, 0) as dart 1 and close, and in (0, 0, 1, 2)
+    # the orbit of 0 closes at once while the walk from 1 runs into it
+    @pytest.mark.parametrize("sigma", [(-3, 2, 3, 0), (1, 2, 3, 4), (0, 0, 1, 2)],
+                             ids=["negative", "past-the-darts", "open-orbit"])
+    def test_every_sigma_that_is_not_a_permutation_raises(self, sigma):
+        q = cvs_build(one_edge_tree(1), 1)
+        bad = PlanarQuadrangulation(1, sigma, q.alpha, q.root_dart)
+        for check in (bad.validate, lambda: bad.vertex_of, lambda: bad.root_distances,
+                      lambda: cvs_inverse(bad)):
+            with pytest.raises(NotAQuadrangulation, match=r"^sigma is not a permutation$"):
+                check()
+
+    def test_sigma_is_checked_before_alpha(self):
+        bad = PlanarQuadrangulation(1, (0, 0, 1, 2), (0, 1, 2, 3), 0)
+        with pytest.raises(NotAQuadrangulation, match=r"^sigma is not a permutation$"):
+            bad.validate()
+
     @pytest.mark.parametrize("alpha", [(4, 0, 3, 2), (1, 2, 3, 0)], ids=["range", "not-involution"])
     def test_alpha_must_pair_the_darts(self, alpha):
         q = cvs_build(one_edge_tree(1), 1)
-        with pytest.raises(NotAQuadrangulation, match=r"^alpha is not a fixed-point-free involution$"):
-            PlanarQuadrangulation(1, q.sigma, alpha, q.root_dart).validate()
+        bad = PlanarQuadrangulation(1, q.sigma, alpha, q.root_dart)
+        # no verdict is remembered: every call checks again
+        for _ in range(2):
+            with pytest.raises(NotAQuadrangulation, match=r"^alpha is not a fixed-point-free involution$"):
+                bad.validate()
+
+    def test_a_pairing_other_than_alpha_of_passes(self):
+        rng = np.random.default_rng(3)
+        for wt in enumerate_well_labelled(3):
+            q = renumbered(cvs_build(wt), rng)
+            assert q.alpha != alpha_of(12)
+            q.validate()
+            assert cvs_inverse(q) == wt
+
+    @pytest.mark.parametrize("m", range(4, 41, 4))
+    def test_alpha_of_is_a_fixed_point_free_involution(self, m):
+        # validate skips the pairing check for this shared tuple
+        alpha = alpha_of(m)
+        assert sorted(alpha) == list(range(m))
+        assert all(alpha[alpha[d]] == d != alpha[d] for d in range(m))
+        assert _pairs_darts(alpha)
 
     @pytest.mark.parametrize("n, sigma, root, message", [
         (0, (), 0, "need at least one face"),
