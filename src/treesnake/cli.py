@@ -17,10 +17,10 @@ Exit status: 0 when the requested checks pass (or a pure sampling run
 completes), 1 when a verification or comparison fails, a sampler runs out
 of its rejection budget or a size or sample count passes plane_tree's
 MAX_VERTICES (checked before the rows are allocated; `verify` checks the
-closed-form count of what it would enumerate before it starts, against a
-smaller cap of 10^6 maps or atoms for quad and the re-rooting forms), 2 for
-usage errors and inputs outside a sampler's domain.  Those errors print
-one line; any other exception keeps its traceback.
+closed-form count of what it would enumerate before it starts, against 10^6
+maps, atoms or shapes for quad, the re-rooting forms and the census, which
+stops at --n 12), 2 for usage errors and inputs outside a sampler's domain.
+Those errors print one line; any other exception keeps its traceback.
 """
 
 from __future__ import annotations
@@ -253,12 +253,14 @@ def _quad_battery_report(n: int) -> dict:
 
 # what each identity enumerates, as the size budget counts it
 _VERIFY_ITEMS = {"reroot": "atoms", "reroot-closed": "atoms", "size-law": "trees",
-                 "census": "well-labelled trees", "quad": "maps"}
+                 "census": "shapes", "quad": "maps"}
 # the budgets below MAX_VERTICES: the battery builds, checks and inverts a
-# map in about 55 us (quad --n 7, 208494 maps, 11 s), and the re-rooting
-# forms hold their measures in dicts at about 7 us an atom (reroot-closed
-# --n 7, 288684 atoms, 2 s and 100 MB); 10^6 items is under a minute
-_VERIFY_CAPS = {"reroot": 10**6, "reroot-closed": 10**6, "quad": 10**6}
+# map in about 55 us (quad --n 7, 208494 maps, 11 s), the re-rooting forms
+# hold their measures in dicts at about 7 us an atom (reroot-closed --n 7,
+# 288684 atoms, 2 s and 100 MB), and the census runs its label DP on a
+# shape in 35 to 40 us at n = 11 (58786 shapes, 2.0 to 2.3 s); 10^6 items
+# is under a minute
+_VERIFY_CAPS = {"reroot": 10**6, "reroot-closed": 10**6, "quad": 10**6, "census": 10**6}
 
 
 def _verify_items(identity: str, n: int, gamma: StepDistribution) -> int:
@@ -267,15 +269,16 @@ def _verify_items(identity: str, n: int, gamma: StepDistribution) -> int:
     The re-rooting identities run over the |support|^n Cat(n-1) labelled
     single-child-root trees with n edges, the quad battery over the
     2 3^n Cat(n)/(n+2) well-labelled trees with n edges (one map each),
-    the census over the well-labelled trees with 1..n edges and the size
-    law over the trees with 1..n vertices.
+    the census over the Cat(k) shapes with k = 1..n edges (one label DP
+    each) and the size law over the trees with 1..n vertices.
     """
     if identity in ("reroot", "reroot-closed"):
         return len(gamma.support) ** n * _catalan(n - 1)
     if identity == "size-law":
         return sum(_catalan(k - 1) for k in range(1, n + 1))
-    sizes = range(1, n + 1) if identity == "census" else (n,)
-    return sum(2 * 3**k * _catalan(k) // (k + 2) for k in sizes)
+    if identity == "census":
+        return sum(_catalan(k) for k in range(1, n + 1))
+    return 2 * 3**n * _catalan(n) // (n + 2)
 
 
 def _check_verify_size(identity: str, n: int, gamma: StepDistribution) -> None:

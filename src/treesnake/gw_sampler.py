@@ -10,8 +10,8 @@ count vector (c_1, ..., c_{n+1}) summing to n, rotated by the cycle lemma
 so that the rotation starting right after the first minimum of the partial
 sums of (c_i - 1) is the unique valid preorder encoding.  For the geometric
 law the conditioned count vector is uniform over weak compositions of n
-into n+1 parts, so it is drawn directly by stars and bars; other laws
-resample i.i.d. blocks until the sum condition holds.
+into n+1 parts, drawn as stars and bars (n bars in 2n slots, by _marks);
+other laws resample i.i.d. blocks until the sum condition holds.
 
 Labels are root-path sums of edge increments, on the numpy kernel of
 plane_tree (_subtree_ends, then _path_sums), for count rows (_label_blocks)
@@ -27,7 +27,8 @@ block.  The reductions walk one generator of sized count rows in chunks
 size (16 MB for 999 rows at n = 2000, where sample_label_extrema's traced
 peak is about 29 MB).  The blocks change no draw: consecutive blocks of
 rng.random, standard_normal or integers draw what one call would, and the
-chunk sizes fix the order of the draws.
+chunk sizes fix the order of the draws, save a _marks row whose k-th and
+(k+1)-th keys tie: it is drawn again before the next block's keys.
 
 sample_measure is the one route from a measure token to its draws.  Every
 route hands it count and label arrays, rows or a forest, which it turns
@@ -371,23 +372,6 @@ def _rotate_rows(rows: np.ndarray) -> np.ndarray:
     return windows[np.arange(b), jstar + 1]
 
 
-def _composition_rows(n: int, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """Uniform weak compositions of n into n+1 parts, one per row."""
-    if n == 0:
-        return np.zeros((rows, 1), dtype=np.int64)
-    slots = 2 * n
-    u = rng.random((rows, slots))
-    bars = np.argpartition(u, n - 1, axis=1)[:, :n]
-    del u  # freed before the sort allocates
-    bars = np.sort(bars, axis=1)
-    out = np.empty((rows, n + 1), dtype=np.int64)
-    out[:, 0] = bars[:, 0]
-    if n > 1:
-        out[:, 1:n] = np.diff(bars, axis=1) - 1
-    out[:, n] = slots - 1 - bars[:, n - 1]
-    return out
-
-
 def _check_size_reachable(mu: OffspringDistribution, n: int) -> None:
     if mu.is_geometric or n == 0:
         return
@@ -422,9 +406,12 @@ def _sized_count_rows(
         return np.zeros((rows, 1), dtype=np.int64)
     out = np.empty((rows, n + 1), dtype=np.int64)
     if mu.is_geometric:
-        # consecutive rng.random blocks draw what one call for all rows would
+        # stars and bars: n bars in 2n slots, then one that closes part n
         for start, stop in _row_blocks(rows, 2 * n):
-            out[start:stop] = _rotate_rows(_composition_rows(n, rng, stop - start))
+            bars = np.ones((stop - start, 2 * n + 1), dtype=bool)
+            bars[:, :-1] = _marks(np.full(stop - start, n), 2 * n, rng)
+            counts = np.diff(np.flatnonzero(bars), prepend=-1) - 1
+            out[start:stop] = _rotate_rows(counts.reshape(-1, n + 1))
         return out
     have = 0
     # aim for enough raw blocks that each batch lands a healthy number of hits
@@ -456,6 +443,9 @@ def _q_count_rows(
 
 def _marks(k: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
     """Boolean rows of size slots, row r marking a uniform k[r]-subset.
+
+    It draws the geometric stars and bars' bars (_sized_count_rows) and a
+    tilted shape's zero slots and cuts (_tilted_rows).
 
     Every slot gets a uniform 32-bit key, and a row marks the slots at or
     below its k-th smallest key.  A row whose k-th and (k + 1)-th smallest

@@ -340,6 +340,26 @@ class TestSizedSampler:
         for shape in shapes:
             assert abs(freq[shape] / n_draws - p) < 4 * se
 
+    def test_leaf_counts_are_narayana_at_n_2000(self):
+        # a uniform tree with n edges has k leaves with chance
+        # C(n, k) C(n, k - 1) / (n Cat(n)); k is grouped into ten cells of
+        # near-equal mass as in the tilted test, and Pearson's X^2 is held
+        # to its 0.001 critical value.  Draws, seed and bound were fixed
+        # before the first run; shifting every count by one leaf
+        # (0.06 sd) would give a noncentrality of about 77
+        n, draws = 2000, 20_000
+        logfact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, 2 * n + 1)))])
+        k = np.arange(1, n + 1)
+        logcat = logfact[2 * n] - logfact[n] - logfact[n + 1]
+        law = np.exp(2 * logfact[n] - logfact[k] - logfact[n - k] - logfact[k - 1]
+                     - logfact[n + 1 - k] - math.log(n) - logcat)
+        assert abs(law.sum() - 1) < 1e-8
+        ends = np.searchsorted(np.cumsum(law), np.arange(1, 10) / 10) + 1
+        expect = draws * np.bincount(np.searchsorted(ends, k), weights=law, minlength=10)
+        seen = np.bincount(
+            np.searchsorted(ends, sample_leaf_counts(GEO, n, draws, rng_of(650))), minlength=10)
+        assert ((seen - expect) ** 2 / expect).sum() <= CHI2_999[9]
+
     def test_block_path_matches_exact_law(self):
         # binary offspring law, 4 edges: two shapes, equal exact weights
         rng = rng_of(9)
@@ -576,17 +596,19 @@ class TestRowBlocks:
 class TestStreamBytes:
     """sha256 of sampler outputs, then of four more draws of the generator,
     recorded before the rejection route and the batch reductions shared
-    one row contract: the contract changes no draw."""
+    one row contract: the contract changes no draw.  Recorded again when
+    the sized count rows first drew their bars with _marks, a new stream
+    of the same law."""
 
     # x = 2 keeps Pbar-n-x on the rejection route; 600 rows at n = 300 take
-    # 16882 attempts in 76 chunks, from 1200 rows (two label blocks) down to 16
-    CONDITIONED_ATTEMPTS = 16882
+    # 15939 attempts in 72 chunks, from 1200 rows (two label blocks) down to 16
+    CONDITIONED_ATTEMPTS = 15939
 
     def test_conditioned_rows(self):
         rng = rng_of(24)
         draw = sample_measure("Pbar-n-x", GEO, U3, 300, 2, 600, rng)
         assert hashlib.sha256(repr(draw).encode() + rng.random(4).tobytes()).hexdigest() == (
-            "9696010877d5fc2ce3e77808bd6c200fb625dc1efc48828d44e46385caf9dab8")
+            "70bb56d71e0c3c30c2d8ddc53cd43353ff2c4306d400921051033254d612199c")
         assert _conditioned_rows(GEO, U3, 300, 2, 600, rng_of(24))[-1] == self.CONDITIONED_ATTEMPTS
 
     def test_conditioned_rows_end_at_their_budget(self, monkeypatch):
@@ -601,11 +623,11 @@ class TestStreamBytes:
     # n = 2000 and 2500 draws: chunks of 999, 999 and 502 rows
     @pytest.mark.parametrize("draw, digest", [
         (lambda rng: repr(estimate_positive_probability(GEO, U3, 2000, 1, 2500, rng)).encode(),
-         "857fcf560d7335c26e5b463f9c00f4fdfd51af08452c5fddd8058c9d20b3bb7a"),
+         "6fe546b88c7ddbdee4a7041c0358504e35bce020795201cf784c8af82b4fa7da"),
         (lambda rng: sample_leaf_counts(GEO, 2000, 2500, rng).tobytes(),
-         "75249efd475a51282f1691fe698c754c87b0830b4820cf700b8610733f806614"),
+         "1d0edb3b747bb94b8cc0c9f2f4d097d8710d9d6f02d4c593af5660bf3701c960"),
         (lambda rng: b"".join(a.tobytes() for a in sample_label_extrema(GEO, U3, 2000, 0, 2500, rng)),
-         "1dc6927442dc3ccb396965a37a74739475f0c2066d79cc278136f8e082e68aee"),
+         "7e31022c2976c632f215b6edf89ba7bde1b0dd2cb28614c30fb3ed3ac73d667d"),
     ], ids=["estimate_positive_probability", "sample_leaf_counts", "sample_label_extrema"])
     def test_chunked_reductions(self, draw, digest):
         rng = rng_of(25)
