@@ -318,7 +318,9 @@ class TestSampleSubcommand:
         (["Pi"], "e32bd2949d624ebdeab0418ef7821f24f5832b916fa17d03dcd5d637953f9c8d"),
         (["P-x"], "5bb4f01cca0aefba3b49df10ac9201be1c8f4c2f1db89b0fa1d7078aad8bd0b1"),
         (["Q"], "54fe18144296bc7099ad29d7e1d1f20b5ffb078d3891eff9aae619102db0c981"),
-    ], ids=["Qbar-n", "Pbar-n-x-1", "Pbar-n-x-2", "Q-n", "P-n-x", "Pi", "P-x", "Q"])
+        (["Pi-n", "--n", "50"],
+         "0be3ae536e4c8ba4250c83ff9f9380f24a716b15684bf9a3487d11e46e350558"),
+    ], ids=["Qbar-n", "Pbar-n-x-1", "Pbar-n-x-2", "Q-n", "P-n-x", "Pi", "P-x", "Q", "Pi-n"])
     def test_labelled_measures_keep_their_bytes(self, tmp_path, capsys, flags, digest):
         out = tmp_path / "draws.csv"
         assert run(["sample", "--measure", *flags, "--samples", "300", "--seed", "5",
@@ -336,10 +338,42 @@ class TestSampleSubcommand:
         (["Pbar-n-x", "--n", "50", "--x", "0"],
          "f73f438ac04d6da8bfa8c44bedec8a9325c8091431a16d45eed2407e8a6e789d"),
         (["P-x"], "e6c9094cac242c0797fc1604fbf2ffcd3030fa79cc3580748a68c505e71d81f4"),
-    ], ids=["P-n-x", "Pbar-n-x-0", "P-x"])
+        # recorded before sample_measure returned arrays; at x = 1 the forest
+        # roots carry rounding residue, printed as the integer given
+        (["P-x", "--x", "1"],
+         "03ffa3edf79219aa0019e91b508d7dafe80508192a3d2483f675eba882438ef0"),
+        (["Q"], "058140608b7b63268af19b6d4cd618aaa3cdc421b8b5f4026055ae3c44bb8043"),
+        (["Q-n", "--n", "50"],
+         "2a1f85254979f372c564c64f9f16d215c4e1548d8c12815a1dab96cf2ea36859"),
+        (["Qbar-n", "--n", "50"],
+         "714d5405314466a76c56330d8bdd9ecfad85f223aa55b27d0955804e89e9cf94"),
+    ], ids=["P-n-x", "Pbar-n-x-0", "P-x", "P-x-1", "Q", "Q-n", "Qbar-n"])
     def test_normal_steps_keep_their_bytes(self, tmp_path, capsys, flags, digest):
         out = tmp_path / "draws.csv"
         assert run(["sample", "--measure", *flags, "--gamma", "normal", "--samples", "300",
+                    "--seed", "5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # recorded before sample_measure returned arrays; Pbar-n-x at x = 1 is
+    # the re-rooting route, at x = 2 a positivity rejection
+    @pytest.mark.parametrize("flags, digest", [
+        (["P-x"], "eadfc1fa1fda3fb188a306e2e837a2725946d0824e83d4cb5ec37c97f844e36d"),
+        (["P-n-x", "--n", "50"],
+         "ae210c5c55a52da6aff9221dbdefb4587db71734fdd54d94095cd6693d1bb9a4"),
+        (["Pbar-n-x", "--n", "50", "--x", "1"],
+         "9724130116ade2fd41ee86da6d405b13df6ac252c44acc95b0e63e1c0191b8e5"),
+        (["Pbar-n-x", "--n", "20", "--x", "2"],
+         "b6f151dcbfaa147fb4f56ad500f776e2a278cd6e18973f4dff0dec7c4b9a8912"),
+        (["Q"], "1ecc2b6a389ac15d9841fa9e87a8b879c1ca03b2cfdb0e999fef75fb5ea5bc6f"),
+        (["Q-n", "--n", "50"],
+         "04ad8538c8682e994c62dbf4ed6bdc45bd9aa5f481c53675acd82298915ba871"),
+        (["Qbar-n", "--n", "50"],
+         "cd1fa4fb319ab748e2100e103ba48d321d960b918e34460eb4eab557b3f093f5"),
+    ], ids=["P-x", "P-n-x", "Pbar-n-x-1", "Pbar-n-x-2", "Q", "Q-n", "Qbar-n"])
+    def test_pm1_steps_keep_their_bytes(self, tmp_path, capsys, flags, digest):
+        out = tmp_path / "draws.csv"
+        assert run(["sample", "--measure", *flags, "--gamma", "pm1", "--samples", "300",
                     "--seed", "5", "--out", str(out)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -402,6 +436,15 @@ class TestQuadSubcommand:
         assert run(argv + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_frequency_table_keeps_its_bytes(self, tmp_path, capsys):
+        # recorded before sample_measure returned arrays
+        out = tmp_path / "freq.csv"
+        assert run(["quad", "--n", "7", "--samples", "300", "--seed", "3",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "41927a210730539252a8ad5a718f72c2971a20d7541993156c71c6e6b78d1e15")
 
     def test_no_faces_is_one_line_with_status_2(self, capsys):
         assert run(["quad", "--n", "0", "--samples", "2", "--seed", "1"]) == 2
