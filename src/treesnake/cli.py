@@ -10,8 +10,13 @@ manifest printed to stdout, never in the files written to --out.
 
 A `sample` block is one sample_measure call: the sized measures draw the
 whole block through the row kernel, the unsized ones cut it from one count
-stream.  Which measures need --n, and the least n each takes, is
-gw_sampler's SIZED_MEASURES; the others take no --n.
+stream.  Its flat count and label arrays become CSV text at most
+_BLOCK_ENTRIES values at a time (_joined), each root printed as the
+integer given.  Which measures need --n, and the least n each takes, is
+gw_sampler's SIZED_MEASURES; the others take no --n.  Only P-x, P-n-x and
+Pbar-n-x take --x (default 0), and the unlabelled Pi and Pi-n take only
+--gamma uniform3.  An --out path is checked before any subcommand starts:
+its directory must exist and be writable, and it must not be a directory.
 
 Exit status: 0 when the requested checks pass (or a pure sampling run
 completes), 1 when a verification or comparison fails, a sampler runs out
@@ -30,11 +35,13 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -58,7 +65,7 @@ from treesnake.gw_sampler import (
     sample_measure,
     spawn_rngs,
 )
-from treesnake.plane_tree import MAX_VERTICES, tree_to_line
+from treesnake.plane_tree import _BLOCK_ENTRIES, MAX_VERTICES, tree_to_line
 from treesnake.quadmap import (
     NotWellLabelled,
     canonical_code,
@@ -134,6 +141,15 @@ def _run_blocks(fn, args, total: int, seed: int) -> list:
     return [fn(*args, size, seq) for size, seq in zip(sizes, seqs)]
 
 
+def _check_out(path: str) -> None:
+    """--out must name a file, not a directory, in a writable directory."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise UsageError(f"--out {path} is a directory")
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise UsageError(f"--out {path} is not in a writable directory")
+
+
 def _write_text(path: str, *chunks: str) -> None:
     with open(path, "w") as fh:
         fh.writelines(chunks)
@@ -164,17 +180,40 @@ def _finish(args, subcommand: str, config: dict, artifact: list[str], t0: float,
         _print_json(payload)
 
 
+def _joined(values: np.ndarray, starts: np.ndarray, sep: str) -> Iterator[str]:
+    """Each tree's values as text joined by sep, tree i taking values
+    starts[i] to starts[i + 1], its root printed as an integer.
+
+    The values are turned into Python objects one chunk of at most
+    _BLOCK_ENTRIES at a time, each chunk starting where the last one ended.
+    """
+    bounds = starts.tolist()
+    lo, chunk = 0, []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if a == lo + len(chunk):  # the next chunk starts at this root
+            lo, chunk = a, values[a : a + _BLOCK_ENTRIES].tolist()
+        chunk[a - lo] = int(chunk[a - lo])  # a root label is set to the integer given
+        text = sep.join(map(str, chunk[a - lo : b - lo]))
+        while b > lo + len(chunk):  # the tree runs on into the next chunk
+            lo += len(chunk)
+            chunk = values[lo : lo + _BLOCK_ENTRIES].tolist()
+            text += sep + sep.join(map(str, chunk[: b - lo]))
+        yield text
+
+
 def _sample_block(measure, mu, gamma, n, x, size: int, seq) -> tuple[str, str]:
     """The CSV header line and the CSV text of one block of `sample` draws."""
-    counts, labels = sample_measure(measure, mu, gamma, n, x, size, np.random.default_rng(seq))
+    counts, starts, labels = sample_measure(
+        measure, mu, gamma, n, x, size, np.random.default_rng(seq))
     # tree_to_line's format, without PlaneTree's re-check of rows that the
     # samplers only ever draw as valid trees
-    trees = (",".join(map(str, c)) for c in counts)
+    fields = [list(_joined(counts, starts, ","))]
+    if labels is not None:
+        fields.append(list(_joined(labels, starts, ";")))
+    del counts, labels  # before the csv writer copies the fields
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(
-        zip(trees) if labels is None else zip(trees, (";".join(map(str, row)) for row in labels))
-    )
-    return "tree\n" if labels is None else "tree,labels\n", buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerows(zip(*fields))
+    return "tree\n" if len(fields) == 1 else "tree,labels\n", buf.getvalue()
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -187,15 +226,21 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             raise UsageError(f"measure {args.measure} needs --n at least {least}")
     elif args.n is not None:
         raise UsageError(f"measure {args.measure} takes no --n")
+    # --x is the root label of the P family; Pi has no labels, and Q is rooted at 0
+    if args.x is not None and args.measure not in ("P-x", "P-n-x", "Pbar-n-x"):
+        raise UsageError(f"measure {args.measure} takes no --x")
+    if args.measure in ("Pi", "Pi-n") and args.gamma != "uniform3":
+        raise UsageError(f"measure {args.measure} has no labels, so takes only --gamma uniform3")
+    x = 0 if args.x is None else args.x
     mu = _offspring(args.mu)
     gamma = _step(args.gamma)
     # every block is drawn before any is written, so a failed block leaves no file
     blocks = _run_blocks(
-        _sample_block, (args.measure, mu, gamma, args.n, args.x), args.samples, args.seed
+        _sample_block, (args.measure, mu, gamma, args.n, x), args.samples, args.seed
     )
     _finish(
         args, "sample",
-        {"measure": args.measure, "n": args.n, "x": args.x, "mu": args.mu,
+        {"measure": args.measure, "n": args.n, "x": x, "mu": args.mu,
          "gamma": args.gamma, "samples": args.samples},
         [blocks[0][0], *(text for _, text in blocks)], t0, {"rows": args.samples},
     )
@@ -401,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw trees from one of the measure families")
     p.add_argument("--measure", choices=MEASURES, required=True)
     p.add_argument("--n", type=int, default=None, help="edge count for sized measures")
-    p.add_argument("--x", type=int, default=0, help="root label")
+    p.add_argument("--x", type=int, default=None,
+                   help="root label of P-x, P-n-x and Pbar-n-x (default 0)")
     p.add_argument("--mu", default="geometric", choices=["geometric"])
     p.add_argument("--gamma", default="uniform3", choices=["uniform3", "pm1", "normal"])
     p.add_argument("--samples", type=int, default=1)
@@ -456,6 +502,8 @@ def run(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # SeedSequence takes no negative entropy
             raise UsageError(f"need --seed at least 0, not {args.seed}")
+        if args.out is not None:  # before any work, which a failed write would lose
+            _check_out(args.out)
         return args.func(args)
     except (RejectionBudgetExhausted, SizeOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)

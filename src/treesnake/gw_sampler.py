@@ -31,9 +31,11 @@ chunk sizes fix the order of the draws, save a _marks row whose k-th and
 (k+1)-th keys tie: it is drawn again before the next block's keys.
 
 sample_measure is the one route from a measure token to its draws.  Every
-route hands it count and label arrays, rows or a forest, which it turns
-into tuples in one place.  The sized measures (Pi-n, P-n-x, Pbar-n-x, Q-n,
-Qbar-n) take a whole block of rows from one kernel call.  The
+route hands it count and label arrays, rows or a forest, and it returns
+them flat beside the trees' start offsets, each root at the label asked
+for: one array representation of labelled trees, which cli writes and
+quadmap maps.  The sized measures (Pi-n, P-n-x, Pbar-n-x, Q-n, Qbar-n)
+take a whole block of rows from one kernel call.  The
 positivity-conditioned ones come from the paper's re-rooting identity under
 the geometric law (_rerooted_rows, at an acceptance flat in n), otherwise
 by rejection (_conditioned_rows); both return their rows, labels and
@@ -810,9 +812,10 @@ def sample_measure(
     x: Label,
     count: int,
     rng: np.random.Generator,
-) -> tuple[list[tuple[int, ...]], Optional[list[tuple]]]:
-    """count draws from the named measure: preorder count tuples, and label
-    tuples (None for the plain-tree measures Pi and Pi-n).
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """count draws from the named measure: (counts, starts, labels), tree i
+    taking entries starts[i] to starts[i + 1] of the flat preorder counts
+    and labels (None for the plain-tree measures Pi and Pi-n).
 
     The unsized measures cut their trees from one count stream (_forest,
     _forest_labels), a Q tree adding a root above a tree of the stream; the
@@ -821,8 +824,9 @@ def sample_measure(
     for steps in {-1, 0, 1}, as Qbar_{n+1} without its root edge; the other
     Pbar-n-x and Qbar-n draws are rejections (_conditioned_rows).  Either
     route raises RejectionBudgetExhausted past REJECTION_BUDGET attempts.
-    One conversion turns every route's arrays into tuples, each tree at the
-    root label asked for: 0 for the single-child-root family Q, x otherwise.
+    Every tree's root entry is set to the root label asked for, 0 for the
+    single-child-root family Q and x otherwise, since float steps leave
+    rounding residue in the labels of a forest's roots.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, pick from {MEASURES}")
@@ -853,13 +857,10 @@ def sample_measure(
                 [np.zeros((0, n + 1), dtype=np.int64),
                  *(block for _, block in _label_blocks(rows, gamma, root, rng))])
         counts, starts = rows.ravel(), rows.shape[1] * np.arange(count + 1)
-    flat, ends = counts.tolist(), starts.tolist()
-    spans = list(zip(ends[:-1], ends[1:]))
-    trees = [tuple(flat[a:b]) for a, b in spans]
-    if labels is None:
-        return trees, None
-    flat = labels.ravel().tolist()
-    return trees, [(root, *flat[a + 1 : b]) for a, b in spans]
+        labels = None if labels is None else labels.ravel()
+    if labels is not None:
+        labels[starts[:-1]] = root
+    return counts, starts, labels
 
 
 def spawn_rngs(seed: int, streams: int) -> list[np.random.Generator]:

@@ -35,7 +35,8 @@ A uniform rooted quadrangulation with n faces is cvs_build of a uniform
 well-labelled tree with n edges, which is Qbar_{n+1} (geometric law,
 uniform steps) less its root edge, the Pbar_{n,1} draws of
 gw_sampler.sample_measure: sample_uniform_quads builds its maps from
-those.  Radii and root distances of sampled maps need no map, so
+their count and label arrays, one row of n + 1 entries a tree.  Radii
+and root distances of sampled maps need no map, so
 sample_radius_and_distance reads both off the labels of the Qbar_{n+1}
 draws of gw_sampler._rerooted_rows.
 """
@@ -465,13 +466,15 @@ def sample_uniform_quads(
 
     Each map is cvs_build of a uniform well-labelled tree with n edges, a
     Pbar_{n,1} draw of sample_measure under the geometric law and uniform
-    steps in {-1, 0, 1}, which takes it from exact Qbar_{n+1} draws.
+    steps in {-1, 0, 1}, which takes it from exact Qbar_{n+1} draws; its
+    flat arrays are read back as count rows of n + 1 entries.
     """
     if n < 1:
         raise ValueError(f"need at least one face, not n={n}")
-    counts, labels = sample_measure("Pbar-n-x", _GEO, _U3, n, 1, count, rng)
-    for c, l in zip(counts, labels):
-        yield cvs_build(SpatialTree(PlaneTree(c), l), n)
+    counts, _, labels = sample_measure("Pbar-n-x", _GEO, _U3, n, 1, count, rng)
+    rows = zip(counts.reshape(count, n + 1).tolist(), labels.reshape(count, n + 1).tolist())
+    for c, l in rows:
+        yield cvs_build(SpatialTree(PlaneTree(tuple(c)), tuple(l)), n)
 
 
 def sample_uniform_quad(n: int, rng: np.random.Generator) -> PlanarQuadrangulation:

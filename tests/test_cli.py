@@ -76,6 +76,19 @@ def positive(s) -> bool:
     return all(v > 0 for v in s.labels[1:])
 
 
+def never(*_args):
+    raise AssertionError("work started before the usage check")
+
+
+def assert_usage_error(capsys) -> str:
+    """The one error line of a usage error, after checking that it is one
+    line and that nothing went to stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
 # Upper 0.001 quantiles of chi-square, by degrees of freedom.
 CHI2_999 = {4: 18.47, 8: 26.12, 17: 40.79, 53: 90.57}
 
@@ -403,6 +416,45 @@ class TestSampleSubcommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["Qbar-n", "--n", "3", "--x", "5"], ["Q-n", "--n", "3", "--x", "0"], ["Q", "--x", "1"],
+        ["Pi", "--x", "4"], ["Pi-n", "--n", "3", "--x", "0"],
+        ["Pi", "--gamma", "pm1"], ["Pi-n", "--n", "3", "--gamma", "normal"],
+    ], ids=["Qbar-n-x", "Q-n-x", "Q-x", "Pi-x", "Pi-n-x", "Pi-pm1", "Pi-n-normal"])
+    def test_input_the_measure_cannot_use_is_one_line_with_status_2(
+            self, capsys, monkeypatch, flags):
+        # a root label for a measure without one, or steps for unlabelled trees
+        monkeypatch.setattr(cli, "sample_measure", never)
+        assert run(["sample", "--measure", *flags, "--samples", "2", "--seed", "1"]) == 2
+        assert_usage_error(capsys)
+
+    @pytest.mark.parametrize("flags", [["P-x"], ["P-n-x", "--n", "4"], ["Pbar-n-x", "--n", "4"]],
+                             ids=["P-x", "P-n-x", "Pbar-n-x"])
+    def test_root_label_defaults_to_zero(self, tmp_path, capsys, flags):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["sample", "--measure", *flags, "--samples", "20", "--seed", "6"]
+        assert run(argv + ["--out", str(a)]) == 0
+        assert run(argv + ["--x", "0", "--out", str(b)]) == 0
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("entries", [1, 7])
+    @pytest.mark.parametrize("flags", [
+        ["P-x", "--x", "1", "--gamma", "normal"], ["Pi"],
+        ["Qbar-n", "--n", "9", "--gamma", "normal"],
+    ], ids=["P-x-normal", "Pi", "Qbar-n-normal"])
+    def test_text_does_not_depend_on_its_chunk(
+            self, tmp_path, capsys, monkeypatch, flags, entries):
+        # a tree's values are turned into text a chunk at a time; a chunk
+        # may end inside a tree or at its root
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["sample", "--measure", *flags, "--samples", "300", "--seed", "8"]
+        assert run(argv + ["--out", str(a)]) == 0
+        monkeypatch.setattr(cli, "_BLOCK_ENTRIES", entries)
+        assert run(argv + ["--out", str(b)]) == 0
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes()
+
     def test_negative_seed_is_one_line_with_status_2(self, capsys):
         assert run(["sample", "--measure", "Pi", "--samples", "1", "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: need --seed at least 0, not -1\n"
@@ -506,6 +558,29 @@ class TestCompareSubcommand:
                       "--samples", "200", "--seed", "5", "--out", str(out)])
         assert status in (0, 1)
         assert json.loads(out.read_text()) == read_json_stdout(capsys)
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("argv, work", [
+        (["sample", "--measure", "P-x", "--samples", "2", "--seed", "1"], "sample_measure"),
+        (["quad", "--n", "2", "--samples", "2", "--seed", "1"], "sample_uniform_quads"),
+        (["snake", "--grid", "8", "--samples", "2", "--seed", "1"], "sample_extrema"),
+        (["compare", "--discrete-n", "5", "--grid", "8", "--samples", "2", "--seed", "1"],
+         "sample_label_extrema"),
+        (["verify", "--identity", "census", "--n", "3"], "count_well_labelled"),
+    ], ids=["sample", "quad", "snake", "compare", "verify"])
+    @pytest.mark.parametrize("target", ["missing", "directory", "unwritable"])
+    def test_unusable_out_is_one_line_with_status_2(
+            self, tmp_path, monkeypatch, capsys, argv, work, target):
+        # checked before the subcommand starts, so nothing is drawn
+        monkeypatch.setattr(cli, work, never)
+        path = tmp_path if target == "directory" else tmp_path / "missing" / "x.csv"
+        if target == "unwritable":
+            path = tmp_path / "x.csv"
+            monkeypatch.setattr(cli.os, "access", lambda *_args: False)
+        assert run(argv + ["--out", str(path)]) == 2
+        assert f"--out {path} " in assert_usage_error(capsys)
+        assert list(tmp_path.iterdir()) == []
 
 
 ROWS_PAST = f"error: rows of {MAX_VERTICES + 1} vertices exceed the budget of {MAX_VERTICES}\n"

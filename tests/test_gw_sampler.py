@@ -57,6 +57,15 @@ def rng_of(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def tuples(draw) -> tuple[list, list | None]:
+    """sample_measure's (counts, starts, labels) arrays as per-tree tuples:
+    (count tuples, label tuples, or None for the plain-tree measures)."""
+    counts, starts, labels = draw
+    spans = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
+    trees = [tuple(counts[a:b].tolist()) for a, b in spans]
+    return trees, None if labels is None else [tuple(labels[a:b].tolist()) for a, b in spans]
+
+
 # Upper 0.001 quantiles of chi-square, by degrees of freedom (0 df: all mass at 0).
 CHI2_999 = {0: 0.0, 1: 10.83, 2: 13.82, 3: 16.27, 4: 18.47, 8: 26.12, 9: 27.88, 10: 29.59,
             11: 31.26, 12: 32.91, 13: 34.53, 41: 74.74, 53: 90.57, 54: 91.87, 55: 93.17,
@@ -287,7 +296,7 @@ class TestUnsizedLaws:
     ], ids=["Pi", "P-x", "Q"])
     def test_atoms_up_to_three_edges(self, monkeypatch, measure, gamma, x, seed):
         def draw(k, rng):
-            counts, labels = sample_measure(measure, GEO, gamma, None, x, k, rng)
+            counts, labels = tuples(sample_measure(measure, GEO, gamma, None, x, k, rng))
             return [(c, l) if len(c) <= 4 else "rest"
                     for c, l in zip(counts, labels or [None] * k)]
 
@@ -299,8 +308,8 @@ class TestUnsizedLaws:
 
 class TestSizedSampler:
     def test_edge_cases(self):
-        assert sample_measure("Pi-n", GEO, U3, 0, 0, 1, rng_of(0))[0] == [(0,)]
-        assert sample_measure("Pi-n", GEO, U3, 1, 0, 1, rng_of(0))[0] == [(1, 0)]
+        assert tuples(sample_measure("Pi-n", GEO, U3, 0, 0, 1, rng_of(0)))[0] == [(0,)]
+        assert tuples(sample_measure("Pi-n", GEO, U3, 1, 0, 1, rng_of(0)))[0] == [(1, 0)]
 
     def test_rotation_worked_example(self):
         rows = np.array([[0, 2, 0]])
@@ -378,8 +387,8 @@ class TestSizedSampler:
             sample_measure("Pi-n", BINARY, U3, 3, 0, 1, rng_of(0))
 
     def test_determinism(self):
-        a = sample_measure("Pi-n", GEO, U3, 40, 0, 1, rng_of(123))
-        b = sample_measure("Pi-n", GEO, U3, 40, 0, 1, rng_of(123))
+        a = tuples(sample_measure("Pi-n", GEO, U3, 40, 0, 1, rng_of(123)))
+        b = tuples(sample_measure("Pi-n", GEO, U3, 40, 0, 1, rng_of(123)))
         assert a == b
 
 
@@ -571,7 +580,7 @@ class TestRowBlocks:
     def test_unsized_labels(self, monkeypatch):
         # one tree a group, each group drawing its own steps
         self.assert_block_free(
-            monkeypatch, lambda rng: sample_measure("P-x", GEO, U3, None, 1, 50, rng))
+            monkeypatch, lambda rng: tuples(sample_measure("P-x", GEO, U3, None, 1, 50, rng)))
 
     def test_conditioned_rows_and_their_attempts(self, monkeypatch):
         self.assert_block_free(
@@ -606,16 +615,16 @@ class TestStreamBytes:
 
     def test_conditioned_rows(self):
         rng = rng_of(24)
-        draw = sample_measure("Pbar-n-x", GEO, U3, 300, 2, 600, rng)
+        draw = tuples(sample_measure("Pbar-n-x", GEO, U3, 300, 2, 600, rng))
         assert hashlib.sha256(repr(draw).encode() + rng.random(4).tobytes()).hexdigest() == (
             "70bb56d71e0c3c30c2d8ddc53cd43353ff2c4306d400921051033254d612199c")
         assert _conditioned_rows(GEO, U3, 300, 2, 600, rng_of(24))[-1] == self.CONDITIONED_ATTEMPTS
 
     def test_conditioned_rows_end_at_their_budget(self, monkeypatch):
         # a budget of exactly the attempts draws the same rows, one fewer raises
-        want = sample_measure("Pbar-n-x", GEO, U3, 300, 2, 600, rng_of(24))
+        want = tuples(sample_measure("Pbar-n-x", GEO, U3, 300, 2, 600, rng_of(24)))
         monkeypatch.setattr(gw_sampler, "REJECTION_BUDGET", self.CONDITIONED_ATTEMPTS)
-        assert sample_measure("Pbar-n-x", GEO, U3, 300, 2, 600, rng_of(24)) == want
+        assert tuples(sample_measure("Pbar-n-x", GEO, U3, 300, 2, 600, rng_of(24))) == want
         monkeypatch.setattr(gw_sampler, "REJECTION_BUDGET", self.CONDITIONED_ATTEMPTS - 1)
         with pytest.raises(RejectionBudgetExhausted):
             sample_measure("Pbar-n-x", GEO, U3, 300, 2, 600, rng_of(24))
@@ -648,7 +657,12 @@ class TestQMeasures:
 
     def test_sample_measure_types(self):
         def draw(measure, n=None, x=0, count=3):
-            counts, labels = sample_measure(measure, GEO, U3, n, x, count, rng_of(100))
+            arrays = sample_measure(measure, GEO, U3, n, x, count, rng_of(100))
+            flat, starts, flat_labels = arrays
+            assert flat.dtype == starts.dtype == np.int64 and len(starts) == count + 1
+            assert starts[0] == 0 and starts[-1] == len(flat)
+            assert flat_labels is None or flat_labels.shape == flat.shape
+            counts, labels = tuples(arrays)
             assert len(counts) == count
             assert labels is None or len(labels) == count
             for c, l in zip(counts, labels or counts):
@@ -677,7 +691,7 @@ class TestQMeasures:
 
     def test_batched_sized_rows_equal_per_draw_rows(self):
         for n in (0, 1, 7, 500):
-            counts, _ = sample_measure("Pi-n", GEO, U3, n, 0, 40, rng_of(n))
+            counts, _ = tuples(sample_measure("Pi-n", GEO, U3, n, 0, 40, rng_of(n)))
             rng = rng_of(n)
             assert counts == [tuple(_sized_count_rows(GEO, n, rng, 1)[0]) for _ in range(40)]
 
@@ -796,7 +810,7 @@ class TestRerootedRows:
     def test_rerooted_draws_are_qbar(self, gamma, n):
         draws = 20_000
         law = qbar_law(n, gamma)
-        counts, labels = sample_measure("Qbar-n", GEO, gamma, n, 0, draws, rng_of(500 + n))
+        counts, labels = tuples(sample_measure("Qbar-n", GEO, gamma, n, 0, draws, rng_of(500 + n)))
         assert tv_to_law(list(zip(counts, labels)), law) <= tv_bound(len(law), draws)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -804,7 +818,8 @@ class TestRerootedRows:
     def test_qbar_without_its_root_edge_is_pbar_at_one(self, gamma, n):
         draws = 10_000
         law = conditional_label_law(n, GEO, gamma, 1)
-        counts, labels = sample_measure("Pbar-n-x", GEO, gamma, n, 1, draws, rng_of(550 + n))
+        counts, labels = tuples(
+            sample_measure("Pbar-n-x", GEO, gamma, n, 1, draws, rng_of(550 + n)))
         assert tv_to_law(list(zip(counts, labels)), law) <= tv_bound(len(law), draws)
 
     def test_kept_draws_have_one_minimum_at_a_leaf(self):
@@ -838,12 +853,12 @@ class TestRerootedRows:
             raise AssertionError("re-rooting kernel called")
 
         monkeypatch.setattr(gw_sampler, "_rerooted_rows", unused)
-        counts, labels = sample_measure("Qbar-n", BINARY, U3, 5, 0, 20, rng_of(10))
+        counts, labels = tuples(sample_measure("Qbar-n", BINARY, U3, 5, 0, 20, rng_of(10)))
         assert all(v > 0 for l in labels for v in l[1:])
-        counts, labels = sample_measure("Pbar-n-x", GEO, U3, 4, 2, 20, rng_of(11))
+        counts, labels = tuples(sample_measure("Pbar-n-x", GEO, U3, 4, 2, 20, rng_of(11)))
         assert {l[0] for l in labels} == {2} and all(v > 0 for l in labels for v in l[1:])
         normal = StepDistribution.normal()
-        counts, labels = sample_measure("Pbar-n-x", GEO, normal, 4, 1, 5, rng_of(12))
+        counts, labels = tuples(sample_measure("Pbar-n-x", GEO, normal, 4, 1, 5, rng_of(12)))
         assert all(v > 0 for l in labels for v in l[1:])
 
 

@@ -44,6 +44,15 @@ GEO = OffspringDistribution.geometric_half()
 U3 = StepDistribution.uniform3()
 
 
+def tuples(draw) -> tuple[list, list]:
+    """sample_measure's (counts, starts, labels) arrays of labelled draws as
+    per-tree (count tuples, label tuples)."""
+    counts, starts, labels = draw
+    spans = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
+    return ([tuple(counts[a:b].tolist()) for a, b in spans],
+            [tuple(labels[a:b].tolist()) for a, b in spans])
+
+
 def one_edge_tree(child_label):
     return SpatialTree(build_tree((1, 0)), (1, child_label))
 
@@ -355,7 +364,8 @@ class TestUniformSampling:
         draws = 100_000
         rejection = zip(*(a.tolist() for a in
                           _conditioned_rows(GEO, U3, 2, 1, draws, np.random.default_rng(2026))[:2]))
-        sampled = zip(*sample_measure("Pbar-n-x", GEO, U3, 2, 1, draws, np.random.default_rng(2026)))
+        sampled = zip(*tuples(sample_measure("Pbar-n-x", GEO, U3, 2, 1, draws,
+                                             np.random.default_rng(2026))))
         se = (draws * (1 / 9) * (8 / 9)) ** 0.5
         for trees in (rejection, sampled):
             freq: Counter = Counter()
@@ -368,7 +378,8 @@ class TestUniformSampling:
     def test_uniform_quads_are_maps_of_the_measure_draws(self):
         # the production route: cvs_build of sample_measure's Pbar_{2,1} draws
         got = sample_uniform_quads(2, 300, np.random.default_rng(7))
-        counts, labels = sample_measure("Pbar-n-x", GEO, U3, 2, 1, 300, np.random.default_rng(7))
+        counts, labels = tuples(sample_measure("Pbar-n-x", GEO, U3, 2, 1, 300,
+                                               np.random.default_rng(7)))
         want = [cvs_build(SpatialTree(PlaneTree(c), l), 2) for c, l in zip(counts, labels)]
         assert [canonical_code(q) for q in got] == [canonical_code(q) for q in want]
 
