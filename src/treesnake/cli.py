@@ -14,9 +14,10 @@ stream.  Its flat count and label arrays become CSV text at most
 _BLOCK_ENTRIES values at a time (_joined), each root printed as the
 integer given.  Which measures need --n, and the least n each takes, is
 gw_sampler's SIZED_MEASURES; the others take no --n.  Only P-x, P-n-x and
-Pbar-n-x take --x (default 0), and the unlabelled Pi and Pi-n take only
---gamma uniform3.  An --out path is checked before any subcommand starts:
-its directory must exist and be writable, and it must not be a directory.
+Pbar-n-x take --x (default 0, at most 2^62 either way), and the unlabelled
+Pi and Pi-n take only --gamma uniform3.  An --out path is checked before
+any subcommand starts: its directory must exist and be writable, and it
+must not be a directory.
 
 Exit status: 0 when the requested checks pass (or a pure sampling run
 completes), 1 when a verification or comparison fails, a sampler runs out
@@ -81,6 +82,10 @@ KS_THRESHOLD = 0.05
 
 # Draws per RNG block of `sample` and `quad`; changing it changes their output.
 SAMPLE_BLOCK = 256
+
+# The largest |--x|: a tree has at most MAX_VERTICES vertices and the integer
+# steps move a label by at most 1, so every label stays inside int64.
+_MAX_ROOT_LABEL = 2**62
 
 
 class UsageError(ValueError):
@@ -232,6 +237,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.measure in ("Pi", "Pi-n") and args.gamma != "uniform3":
         raise UsageError(f"measure {args.measure} has no labels, so takes only --gamma uniform3")
     x = 0 if args.x is None else args.x
+    if abs(x) > _MAX_ROOT_LABEL:
+        raise UsageError(f"--x {x} is outside [-2^62, 2^62]")
     mu = _offspring(args.mu)
     gamma = _step(args.gamma)
     # every block is drawn before any is written, so a failed block leaves no file
@@ -414,8 +421,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     _check_samples(args.samples)
     mu = _offspring(args.mu)
     gamma = _step("uniform3")
-    sigma = math.sqrt(float(mu.variance))
-    kappa = math.sqrt(sigma / 2.0) / gamma.rho
+    kappa = math.sqrt(mu.sigma / 2.0) / gamma.rho
     tree_rng, snake_rng = spawn_rngs(args.seed, 2)
 
     # The label ranges are integers, so the continuum ranges are mapped onto

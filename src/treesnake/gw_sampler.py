@@ -3,7 +3,8 @@
 Offspring laws are critical (mean one) with finite nonzero variance; the
 supported families are geometric(1/2) on {0, 1, 2, ...} and explicit finite
 probability vectors.  Displacement laws along edges are centered: finite
-symmetric vectors, or a centered normal when exactness is not required.
+symmetric vectors on the integers, or a centered normal when exactness is
+not required.
 
 Size-conditioned trees are drawn through their preorder child counts: a
 count vector (c_1, ..., c_{n+1}) summing to n, rotated by the cycle lemma
@@ -17,7 +18,11 @@ Labels are root-path sums of edge increments, on the numpy kernel of
 plane_tree (_subtree_ends, then _path_sums), for count rows (_label_blocks)
 and for the unsized measures' forests alike: their trees are cut from one
 count stream at the new minima of its Lukasiewicz walk (_forest), and
-labelled in groups hung under a virtual root (_forest_labels).
+labelled in groups, each group one forest row (_forest_labels).  Every
+route allocates its labels up front in the step law's dtype
+(StepDistribution.dtype: int64, or float64 for normal steps) promoted
+with the root label's type, so a route that draws nothing returns the
+same dtype as one that does.
 
 Memory: the batch kernels fill their output one row block of at most
 2**18 entries at a time (plane_tree._row_blocks): the sized count rows, and
@@ -103,11 +108,7 @@ class OffspringDistribution:
         self.is_geometric = _geometric
         if _geometric:
             self.support: Optional[tuple[int, ...]] = None
-            self.mean = Fraction(1)
             self.variance = Fraction(2)
-            self._values = None
-            self._probs = None
-            self._cum = None
             return
         if pmf is None:
             raise ValueError("need a probability vector or the geometric tag")
@@ -130,12 +131,9 @@ class OffspringDistribution:
         if var <= 0:
             raise ValueError("offspring variance must be positive")
         self.support = tuple(k for k, _ in items)
-        self.mean = Fraction(1)
         self.variance = var
         self._values = np.array(self.support, dtype=np.int64)
-        probs = [p for _, p in items]
-        self._probs = np.array([float(p) for p in probs])
-        self._cum = np.cumsum(self._probs)
+        self._cum = np.cumsum([float(p) for _, p in items])
         self._cum[-1] = 1.0
         self._pmf = dict(items)
 
@@ -143,24 +141,9 @@ class OffspringDistribution:
     def geometric_half(cls) -> "OffspringDistribution":
         return cls(_geometric=True)
 
-    @classmethod
-    def from_pmf(cls, pmf: Mapping[int, Numeric]) -> "OffspringDistribution":
-        return cls(pmf)
-
     @property
     def sigma(self) -> float:
         return math.sqrt(float(self.variance))
-
-    @property
-    def aperiodic(self) -> bool:
-        """Whether the step walk k -> k-1 generates the full integer lattice."""
-        if self.is_geometric:
-            return True
-        ks = self.support
-        g = 0
-        for k in ks:
-            g = math.gcd(g, k - ks[0])
-        return g == 1
 
     def exact_pmf(self, k: int) -> Fraction:
         if k < 0:
@@ -191,13 +174,14 @@ class OffspringDistribution:
 class StepDistribution:
     """Centered displacement law for labels along edges.
 
-    Finite symmetric vectors keep exact probabilities and integer or
-    rational values; normal(std) is available for purely numeric work.
+    Finite symmetric vectors keep exact probabilities and integer values;
+    normal(std) is available for purely numeric work.  dtype is that of the
+    steps drawn: int64, or float64 for normal steps.
     """
 
     def __init__(
         self,
-        pmf: Optional[Mapping[Numeric, Numeric]] = None,
+        pmf: Optional[Mapping[int, Numeric]] = None,
         *,
         _normal_std: Optional[float] = None,
     ):
@@ -205,12 +189,14 @@ class StepDistribution:
         if _normal_std is not None:
             if _normal_std <= 0:
                 raise ValueError("normal spread must be positive")
-            self.support: Optional[tuple[Numeric, ...]] = None
+            self.support: Optional[tuple[int, ...]] = None
             self.variance: Numeric = _normal_std**2
             self.exact = False
             return
         if pmf is None:
             raise ValueError("need a probability vector or a normal spread")
+        if not all(isinstance(v, int) for v in pmf):
+            raise ValueError("step values must be integers")
         vals = [(v, _as_fraction(p)) for v, p in pmf.items()]
         vals = [(v, p) for v, p in vals if p != 0]
         vals.sort(key=lambda vp: vp[0])
@@ -221,15 +207,14 @@ class StepDistribution:
         for v, p in vals:
             if asdict.get(-v, Fraction(0)) != p:
                 raise ValueError(f"law is not symmetric at {v}")
-        var = sum(_as_fraction(v) * _as_fraction(v) * p for v, p in vals)
+        var = sum(v * v * p for v, p in vals)
         if var == 0:
             raise ValueError("displacement law concentrated at 0")
         self.support = tuple(v for v, _ in vals)
         self.variance = var
         self.exact = True
         self._pmf = asdict
-        self._int_valued = all(isinstance(v, int) for v in self.support)
-        self._values = np.array([float(v) for v in self.support])
+        self._values = np.array(self.support, dtype=np.int64)
         self._cum = np.cumsum([float(p) for _, p in vals])
         self._cum[-1] = 1.0
 
@@ -243,10 +228,6 @@ class StepDistribution:
         return cls({-1: Fraction(1, 2), 1: Fraction(1, 2)})
 
     @classmethod
-    def from_pmf(cls, pmf: Mapping[Numeric, Numeric]) -> "StepDistribution":
-        return cls(pmf)
-
-    @classmethod
     def normal(cls, std: float = 1.0) -> "StepDistribution":
         return cls(_normal_std=std)
 
@@ -254,12 +235,17 @@ class StepDistribution:
     def rho(self) -> float:
         return math.sqrt(float(self.variance))
 
-    def exact_items(self) -> list[tuple[Numeric, Fraction]]:
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the steps drawn, and of labels at an integer root."""
+        return np.dtype(np.int64 if self.exact else np.float64)
+
+    def exact_items(self) -> list[tuple[int, Fraction]]:
         if not self.exact:
             raise ValueError("normal displacement has no exact finite support")
         return sorted(self._pmf.items(), key=lambda vp: vp[0])
 
-    def exact_pmf(self, v: Numeric) -> Fraction:
+    def exact_pmf(self, v: int) -> Fraction:
         if not self.exact:
             raise ValueError("normal displacement has no exact pmf")
         return self._pmf.get(v, Fraction(0))
@@ -267,25 +253,16 @@ class StepDistribution:
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.normal_std is not None:
             return rng.normal(0.0, self.normal_std, size=size)
-        # integers returns int64 already, so there is no cast to copy; only
-        # the uniform law on {-1, 0, 1} (describe's uniform3) takes it
-        if (
-            self._int_valued
-            and self.support == (-1, 0, 1)
-            and self._pmf[0] == Fraction(1, 3)
-        ):
+        # uniform3 and pm1 draw integers directly, any other law by its cdf
+        if self.support == (-1, 0, 1) and self._pmf[0] == Fraction(1, 3):
             return rng.integers(-1, 2, size=size)
-        if self._int_valued and self.support == (-1, 1):
+        if self.support == (-1, 1):
             out = rng.integers(0, 2, size=size)
             out *= 2
             out -= 1
             return out
         u = rng.random(size)
-        idx = np.searchsorted(self._cum, u, side="right").clip(0, len(self._values) - 1)
-        out = self._values[idx]
-        if self._int_valued:
-            return out.astype(np.int64)
-        return out
+        return self._values[np.searchsorted(self._cum, u, side="right").clip(0, len(self._values) - 1)]
 
     def describe(self):
         if self.normal_std is not None:
@@ -294,11 +271,7 @@ class StepDistribution:
             return "uniform3"
         if self.support == (-1, 1):
             return "uniform-pm1"
-        out = {}
-        for v, p in self._pmf.items():
-            key = str(v) if not isinstance(v, Fraction) else f"{v.numerator}/{v.denominator}"
-            out[key] = f"{p.numerator}/{p.denominator}"
-        return out
+        return {str(v): f"{p.numerator}/{p.denominator}" for v, p in self._pmf.items()}
 
     def __repr__(self) -> str:
         return f"StepDistribution({self.describe()})"
@@ -522,7 +495,7 @@ def _label_blocks(
     n1 = rows.shape[1]
     for start, stop in _row_blocks(len(rows), n1):
         incs = gamma.sample(rng, (stop - start, max(1, n1 - 1)))
-        w = np.empty((stop - start, n1), dtype=np.result_type(incs, x))
+        w = np.empty((stop - start, n1), dtype=np.result_type(gamma.dtype, x))
         w[:, 0] = x
         w[:, 1:] = incs[:, : n1 - 1]
         yield start, _path_sums(_subtree_ends(rows[start:stop]), w)
@@ -535,21 +508,17 @@ def _forest_labels(
     """Labels of the trees of a forest from _forest, rooted at x: one array
     aligned with counts.
 
-    Each group of _tree_blocks hangs under a virtual root of weight 0 as
-    one count row, labelled by one _subtree_ends and _path_sums call: a
-    tree root has weight x, any other vertex the step on its edge.  Steps
-    come one a vertex in stream order, a root's unused, as one call would.
+    Each group of _tree_blocks is one count row, a forest, labelled by one
+    _subtree_ends and _path_sums call: a tree root has weight x, any other
+    vertex the step on its edge.  Steps come one a vertex in stream order,
+    a root's unused, as one call would.
     """
-    out = np.zeros(0, dtype=np.int64)  # an empty forest has no group
+    out = np.empty(len(counts), dtype=np.result_type(gamma.dtype, x))
     for first, stop in _tree_blocks(starts):
-        row = np.concatenate(([stop - first], counts[starts[first] : starts[stop]]))
-        steps = gamma.sample(rng, len(row) - 1)
-        w = np.zeros(len(row), dtype=np.result_type(steps, x))
-        w[1:] = steps
-        w[starts[first:stop] - (starts[first] - 1)] = x
-        if first == 0:  # the first group's weights give the dtype
-            out = np.empty(len(counts), dtype=w.dtype)
-        out[starts[first] : starts[stop]] = _path_sums(_subtree_ends(row[None]), w[None])[0, 1:]
+        row = counts[starts[first] : starts[stop]]
+        w = gamma.sample(rng, len(row)).astype(out.dtype, copy=False)
+        w[starts[first:stop] - starts[first]] = x
+        out[starts[first] : starts[stop]] = _path_sums(_subtree_ends(row[None]), w[None])[0]
     return out
 
 
@@ -581,7 +550,8 @@ def _conditioned_rows(
     if x < 0:
         raise NegativeRootLabel("root label must be nonnegative for positivity conditioning")
     if n == 0 or count == 0:  # vacuously positive, or nothing wanted
-        return np.zeros((count, n + 1), dtype=np.int64), np.full((count, n + 1), x), count
+        labels = np.full((count, n + 1), x, dtype=np.result_type(gamma.dtype, x))
+        return np.zeros((count, n + 1), dtype=np.int64), labels, count
     kept_rows, kept_labels = [], []
     kept = attempts = 0
     cap = max(64, min(8192, 1_000_000 // (n + 1)))
@@ -705,8 +675,8 @@ def _rerooted_rows(
     _check_vertices(n + 1)
     rows_out = np.empty((count, n + 1), dtype=np.int64)
     rows_out[:, 0] = 1
-    labels_out = None
     argmin = np.empty(count, dtype=np.int64)
+    labels_out = np.zeros((0, n + 1), dtype=gamma.dtype)  # count rows from the first block on
     have = attempts = 0
     while have < count:
         if attempts >= REJECTION_BUDGET:
@@ -723,8 +693,11 @@ def _rerooted_rows(
         labels = _path_sums(end, gamma.sample(rng, (take, n)))
         at, keep = _minimum_leaf(end, labels)
         hits = np.flatnonzero(keep)[:want]
-        if labels_out is None:
-            labels_out = np.zeros((count, n + 1), dtype=labels.dtype)
+        if len(labels_out) < count:
+            # allocated above the block's temporaries on the heap, so that
+            # freeing them keeps their pages: allocated before the loop, it
+            # cost a quad-n500 op 1400 minor page faults against 420
+            labels_out = np.zeros((count, n + 1), dtype=gamma.dtype)
         got = slice(have, have + len(hits))
         rows_out[got, 1:] = rows[hits]
         labels_out[got, 1:] = labels[hits]
@@ -732,8 +705,6 @@ def _rerooted_rows(
         have += len(hits)
         attempts += int(hits[-1]) + 1 if have == count else take
         del rows, end, labels  # before the next block's draw
-    if labels_out is None:
-        labels_out = np.zeros((0, n + 1), dtype=np.int64)
     return rows_out, labels_out, argmin, attempts
 
 
@@ -852,10 +823,11 @@ def sample_measure(
             rows, labels, _ = _conditioned_rows(mu, gamma, n, root, count, rng, count_rows)
         else:
             rows = count_rows(mu, n, rng, count)
-            # the empty int64 piece stands for count = 0 and takes the blocks' dtype
-            labels = None if measure == "Pi-n" else np.concatenate(
-                [np.zeros((0, n + 1), dtype=np.int64),
-                 *(block for _, block in _label_blocks(rows, gamma, root, rng))])
+            labels = None
+            if measure != "Pi-n":
+                labels = np.empty(rows.shape, dtype=np.result_type(gamma.dtype, root))
+                for start, block in _label_blocks(rows, gamma, root, rng):
+                    labels[start : start + len(block)] = block
         counts, starts = rows.ravel(), rows.shape[1] * np.arange(count + 1)
         labels = None if labels is None else labels.ravel()
     if labels is not None:

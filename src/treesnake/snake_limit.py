@@ -16,7 +16,9 @@ pointer per sample, the one normal of each sample and step is drawn for a
 block of 32 steps at once, and only the samples whose lifetime steps down
 pay for popping anchors and for the bridge.  Besides the excursion rows the
 head holds only its stacks, grown in place one at a time, and one block of
-scratch allocated once per call.
+scratch allocated once per call, which one generator (_head_blocks) hands
+out block by block: sample_extrema folds the blocks into running extrema,
+and _snake_head_rows writes them into head rows.
 
 Re-rooting at the spatial minimum turns the signed head into a nonnegative
 one while permuting head values, so path ranges are preserved sample by
@@ -30,6 +32,7 @@ plane_tree._reroot_walk, which re-roots the sampled trees' contours too.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from treesnake.plane_tree import _check_vertices, _reroot_walk, _row_blocks
 
 
 _HEAD_BLOCK = 32  # head steps per block of normals and per stack-growth check
+_EXTREMA_BATCH = 2048  # snakes sample_extrema draws and reduces together
 
 
 class NonUniqueMinimum(ValueError):
@@ -92,19 +96,15 @@ def _excursion_rows(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return rows
 
 
-def _snake_head_rows(
-    e: np.ndarray,
-    rng: np.random.Generator,
-    keep_paths: bool = True,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def _head_blocks(e: np.ndarray, rng: np.random.Generator) -> Iterator[tuple[int, np.ndarray]]:
     """Head rows for excursion rows e, started at 0, all samples advanced in
-    lock step.
+    lock step, one block of _HEAD_BLOCK steps at a time.
 
-    With keep_paths the full (count, m+1) head array comes back; without it
-    only the per-sample running (min, max) pair, which keeps memory flat
-    for large batches.  Exactly one standard normal per sample per step is
-    consumed either way, drawn as standard_normal((steps, count)) for a
-    block of _HEAD_BLOCK steps, the same stream as one
+    Yields (start, heads) per block, heads[i, j] being the head of sample j
+    at time start + 1 + i; heads is a view of scratch that the next block
+    overwrites, so a caller reads it before asking for the next one.
+    Exactly one standard normal per sample per step is consumed, drawn as
+    standard_normal((steps, count)) for a block, the same stream as one
     standard_normal(count) call a step; so output is reproducible for a
     given rng.  A sample whose lifetime steps down spends its normal on the
     bridge, any other on the rise sqrt(e_next - e): the head has one free
@@ -138,12 +138,6 @@ def _snake_head_rows(
     rise = np.empty((block, count))
     down = np.empty((block, count), dtype=bool)
     z_block = np.zeros((block + 1, count))
-    if keep_paths:
-        z = np.empty((count, mp1))
-        z[:, 0] = 0.0
-    else:
-        z_min = np.zeros(count)
-        z_max = np.zeros(count)
 
     for start in range(0, m, _HEAD_BLOCK):
         steps = min(_HEAD_BLOCK, m - start)
@@ -200,17 +194,16 @@ def _snake_head_rows(
             levels[pos] = e_next[i]
             values[pos] = z_next
 
-        heads = z_block[1 : steps + 1]
-        if keep_paths:
-            z[:, start + 1 : start + steps + 1] = heads.T
-        else:
-            np.minimum(z_min, heads.min(axis=0), out=z_min)
-            np.maximum(z_max, heads.max(axis=0), out=z_max)
+        yield start, z_block[1 : steps + 1]
         z_block[0] = z_block[steps]
 
-    if keep_paths:
-        return z
-    return z_min, z_max
+
+def _snake_head_rows(e: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The (count, m+1) head rows of _head_blocks for excursion rows e."""
+    z = np.zeros(e.shape)
+    for start, heads in _head_blocks(e, rng):
+        z[:, start + 1 : start + 1 + len(heads)] = heads.T
+    return z
 
 
 def _reroot_at_minimum(e: np.ndarray, z: np.ndarray) -> None:
@@ -258,31 +251,25 @@ def sample_positive_snake(
 
 
 def sample_extrema(
-    m: int,
-    count: int,
-    rng: np.random.Generator,
-    batch: int = 2048,
+    m: int, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample (sup, inf) of the head over count independent snakes.
 
-    Works in batches so the paths themselves are never all in memory; the
-    sup and inf determine the range and, through the re-rooting identity,
-    the sup of the positive snake as well.
+    The snakes come in batches of _EXTREMA_BATCH, and each batch folds its
+    head blocks into running extrema, so no head path is ever held; the sup
+    and inf determine the range and, through the re-rooting identity, the
+    sup of the positive snake as well.
     """
     _check_grid(m)
     _check_count(count)
-    if batch < 1:
-        raise ValueError(f"batch must be at least 1, got {batch}")
-    sups = np.empty(count)
-    infs = np.empty(count)
-    done = 0
-    while done < count:
-        take = min(batch, count - done)
-        e = _excursion_rows(m, take, rng)
-        z_min, z_max = _snake_head_rows(e, rng, keep_paths=False)
-        sups[done : done + take] = z_max
-        infs[done : done + take] = z_min
-        done += take
+    sups = np.zeros(count)
+    infs = np.zeros(count)
+    for done in range(0, count, _EXTREMA_BATCH):
+        at = slice(done, min(done + _EXTREMA_BATCH, count))
+        e = _excursion_rows(m, at.stop - done, rng)
+        for _, heads in _head_blocks(e, rng):
+            np.maximum(sups[at], heads.max(axis=0), out=sups[at])
+            np.minimum(infs[at], heads.min(axis=0), out=infs[at])
     return sups, infs
 
 

@@ -416,6 +416,27 @@ class TestSampleSubcommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("x", [2**62 + 1, -(2**62) - 1, 10**23])
+    @pytest.mark.parametrize("flags", [["P-x"], ["P-n-x", "--n", "4"], ["Pbar-n-x", "--n", "4"]],
+                             ids=["P-x", "P-n-x", "Pbar-n-x"])
+    def test_root_label_past_int64_reach_is_one_line_with_status_2(
+            self, capsys, monkeypatch, flags, x):
+        # past 2^62 a tree's labels could wrap around int64
+        monkeypatch.setattr(cli, "sample_measure", never)
+        assert run(["sample", "--measure", *flags, "--x", str(x), "--samples", "2",
+                    "--seed", "1"]) == 2
+        assert "--x" in assert_usage_error(capsys)
+
+    @pytest.mark.parametrize("flags", [["P-x"], ["P-n-x", "--n", "4"], ["Pbar-n-x", "--n", "4"]],
+                             ids=["P-x", "P-n-x", "Pbar-n-x"])
+    def test_root_label_at_2_to_62_runs(self, capsys, flags):
+        assert run(["sample", "--measure", *flags, "--x", str(2**62), "--samples", "3",
+                    "--seed", "1"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        labels = [int(v) for _, text in rows for v in text.split(";")]
+        assert [text.split(";")[0] for _, text in rows] == [str(2**62)] * 3
+        assert all(abs(v - 2**62) <= MAX_VERTICES for v in labels)
+
     @pytest.mark.parametrize("flags", [
         ["Qbar-n", "--n", "3", "--x", "5"], ["Q-n", "--n", "3", "--x", "0"], ["Q", "--x", "1"],
         ["Pi", "--x", "4"], ["Pi-n", "--n", "3", "--x", "0"],

@@ -34,7 +34,7 @@ def catalan(n: int) -> int:
 
 
 GEO = OffspringDistribution.geometric_half()
-BINARY = OffspringDistribution.from_pmf({0: Fraction(1, 2), 2: Fraction(1, 2)})
+BINARY = OffspringDistribution({0: Fraction(1, 2), 2: Fraction(1, 2)})
 U3 = StepDistribution.uniform3()
 PM1 = StepDistribution.uniform_pm1()
 
@@ -57,7 +57,7 @@ class TestWeights:
 
     def test_finite_law_weight(self):
         half = Fraction(1, 2)
-        binary = OffspringDistribution.from_pmf({0: half, 2: half})
+        binary = OffspringDistribution({0: half, 2: half})
         t = build_tree((2, 0, 0))
         assert tree_weight(t, binary) == Fraction(1, 8)
         assert tree_weight(build_tree((1, 0)), binary) == 0
@@ -73,7 +73,7 @@ class TestSizeLaw:
 
     def test_exact_for_binary_law(self):
         half = Fraction(1, 2)
-        binary = OffspringDistribution.from_pmf({0: half, 2: half})
+        binary = OffspringDistribution({0: half, 2: half})
         report = verify_size_law(binary, 8)
         assert report["equal"] is True
         # even sizes are impossible for a {0,2} offspring law
@@ -105,7 +105,7 @@ class TestRerootIdentities:
 
     def test_identity_for_binary_offspring(self):
         half = Fraction(1, 2)
-        binary = OffspringDistribution.from_pmf({0: half, 2: half})
+        binary = OffspringDistribution({0: half, 2: half})
         assert verify_reroot_identity(3, binary, U3)["equal"] is True
         assert verify_reroot_identity_closed(3, binary, U3)["equal"] is True
 

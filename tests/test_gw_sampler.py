@@ -21,6 +21,7 @@ from treesnake.gw_sampler import (
     NegativeRootLabel,
     OffspringDistribution,
     RejectionBudgetExhausted,
+    SIZED_MEASURES,
     SizeOverflow,
     StepDistribution,
     UnreachableSize,
@@ -50,7 +51,7 @@ GEO = OffspringDistribution.geometric_half()
 U3 = StepDistribution.uniform3()
 PM1 = StepDistribution.uniform_pm1()
 HALF = Fraction(1, 2)
-BINARY = OffspringDistribution.from_pmf({0: HALF, 2: HALF})
+BINARY = OffspringDistribution({0: HALF, 2: HALF})
 
 
 def rng_of(seed: int) -> np.random.Generator:
@@ -93,9 +94,8 @@ class TestOffspringValidation:
     def test_geometric_moments(self):
         assert GEO.exact_pmf(0) == HALF
         assert GEO.exact_pmf(3) == Fraction(1, 16)
-        assert GEO.mean == 1 and GEO.variance == 2
+        assert GEO.variance == 2
         assert GEO.sigma == pytest.approx(math.sqrt(2))
-        assert GEO.aperiodic
 
     def test_step_law(self):
         assert GEO.step_pmf(-1) == HALF
@@ -105,21 +105,15 @@ class TestOffspringValidation:
 
     def test_subcritical_rejected(self):
         with pytest.raises(ValueError):
-            OffspringDistribution.from_pmf({0: HALF, 1: HALF})
+            OffspringDistribution({0: HALF, 1: HALF})
 
     def test_mass_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            OffspringDistribution.from_pmf({0: HALF, 2: Fraction(1, 4)})
+            OffspringDistribution({0: HALF, 2: Fraction(1, 4)})
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
-            OffspringDistribution.from_pmf({1: 1})
-
-    def test_binary_is_periodic(self):
-        assert BINARY.aperiodic is False
-        third = Fraction(1, 3)
-        tri = OffspringDistribution.from_pmf({0: third, 1: third, 2: third})
-        assert tri.aperiodic is True
+            OffspringDistribution({1: 1})
 
     def test_describe(self):
         assert GEO.describe() == "geometric-half"
@@ -136,11 +130,19 @@ class TestStepValidation:
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            StepDistribution.from_pmf({-1: Fraction(1, 3), 1: Fraction(2, 3)})
+            StepDistribution({-1: Fraction(1, 3), 1: Fraction(2, 3)})
 
     def test_point_mass_rejected(self):
         with pytest.raises(ValueError):
-            StepDistribution.from_pmf({0: 1})
+            StepDistribution({0: 1})
+
+    @pytest.mark.parametrize("pmf", [
+        {-0.5: HALF, 0.5: HALF},
+        {Fraction(-1, 2): HALF, Fraction(1, 2): HALF},
+    ], ids=["float", "fraction"])
+    def test_non_integer_values_rejected(self, pmf):
+        with pytest.raises(ValueError, match="step values must be integers"):
+            StepDistribution(pmf)
 
     def test_normal_has_no_exact_support(self):
         g = StepDistribution.normal(2.0)
@@ -158,7 +160,7 @@ class TestStepValidation:
     def test_sampling_follows_a_lazy_law_on_three_points(self):
         # a law on {-1, 0, 1} other than the uniform one draws 0 at its own
         # probability 1/2, within 4 standard errors
-        lazy = StepDistribution.from_pmf({-1: Fraction(1, 4), 0: HALF, 1: Fraction(1, 4)})
+        lazy = StepDistribution({-1: Fraction(1, 4), 0: HALF, 1: Fraction(1, 4)})
         draws = 200_000
         share = np.count_nonzero(lazy.sample(rng_of(3), draws) == 0) / draws
         assert abs(share - 0.5) < 4 * (0.25 / draws) ** 0.5
@@ -688,6 +690,18 @@ class TestQMeasures:
         assert {l[0] for l in labels} == {0} and all(v > 0 for l in labels for v in l[1:])
         for measure in MEASURES:
             assert draw(measure, n=2, x=1, count=0) == ([], None if "Pi" in measure else [])
+
+    @pytest.mark.parametrize("gamma", [U3, StepDistribution.normal()], ids=["uniform3", "normal"])
+    @pytest.mark.parametrize("measure", [m for m in MEASURES if not m.startswith("Pi")])
+    @pytest.mark.parametrize("n, x, count", [(5, 1, 3), (5, 0, 0), (0, 1, 3), (0, 0, 0)])
+    def test_labels_take_the_step_law_dtype(self, gamma, measure, n, x, count):
+        # whatever the route, and with no draw or no edge to take it from
+        if measure in SIZED_MEASURES:
+            n = max(n, SIZED_MEASURES[measure])
+        else:
+            n = None
+        labels = sample_measure(measure, GEO, gamma, n, x, count, rng_of(7))[2]
+        assert labels.dtype == np.result_type(gamma.dtype, x)
 
     def test_batched_sized_rows_equal_per_draw_rows(self):
         for n in (0, 1, 7, 500):

@@ -24,6 +24,7 @@ from treesnake.snake_limit import (
     EmptySample,
     NonUniqueMinimum,
     _excursion_rows,
+    _head_blocks,
     _reroot_at_minimum,
     _snake_head_rows,
     ks_report,
@@ -201,6 +202,15 @@ class TestExcursion:
         assert ks_two_sample(quarter, three_quarter) < 0.02
 
 
+def block_extrema(e, rng):
+    """Each row's running (min, max) of the head, read off _head_blocks."""
+    z_min, z_max = np.zeros(len(e)), np.zeros(len(e))
+    for _, heads in _head_blocks(e, rng):
+        np.minimum(z_min, heads.min(axis=0), out=z_min)
+        np.maximum(z_max, heads.max(axis=0), out=z_max)
+    return z_min, z_max
+
+
 class TestSnakeHead:
     def test_degenerate_lifetime_gives_constant_head(self):
         z = _snake_head_rows(np.zeros((2, 3)), np.random.default_rng(2))
@@ -277,7 +287,7 @@ class TestSnakeHead:
         want = reference_head_rows(e, ref_rng)
         assert got.tobytes() == want.tobytes()
         assert rng.random() == ref_rng.random()
-        z_min, z_max = _snake_head_rows(e, np.random.default_rng(40), keep_paths=False)
+        z_min, z_max = block_extrema(e, np.random.default_rng(40))
         assert z_min.tobytes() == want.min(axis=1).tobytes()
         assert z_max.tobytes() == want.max(axis=1).tobytes()
 
@@ -295,17 +305,12 @@ class TestSnakeHead:
             rng = np.random.default_rng(40)
             z = _snake_head_rows(e, rng).tobytes()
             rng_ext = np.random.default_rng(40)
-            ext = [a.tobytes() for a in _snake_head_rows(e, rng_ext, keep_paths=False)]
+            ext = [a.tobytes() for a in block_extrema(e, rng_ext)]
             return z, ext, rng.random(), rng_ext.random()
 
         want = draw()
         monkeypatch.setattr(snake_limit, "_HEAD_BLOCK", block)
         assert draw() == want
-
-    @pytest.mark.parametrize("batch", [0, -1])
-    def test_extrema_reject_an_empty_batch(self, batch):
-        with pytest.raises(ValueError, match="batch must be at least 1"):
-            sample_extrema(64, 3, np.random.default_rng(0), batch=batch)
 
     @pytest.mark.parametrize("draw", [sample_extrema, sample_positive_snake])
     def test_rejects_a_negative_sample_count(self, draw):
@@ -323,8 +328,9 @@ class TestSnakeHead:
             tracemalloc.stop()
         assert peak < 1.3 * 256 * 4097 * 8
 
-    def test_extrema_batch_matches_full_paths(self):
-        sups, infs = sample_extrema(64, 300, np.random.default_rng(9), batch=100)
+    def test_extrema_batch_matches_full_paths(self, monkeypatch):
+        monkeypatch.setattr(snake_limit, "_EXTREMA_BATCH", 100)
+        sups, infs = sample_extrema(64, 300, np.random.default_rng(9))
         rng = np.random.default_rng(9)
         e = _excursion_rows(64, 100, rng)
         z = _snake_head_rows(e, rng)
