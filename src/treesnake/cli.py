@@ -19,6 +19,13 @@ Pi and Pi-n take only --gamma uniform3.  An --out path is checked before
 any subcommand starts: its directory must exist and be writable, and it
 must not be a directory.
 
+Each fact a name stands for is written once, in a table whose keys are the
+parser's choices: the --mu and --gamma laws are the name -> constructor
+tables _OFFSPRING and _STEPS, each one's first law the default (verify takes
+the exact laws of _STEPS), and each verify --identity is one _Identity of
+_IDENTITIES, which holds its size budget, the closed-form count of what it
+enumerates, whether it takes only uniform3 steps and its report.
+
 Exit status: 0 when the requested checks pass (or a pure sampling run
 completes), 1 when a verification or comparison fails, a sampler runs out
 of its rejection budget or a size or sample count passes plane_tree's
@@ -42,12 +49,11 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from treesnake.exact_enum import (
-    UnreachableSizeError,
     count_well_labelled,
     verify_reroot_identity,
     verify_reroot_identity_closed,
@@ -87,6 +93,14 @@ SAMPLE_BLOCK = 256
 # steps move a label by at most 1, so every label stays inside int64.
 _MAX_ROOT_LABEL = 2**62
 
+# The laws that --mu and --gamma name, each table's first law the default.
+# Only uniform3 carries the unlabelled measures and the identities about
+# steps in {-1, 0, 1}; verify takes the exact step laws.
+_OFFSPRING = {"geometric": OffspringDistribution.geometric_half}
+_STEPS = {"uniform3": StepDistribution.uniform3, "pm1": StepDistribution.uniform_pm1,
+          "normal": StepDistribution.normal}
+_UNIFORM3 = next(iter(_STEPS))
+
 
 class UsageError(ValueError):
     """Bad parameter combination caught before any work starts."""
@@ -105,22 +119,6 @@ class RunManifest:
 
 def _print_json(obj: dict) -> None:
     print(json.dumps(obj, indent=2, default=str))
-
-
-def _offspring(name: str) -> OffspringDistribution:
-    if name != "geometric":
-        raise UsageError(f"unknown offspring law {name!r}")
-    return OffspringDistribution.geometric_half()
-
-
-def _step(name: str) -> StepDistribution:
-    if name == "uniform3":
-        return StepDistribution.uniform3()
-    if name == "pm1":
-        return StepDistribution.uniform_pm1()
-    if name == "normal":
-        return StepDistribution.normal()
-    raise UsageError(f"unknown step law {name!r}")
 
 
 def _check_samples(total: int) -> None:
@@ -234,13 +232,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     # --x is the root label of the P family; Pi has no labels, and Q is rooted at 0
     if args.x is not None and args.measure not in ("P-x", "P-n-x", "Pbar-n-x"):
         raise UsageError(f"measure {args.measure} takes no --x")
-    if args.measure in ("Pi", "Pi-n") and args.gamma != "uniform3":
-        raise UsageError(f"measure {args.measure} has no labels, so takes only --gamma uniform3")
+    if args.measure in ("Pi", "Pi-n") and args.gamma != _UNIFORM3:
+        raise UsageError(f"measure {args.measure} has no labels, so takes only --gamma {_UNIFORM3}")
     x = 0 if args.x is None else args.x
     if abs(x) > _MAX_ROOT_LABEL:
         raise UsageError(f"--x {x} is outside [-2^62, 2^62]")
-    mu = _offspring(args.mu)
-    gamma = _step(args.gamma)
+    mu = _OFFSPRING[args.mu]()
+    gamma = _STEPS[args.gamma]()
     # every block is drawn before any is written, so a failed block leaves no file
     blocks = _run_blocks(
         _sample_block, (args.measure, mu, gamma, args.n, x), args.samples, args.seed
@@ -303,69 +301,78 @@ def _quad_battery_report(n: int) -> dict:
     }
 
 
-# what each identity enumerates, as the size budget counts it
-_VERIFY_ITEMS = {"reroot": "atoms", "reroot-closed": "atoms", "size-law": "trees",
-                 "census": "shapes", "quad": "maps"}
-# the budgets below MAX_VERTICES: the battery builds, checks and inverts a
+class _Identity(NamedTuple):
+    """One verify --identity: the word for the items it enumerates, its
+    budget of them, their closed-form count at --n n, whether it takes only
+    --gamma uniform3, and its report at --n n.
+
+    The re-rooting identities run over the |support|^n Cat(n-1) labelled
+    single-child-root trees with n edges, the size law over the trees with
+    1..n vertices, the census over the Cat(k) shapes with k = 1..n edges
+    (one label DP each) and the quad battery over the 2 3^n Cat(n)/(n+2)
+    well-labelled trees with n edges (one map each).  The census and the
+    battery are statements about steps in {-1, 0, 1}, and the size law has
+    no steps.  A report looks its functions up when it runs.
+    """
+
+    items: str
+    cap: int
+    count: Callable[[int, StepDistribution], int]
+    uniform3_only: bool
+    report: Callable[[int, OffspringDistribution, StepDistribution], dict]
+
+
+def _reroot_atoms(n: int, gamma: StepDistribution) -> int:
+    return len(gamma.support) ** n * _catalan(n - 1)
+
+
+# The budgets below MAX_VERTICES: the battery builds, checks and inverts a
 # map in about 55 us (quad --n 7, 208494 maps, 11 s), the re-rooting forms
 # hold their measures in dicts at about 7 us an atom (reroot-closed --n 7,
 # 288684 atoms, 2 s and 100 MB), and the census runs its label DP on a
 # shape in 35 to 40 us at n = 11 (58786 shapes, 2.0 to 2.3 s); 10^6 items
-# is under a minute
-_VERIFY_CAPS = {"reroot": 10**6, "reroot-closed": 10**6, "quad": 10**6, "census": 10**6}
-
-
-def _verify_items(identity: str, n: int, gamma: StepDistribution) -> int:
-    """How many items verify enumerates at --n n, by closed form.
-
-    The re-rooting identities run over the |support|^n Cat(n-1) labelled
-    single-child-root trees with n edges, the quad battery over the
-    2 3^n Cat(n)/(n+2) well-labelled trees with n edges (one map each),
-    the census over the Cat(k) shapes with k = 1..n edges (one label DP
-    each) and the size law over the trees with 1..n vertices.
-    """
-    if identity in ("reroot", "reroot-closed"):
-        return len(gamma.support) ** n * _catalan(n - 1)
-    if identity == "size-law":
-        return sum(_catalan(k - 1) for k in range(1, n + 1))
-    if identity == "census":
-        return sum(_catalan(k) for k in range(1, n + 1))
-    return 2 * 3**n * _catalan(n) // (n + 2)
+# is under a minute.
+_IDENTITIES = {
+    "reroot": _Identity(
+        "atoms", 10**6, _reroot_atoms, False,
+        lambda n, mu, gamma: verify_reroot_identity(n, mu, gamma)),
+    "reroot-closed": _Identity(
+        "atoms", 10**6, _reroot_atoms, False,
+        lambda n, mu, gamma: verify_reroot_identity_closed(n, mu, gamma)),
+    "size-law": _Identity(
+        "trees", MAX_VERTICES, lambda n, gamma: sum(_catalan(k - 1) for k in range(1, n + 1)),
+        True, lambda n, mu, gamma: verify_size_law(mu, n)),
+    "census": _Identity(
+        "shapes", 10**6, lambda n, gamma: sum(_catalan(k) for k in range(1, n + 1)),
+        True, lambda n, mu, gamma: _census_report(n)),
+    "quad": _Identity(
+        "maps", 10**6, lambda n, gamma: 2 * 3**n * _catalan(n) // (n + 2),
+        True, lambda n, mu, gamma: _quad_battery_report(n)),
+}
 
 
 def _check_verify_size(identity: str, n: int, gamma: StepDistribution) -> None:
     # the counts grow with n, so sizes are tried upwards and the first one
     # past the budget is named: the count at a huge --n is never computed
-    cap = _VERIFY_CAPS.get(identity, MAX_VERTICES)
+    entry = _IDENTITIES[identity]
     for k in range(1, n + 1):
-        items = _verify_items(identity, k, gamma)
-        if items > cap:
+        items = entry.count(k, gamma)
+        if items > entry.cap:
             raise SizeOverflow(
-                f"--n {n} passes the budget of {cap} "
-                f"{_VERIFY_ITEMS[identity]} ({items} at --n {k})"
+                f"--n {n} passes the budget of {entry.cap} {entry.items} ({items} at --n {k})"
             )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    mu = _offspring(args.mu)
-    gamma = _step(args.gamma)
+    mu = _OFFSPRING[args.mu]()
+    gamma = _STEPS[args.gamma]()
+    entry = _IDENTITIES[args.identity]
     if args.n < 1:
         raise UsageError("need --n at least 1")
-    if args.identity in ("size-law", "census", "quad") and args.gamma != "uniform3":
-        # the census and the battery are statements about steps in
-        # {-1, 0, 1}, and the size law has no steps
-        raise UsageError(f"identity {args.identity} takes only --gamma uniform3")
+    if entry.uniform3_only and args.gamma != _UNIFORM3:
+        raise UsageError(f"identity {args.identity} takes only --gamma {_UNIFORM3}")
     _check_verify_size(args.identity, args.n, gamma)
-    if args.identity == "reroot":
-        report = verify_reroot_identity(args.n, mu, gamma)
-    elif args.identity == "reroot-closed":
-        report = verify_reroot_identity_closed(args.n, mu, gamma)
-    elif args.identity == "size-law":
-        report = verify_size_law(mu, args.n)
-    elif args.identity == "census":
-        report = _census_report(args.n)
-    else:
-        report = _quad_battery_report(args.n)
+    report = entry.report(args.n, mu, gamma)
     text = json.dumps(report, indent=2, default=str) + "\n"
     if args.out:
         _write_text(args.out, text)
@@ -419,8 +426,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.discrete_n < 1 or args.grid < 2:
         raise UsageError("need --discrete-n at least 1 and --grid at least 2")
     _check_samples(args.samples)
-    mu = _offspring(args.mu)
-    gamma = _step("uniform3")
+    mu = _OFFSPRING[args.mu]()
+    gamma = _STEPS[_UNIFORM3]()
     kappa = math.sqrt(mu.sigma / 2.0) / gamma.rho
     tree_rng, snake_rng = spawn_rngs(args.seed, 2)
 
@@ -441,6 +448,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0 if report["pass"] else 1
 
 
+def _add_laws(p: argparse.ArgumentParser, steps: list[str] | None = None) -> None:
+    """--mu over _OFFSPRING, and --gamma over the given names of _STEPS."""
+    p.add_argument("--mu", default=next(iter(_OFFSPRING)), choices=list(_OFFSPRING))
+    if steps is not None:
+        p.add_argument("--gamma", default=_UNIFORM3, choices=steps)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treesnake",
@@ -454,22 +468,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="edge count for sized measures")
     p.add_argument("--x", type=int, default=None,
                    help="root label of P-x, P-n-x and Pbar-n-x (default 0)")
-    p.add_argument("--mu", default="geometric", choices=["geometric"])
-    p.add_argument("--gamma", default="uniform3", choices=["uniform3", "pm1", "normal"])
+    _add_laws(p, list(_STEPS))
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("verify", help="run an exact enumeration check")
-    p.add_argument(
-        "--identity",
-        required=True,
-        choices=["reroot", "reroot-closed", "size-law", "census", "quad"],
-    )
+    p.add_argument("--identity", required=True, choices=list(_IDENTITIES))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mu", default="geometric", choices=["geometric"])
-    p.add_argument("--gamma", default="uniform3", choices=["uniform3", "pm1"])
+    _add_laws(p, [name for name, law in _STEPS.items() if law().exact])
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
@@ -495,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--discrete-n", type=int, required=True, dest="discrete_n")
     p.add_argument("--grid", type=int, default=4096)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--mu", default="geometric", choices=["geometric"])
+    _add_laws(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_compare)
@@ -514,8 +522,7 @@ def run(argv=None) -> int:
     except (RejectionBudgetExhausted, SizeOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, NegativeRootLabel, NotWellLabelled, UnreachableSize,
-            UnreachableSizeError) as exc:
+    except (UsageError, NegativeRootLabel, NotWellLabelled, UnreachableSize) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from treesnake.gw_sampler import OffspringDistribution, StepDistribution
+from treesnake.gw_sampler import OffspringDistribution, StepDistribution, UnreachableSize
 from treesnake.plane_tree import PlaneTree, enumerate_trees, leaves
 from treesnake.spatial_tree import SpatialTree, reroot_at
 
@@ -411,11 +411,6 @@ def count_well_labelled(n: int) -> tuple[int, int, Fraction]:
     return count_all, count_pos, Fraction(count_pos, count_all)
 
 
-class UnreachableSizeError(ValueError):
-    def __init__(self, n: int):
-        super().__init__(f"size {n + 1} has probability zero")
-
-
 def conditional_label_law(
     n: int,
     mu: OffspringDistribution,
@@ -426,7 +421,8 @@ def conditional_label_law(
 
     Atoms are (counts, labels); weights are normalized to total mass one.
     The conditioning keeps non-root labels strictly positive, the root
-    being pinned at x.
+    being pinned at x; UnreachableSize is raised when no such tree has
+    positive mass.
     """
     raw: dict[Atom, Fraction] = {}
     for s, w in labelled_atoms(n, mu, gamma, x=x, root_single_child=False):
@@ -434,5 +430,5 @@ def conditional_label_law(
             raw[_atom_key(s)] = raw.get(_atom_key(s), Fraction(0)) + w
     total = sum(raw.values(), Fraction(0))
     if total == 0:
-        raise UnreachableSizeError(n)
+        raise UnreachableSize(f"size {n + 1} has probability zero")
     return {k: w / total for k, w in raw.items()}

@@ -56,6 +56,7 @@ alone, an independent check.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union
 
@@ -96,12 +97,32 @@ def _as_fraction(x: Numeric) -> Fraction:
     return Fraction(x)
 
 
+def _finite_pmf(pmf: Mapping[int, Numeric], what: str) -> list[tuple[int, Fraction]]:
+    """A finite probability vector as (value, mass) pairs sorted by value.
+
+    The values must be integers (numpy integers too, by operator.index) and
+    the masses nonnegative with total one; zero masses are dropped.
+    """
+    try:
+        values = [operator.index(v) for v in pmf]
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
+    items = [(v, _as_fraction(p)) for v, p in zip(values, pmf.values())]
+    if any(p < 0 for _, p in items):
+        raise ValueError("probabilities must be nonnegative")
+    total = sum(p for _, p in items)
+    if total != 1:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    return sorted((v, p) for v, p in items if p != 0)
+
+
 class OffspringDistribution:
     """Critical offspring law, exact where possible.
 
     Either the geometric(1/2) law mu(k) = 2^-(k+1), or a finite vector of
-    exact probabilities.  Construction validates total mass one, mean one,
-    mu(1) < 1 and positive variance.
+    exact probabilities.  Construction validates the vector (_finite_pmf:
+    integer counts, nonnegative masses of total one), then nonnegative
+    counts, mean one, mu(1) < 1 and positive variance.
     """
 
     def __init__(self, pmf: Optional[Mapping[int, Numeric]] = None, *, _geometric: bool = False):
@@ -112,15 +133,9 @@ class OffspringDistribution:
             return
         if pmf is None:
             raise ValueError("need a probability vector or the geometric tag")
-        items = sorted((int(k), _as_fraction(p)) for k, p in pmf.items())
-        items = [(k, p) for k, p in items if p != 0]
+        items = _finite_pmf(pmf, "offspring counts")
         if any(k < 0 for k, _ in items):
             raise ValueError("offspring counts must be nonnegative")
-        if any(p < 0 for _, p in items):
-            raise ValueError("probabilities must be nonnegative")
-        total = sum(p for _, p in items)
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
         mean = sum(k * p for k, p in items)
         if mean != 1:
             raise ValueError(f"offspring mean is {mean}, the law must be critical")
@@ -174,7 +189,8 @@ class OffspringDistribution:
 class StepDistribution:
     """Centered displacement law for labels along edges.
 
-    Finite symmetric vectors keep exact probabilities and integer values;
+    Finite symmetric vectors keep exact probabilities and integer values
+    (validated by _finite_pmf, then for symmetry and a nonzero variance);
     normal(std) is available for purely numeric work.  dtype is that of the
     steps drawn: int64, or float64 for normal steps.
     """
@@ -195,14 +211,7 @@ class StepDistribution:
             return
         if pmf is None:
             raise ValueError("need a probability vector or a normal spread")
-        if not all(isinstance(v, int) for v in pmf):
-            raise ValueError("step values must be integers")
-        vals = [(v, _as_fraction(p)) for v, p in pmf.items()]
-        vals = [(v, p) for v, p in vals if p != 0]
-        vals.sort(key=lambda vp: vp[0])
-        total = sum(p for _, p in vals)
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        vals = _finite_pmf(pmf, "step values")
         asdict = dict(vals)
         for v, p in vals:
             if asdict.get(-v, Fraction(0)) != p:
@@ -244,11 +253,6 @@ class StepDistribution:
         if not self.exact:
             raise ValueError("normal displacement has no exact finite support")
         return sorted(self._pmf.items(), key=lambda vp: vp[0])
-
-    def exact_pmf(self, v: int) -> Fraction:
-        if not self.exact:
-            raise ValueError("normal displacement has no exact pmf")
-        return self._pmf.get(v, Fraction(0))
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.normal_std is not None:
@@ -818,7 +822,9 @@ def sample_measure(
         count_rows = _q_count_rows if measure.startswith("Q") else _sized_count_rows
         if mu.is_geometric and (measure == "Qbar-n" or (cut and x == 1 and unit)):
             rows, labels = _reroot_rows(*_rerooted_rows(gamma, n + cut, count, rng)[:3])
-            rows, labels = rows[:, cut:], labels[:, cut:]
+            # the kept rows carry the step law's dtype, so a float root casts them
+            dtype = np.result_type(gamma.dtype, root)
+            rows, labels = rows[:, cut:], labels[:, cut:].astype(dtype, copy=False)
         elif measure in ("Pbar-n-x", "Qbar-n"):
             rows, labels, _ = _conditioned_rows(mu, gamma, n, root, count, rng, count_rows)
         else:

@@ -47,7 +47,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -196,10 +196,13 @@ def enumerate_well_labelled(n: int) -> Iterator[SpatialTree]:
                 stack.append((i + 1, base - 1))
 
 
-def cvs_build(wt: SpatialTree, n: Optional[int] = None) -> PlanarQuadrangulation:
-    """Quadrangulation with n faces encoded by a well-labelled tree with n edges.
+def cvs_build(wt: SpatialTree) -> PlanarQuadrangulation:
+    """Quadrangulation encoded by a well-labelled tree: n edges give n faces,
+    so the map's size is read off the tree.
 
-    The root dart is the extra-vertex end of the root corner's arc, so the
+    NotWellLabelled is raised for a tree without edges, a root off label 1,
+    a label that is not a positive integer, or a jump of more than 1 along
+    an edge.  The root dart is the extra-vertex end of the root corner's arc, so the
     root vertex of the map is the extra vertex.
     """
     labels = wt.labels
@@ -216,20 +219,17 @@ def cvs_build(wt: SpatialTree, n: Optional[int] = None) -> PlanarQuadrangulation
             )
     if labels[0] != 1:
         raise NotWellLabelled(f"root label {labels[0]}, want 1")
-    if n is None:
-        n = wt.tree.n_edges
-    elif n != wt.tree.n_edges:
-        raise ValueError(f"tree has {wt.tree.n_edges} edges, not {n}")
-    return _successor_arcs(wt, n)
+    return _successor_arcs(wt)
 
 
-def _successor_arcs(wt: SpatialTree, n: int) -> PlanarQuadrangulation:
+def _successor_arcs(wt: SpatialTree) -> PlanarQuadrangulation:
     """The successor-arc map of a checked well-labelled tree.
 
     Arc j belongs to corner j and carries darts 2j (at the corner) and
     2j+1 (at the successor corner, or at the extra vertex for label-1
     corners).  Root dart 1 is the far end of the root corner's arc.
     """
+    n = wt.tree.n_edges
     two_n = 2 * n
     order = wt.tree.contour_order  # vertex index per corner, then the root again
     labels = wt.labels
@@ -474,7 +474,7 @@ def sample_uniform_quads(
     counts, _, labels = sample_measure("Pbar-n-x", _GEO, _U3, n, 1, count, rng)
     rows = zip(counts.reshape(count, n + 1).tolist(), labels.reshape(count, n + 1).tolist())
     for c, l in rows:
-        yield cvs_build(SpatialTree(PlaneTree(tuple(c)), tuple(l)), n)
+        yield cvs_build(SpatialTree(PlaneTree(tuple(c)), tuple(l)))
 
 
 def sample_uniform_quad(n: int, rng: np.random.Generator) -> PlanarQuadrangulation:

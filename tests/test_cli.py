@@ -213,7 +213,7 @@ class TestVerifySubcommand:
                 got = sum(e["labelled"] // 3 ** e["n"] for e in report["entries"])
             else:
                 got = report["terms"]
-            assert cli._verify_items(identity, n, cli._step(gamma)) == got
+            assert cli._IDENTITIES[identity].count(n, cli._STEPS[gamma]()) == got
 
     def test_catalan_numbers_past_the_census_sizes(self):
         # Segner's recurrence, beyond the n <= 8 the census used to stop at
@@ -662,7 +662,7 @@ class TestSizeBudget:
         ("census", "uniform3", 12), ("size-law", "uniform3", 15),
     ])
     def test_largest_verify_size_in_the_budget(self, identity, gamma, largest):
-        step = cli._step(gamma)
+        step = cli._STEPS[gamma]()
         cli._check_verify_size(identity, largest, step)
         with pytest.raises(SizeOverflow):
             cli._check_verify_size(identity, largest + 1, step)
@@ -677,4 +677,4 @@ class TestSizeBudget:
         assert len(calls) == 4
         for argv in calls:
             args = cli.build_parser().parse_args(argv)
-            cli._check_verify_size(args.identity, args.n, cli._step(args.gamma))
+            cli._check_verify_size(args.identity, args.n, cli._STEPS[args.gamma]())

@@ -23,7 +23,7 @@ from treesnake.exact_enum import (
     verify_reroot_identity_closed,
     verify_size_law,
 )
-from treesnake.gw_sampler import OffspringDistribution, StepDistribution
+from treesnake.gw_sampler import OffspringDistribution, StepDistribution, UnreachableSize
 from treesnake.plane_tree import PlaneTree, build_tree, enumerate_trees, leaves
 from treesnake.quadmap import enumerate_well_labelled
 from treesnake.spatial_tree import SpatialTree, reroot_at
@@ -235,6 +235,11 @@ class TestConditionalLaw:
         law = conditional_label_law(3, GEO, U3, x=1)
         assert len(law) == 54
         assert sum(law.values()) == 1
+
+    def test_unreachable_size_raises(self):
+        # a binary tree has an odd number of vertices, so never 3 edges
+        with pytest.raises(UnreachableSize, match=r"^size 4 has probability zero$"):
+            conditional_label_law(3, BINARY, U3, 1)
 
     def test_normal_steps_rejected(self):
         with pytest.raises(IrrationalMass):

@@ -144,6 +144,25 @@ class TestStepValidation:
         with pytest.raises(ValueError, match="step values must be integers"):
             StepDistribution(pmf)
 
+    def test_non_integer_offspring_counts_rejected(self):
+        # not truncated to the binary law {0, 2}
+        with pytest.raises(ValueError, match="offspring counts must be integers"):
+            OffspringDistribution({0: HALF, 2.7: HALF})
+
+    def test_numpy_integer_values_accepted(self):
+        law = StepDistribution({np.int64(-1): HALF, np.int64(1): HALF})
+        assert law.support == PM1.support and law.variance == 1
+        assert law.describe() == "uniform-pm1"
+
+    @pytest.mark.parametrize("pmf", [
+        {-1: -HALF, 0: 2, 1: -HALF},
+        {-2: Fraction(-1, 4), -1: Fraction(3, 4), 1: Fraction(3, 4), 2: Fraction(-1, 4)},
+    ], ids=["variance-1", "variance-half"])
+    def test_negative_masses_rejected(self, pmf):
+        # symmetric, of total one and nonzero variance, yet no probability law
+        with pytest.raises(ValueError, match="probabilities must be nonnegative"):
+            StepDistribution(pmf)
+
     def test_normal_has_no_exact_support(self):
         g = StepDistribution.normal(2.0)
         assert g.variance == pytest.approx(4.0)
@@ -693,15 +712,18 @@ class TestQMeasures:
 
     @pytest.mark.parametrize("gamma", [U3, StepDistribution.normal()], ids=["uniform3", "normal"])
     @pytest.mark.parametrize("measure", [m for m in MEASURES if not m.startswith("Pi")])
-    @pytest.mark.parametrize("n, x, count", [(5, 1, 3), (5, 0, 0), (0, 1, 3), (0, 0, 0)])
+    @pytest.mark.parametrize("n, x, count", [
+        (5, 1, 3), (5, 0, 0), (0, 1, 3), (0, 0, 0), (5, 1.0, 3)])
     def test_labels_take_the_step_law_dtype(self, gamma, measure, n, x, count):
-        # whatever the route, and with no draw or no edge to take it from
+        # whatever the route (the re-rooting one at a float x = 1.0 too),
+        # and with no draw or no edge to take it from; Q is rooted at 0
         if measure in SIZED_MEASURES:
             n = max(n, SIZED_MEASURES[measure])
         else:
             n = None
         labels = sample_measure(measure, GEO, gamma, n, x, count, rng_of(7))[2]
-        assert labels.dtype == np.result_type(gamma.dtype, x)
+        root = 0 if measure.startswith("Q") else x
+        assert labels.dtype == np.result_type(gamma.dtype, root)
 
     def test_batched_sized_rows_equal_per_draw_rows(self):
         for n in (0, 1, 7, 500):

@@ -1,14 +1,16 @@
 """The package's promises to its readers: the README's library example runs
-as written, every exported name exists, and every public name the package
-imports from its modules is exported."""
+as written, its command lines parse, every exported name exists, and every
+public name the package imports from its modules is exported."""
 
 from __future__ import annotations
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import treesnake
+from treesnake import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,6 +26,18 @@ def test_readme_library_use_runs_as_written():
     assert namespace["uniform"].n == 200
     assert namespace["lifetimes"].shape == namespace["heads"].shape == (8, 4097)
     assert (namespace["heads"][:, 0] == 0.0).all()
+
+
+def test_readme_command_lines_parse():
+    # parsed, not run: a renamed law, identity or option fails here first
+    text = README.read_text()
+    section = text[text.index("## Command line"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL)
+    assert block is not None
+    lines = [line for line in block.group(1).splitlines() if line.startswith("treesnake ")]
+    assert len(lines) >= 5
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_every_export_resolves():

@@ -112,23 +112,19 @@ class TestWellLabelledValidation:
         with pytest.raises(NotWellLabelled, match=r"^need at least one edge$"):
             cvs_build(SpatialTree(build_tree((0,)), (1,)))
 
-    def test_edge_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="edges"):
-            cvs_build(one_edge_tree(1), 5)
-
 
 class TestOneFaceMaps:
     """Both one-face quadrangulations, worked out by hand."""
 
     def test_flat_labels_give_radius_one(self):
-        q = cvs_build(one_edge_tree(1), 1)
+        q = cvs_build(one_edge_tree(1))
         q.validate()
         profile = distances(q)
         assert profile.radius == 1
         assert profile.counts == {0: 1, 1: 2}
 
     def test_rising_labels_give_radius_two(self):
-        q = cvs_build(one_edge_tree(2), 1)
+        q = cvs_build(one_edge_tree(2))
         q.validate()
         profile = distances(q)
         assert profile.radius == 2
@@ -136,7 +132,7 @@ class TestOneFaceMaps:
 
     def test_the_two_maps_are_distinct(self):
         codes = {
-            canonical_code(cvs_build(one_edge_tree(c), 1)) for c in (1, 2)
+            canonical_code(cvs_build(one_edge_tree(c))) for c in (1, 2)
         }
         assert len(codes) == 2
 
@@ -149,7 +145,7 @@ class TestEncodingBattery:
         seen = 0
         for wt in enumerate_well_labelled(n):
             seen += 1
-            q = cvs_build(wt, n)
+            q = cvs_build(wt)
             q.validate()
             assert q.n_vertices == n + 2
             assert len(q.faces) == n
@@ -172,10 +168,10 @@ class TestEncodingBattery:
         seen = 0
         for n in (1, 2, 3):
             for wt in enumerate_well_labelled(n):
-                q = cvs_build(wt, n)
+                q = cvs_build(wt)
                 for root in range(4 * n):
                     moved = PlanarQuadrangulation(n, q.sigma, q.alpha, root)
-                    assert canonical_code(cvs_build(cvs_inverse(moved), n)) == canonical_code(moved)
+                    assert canonical_code(cvs_build(cvs_inverse(moved))) == canonical_code(moved)
                     seen += 1
         assert seen == 728
 
@@ -187,7 +183,7 @@ class TestEncodingBattery:
         seen = 0
         for n in (1, 2, 3, 4):
             for wt in enumerate_well_labelled(n):
-                back = cvs_inverse(renumbered(cvs_build(wt, n), rng))
+                back = cvs_inverse(renumbered(cvs_build(wt), rng))
                 assert back.tree == wt.tree
                 assert back.labels == wt.labels
                 seen += 1
@@ -211,7 +207,7 @@ class TestEncodingBattery:
 
     @pytest.mark.parametrize("n,count", [(1, 2), (2, 9), (3, 54), (4, 378)])
     def test_codes_are_injective(self, n, count):
-        codes = {canonical_code(cvs_build(wt, n)) for wt in enumerate_well_labelled(n)}
+        codes = {canonical_code(cvs_build(wt)) for wt in enumerate_well_labelled(n)}
         assert len(codes) == count
 
 
@@ -226,7 +222,7 @@ class TestCanonicalCode:
 
     def test_moving_the_root_changes_the_code(self):
         # the two one-face maps differ only in where the root dart points
-        q = cvs_build(one_edge_tree(2), 1)
+        q = cvs_build(one_edge_tree(2))
         moved = PlanarQuadrangulation(q.n, q.sigma, q.alpha, q.alpha[q.root_dart])
         moved.validate()
         assert canonical_code(moved) != canonical_code(q)
@@ -240,7 +236,7 @@ class TestStructuralValidation:
             q.validate()
 
     def test_fixed_point_alpha_rejected(self):
-        q = cvs_build(one_edge_tree(1), 1)
+        q = cvs_build(one_edge_tree(1))
         bad = PlanarQuadrangulation(1, q.sigma, (0, 1, 3, 2), q.root_dart)
         with pytest.raises(NotAQuadrangulation, match=r"^alpha is not a fixed-point-free involution$"):
             bad.validate()
@@ -253,7 +249,7 @@ class TestStructuralValidation:
 
     def test_disconnected_darts_rejected(self):
         # two one-face maps numbered as one: every face has degree four
-        q = cvs_build(one_edge_tree(1), 1)
+        q = cvs_build(one_edge_tree(1))
         both = PlanarQuadrangulation(
             2,
             q.sigma + tuple(d + 4 for d in q.sigma),
@@ -269,7 +265,7 @@ class TestStructuralValidation:
             cvs_inverse(PlanarQuadrangulation(1, (1, 2, 3, 0), (2, 3, 0, 1), 0))
 
     def test_sigma_must_be_a_permutation(self):
-        q = cvs_build(one_edge_tree(1), 1)
+        q = cvs_build(one_edge_tree(1))
         bad = PlanarQuadrangulation(1, (0, 0, 1, 2), q.alpha, q.root_dart)
         with pytest.raises(NotAQuadrangulation, match=r"^sigma is not a permutation$"):
             bad.validate()
@@ -282,7 +278,7 @@ class TestStructuralValidation:
     @pytest.mark.parametrize("sigma", [(-3, 2, 3, 0), (1, 2, 3, 4), (0, 0, 1, 2)],
                              ids=["negative", "past-the-darts", "open-orbit"])
     def test_every_sigma_that_is_not_a_permutation_raises(self, sigma):
-        q = cvs_build(one_edge_tree(1), 1)
+        q = cvs_build(one_edge_tree(1))
         bad = PlanarQuadrangulation(1, sigma, q.alpha, q.root_dart)
         for check in (bad.validate, lambda: bad.vertex_of, lambda: bad.root_distances,
                       lambda: cvs_inverse(bad)):
@@ -296,7 +292,7 @@ class TestStructuralValidation:
 
     @pytest.mark.parametrize("alpha", [(4, 0, 3, 2), (1, 2, 3, 0)], ids=["range", "not-involution"])
     def test_alpha_must_pair_the_darts(self, alpha):
-        q = cvs_build(one_edge_tree(1), 1)
+        q = cvs_build(one_edge_tree(1))
         bad = PlanarQuadrangulation(1, q.sigma, alpha, q.root_dart)
         # no verdict is remembered: every call checks again
         for _ in range(2):
@@ -344,7 +340,7 @@ class TestDistanceProfile:
 
 class TestRescaledProfile:
     def test_masses_sum_to_one_without_the_root(self):
-        q = cvs_build(one_edge_tree(2), 1)
+        q = cvs_build(one_edge_tree(2))
         support, mass = distances(q).rescaled()
         assert mass.sum() == pytest.approx(1.0)
         assert 0.0 not in support
@@ -370,7 +366,7 @@ class TestUniformSampling:
         for trees in (rejection, sampled):
             freq: Counter = Counter()
             for (c, l), count in Counter((tuple(c), tuple(l)) for c, l in trees).items():
-                freq[canonical_code(cvs_build(SpatialTree(PlaneTree(c), l), 2))] += count
+                freq[canonical_code(cvs_build(SpatialTree(PlaneTree(c), l)))] += count
             assert len(freq) == 9
             for count in freq.values():
                 assert abs(count - draws / 9) < 4 * se
@@ -380,7 +376,7 @@ class TestUniformSampling:
         got = sample_uniform_quads(2, 300, np.random.default_rng(7))
         counts, labels = tuples(sample_measure("Pbar-n-x", GEO, U3, 2, 1, 300,
                                                np.random.default_rng(7)))
-        want = [cvs_build(SpatialTree(PlaneTree(c), l), 2) for c, l in zip(counts, labels)]
+        want = [cvs_build(SpatialTree(PlaneTree(c), l)) for c, l in zip(counts, labels)]
         assert [canonical_code(q) for q in got] == [canonical_code(q) for q in want]
 
     def test_radius_and_distance_law_matches_rejection(self):
@@ -394,7 +390,7 @@ class TestUniformSampling:
         trees = rejection_trees(n, maps, rng)
         picks = rng.integers(0, n + 1, size=maps)
         ref = np.array(
-            [radius_and_distance(cvs_build(wt, n), k) for wt, k in zip(trees, picks)]
+            [radius_and_distance(cvs_build(wt), k) for wt, k in zip(trees, picks)]
         )
         assert ks_two_sample(radii, ref[:, 0]) < 0.0515
         assert ks_two_sample(dists, ref[:, 1]) < 0.0515
@@ -492,7 +488,7 @@ class TestArcKernel:
             if s.tree.counts[0] != 1 or s.labels.count(low) > 1 or s.tree.counts[k]:
                 continue
             kept += 1
-            q = cvs_build(below_the_root(s, k), n)
+            q = cvs_build(below_the_root(s, k))
             dist = _bfs_distances(q, q.vertex_of[q.root_dart])
             assert sorted(dist) == sorted(l - low for l in s.labels)
         assert kept > 0
@@ -512,7 +508,7 @@ class TestArcKernel:
         assert attempts == again >= maps
         for b in range(maps):
             s = SpatialTree(PlaneTree(tuple(rows[b].tolist())), tuple(labels[b].tolist()))
-            q = cvs_build(below_the_root(s, int(argmin[b])), n)
+            q = cvs_build(below_the_root(s, int(argmin[b])))
             dist = _bfs_distances(q, q.vertex_of[q.root_dart])
             shifted = labels[b] - labels[b, argmin[b]]
             assert sorted(dist) == sorted(shifted.tolist())
