@@ -28,12 +28,14 @@ enumerates, whether it takes only uniform3 steps and its report.
 
 Exit status: 0 when the requested checks pass (or a pure sampling run
 completes), 1 when a verification or comparison fails, a sampler runs out
-of its rejection budget or a size or sample count passes plane_tree's
+of its rejection budget, a size or sample count passes plane_tree's
 MAX_VERTICES (checked before the rows are allocated; `verify` checks the
 closed-form count of what it would enumerate before it starts, against 10^6
 maps, atoms or shapes for quad, the re-rooting forms and the census, which
-stops at --n 12), 2 for usage errors and inputs outside a sampler's domain.
-Those errors print one line; any other exception keeps its traceback.
+stops at --n 12) or a batch is larger than numpy can allocate (MemoryError;
+every file is written after the draws, so none is), 2 for usage errors and
+inputs outside a sampler's domain.  Those errors print one line; any other
+exception keeps its traceback.
 """
 
 from __future__ import annotations
@@ -519,8 +521,8 @@ def run(argv=None) -> int:
         if args.out is not None:  # before any work, which a failed write would lose
             _check_out(args.out)
         return args.func(args)
-    except (RejectionBudgetExhausted, SizeOverflow) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RejectionBudgetExhausted, SizeOverflow, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except (UsageError, NegativeRootLabel, NotWellLabelled, UnreachableSize) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,8 +29,6 @@ from treesnake.gw_sampler import OffspringDistribution, StepDistribution, Unreac
 from treesnake.plane_tree import PlaneTree, enumerate_trees, leaves
 from treesnake.spatial_tree import SpatialTree, reroot_at
 
-RationalWeight = Fraction
-
 Atom = tuple[tuple[int, ...], tuple]
 # re-rooted counts and, per new vertex, the index of the old vertex it comes from
 Plan = tuple[tuple[int, ...], tuple[int, ...]]

@@ -46,11 +46,10 @@ the geometric law (_rerooted_rows, at an acceptance flat in n), otherwise
 by rejection (_conditioned_rows); both return their rows, labels and
 attempts, and raise RejectionBudgetExhausted once REJECTION_BUDGET attempts
 are spent.  The kept draws are re-rooted at their minimum leaf on rows
-(_reroot_rows), by the formula of plane_tree._reroot_walk that also
-re-roots the grid snake; so are the weighted draws of
-sample_reroot_importance, and one keep test (_minimum_leaf) picks the draws
-that both re-root.  The object route of spatial_tree stays exact_enum's
-alone, an independent check.
+(_reroot_rows), by the formula of plane_tree._reroot_walk; so are the
+weighted draws of sample_reroot_importance, and one keep test
+(_minimum_leaf) picks the draws that both re-root.  The object route of
+spatial_tree stays exact_enum's alone, an independent check.
 """
 
 from __future__ import annotations

@@ -477,11 +477,6 @@ def sample_uniform_quads(
         yield cvs_build(SpatialTree(PlaneTree(tuple(c)), tuple(l)))
 
 
-def sample_uniform_quad(n: int, rng: np.random.Generator) -> PlanarQuadrangulation:
-    """One uniform rooted quadrangulation with n faces."""
-    return next(sample_uniform_quads(n, 1, rng))
-
-
 def sample_radius_and_distance(
     n: int,
     samples: int,

@@ -1,4 +1,4 @@
-"""Discretized Brownian snake: excursion lifetime, Gaussian head, re-rooting.
+"""Discretized Brownian snake: excursion lifetime, Gaussian head, extrema.
 
 The snake is simulated on a regular grid of [0,1].  The lifetime process is
 a normalized Brownian excursion, generated as a Brownian bridge cyclically
@@ -17,16 +17,16 @@ block of 32 steps at once, and only the samples whose lifetime steps down
 pay for popping anchors and for the bridge.  Besides the excursion rows the
 head holds only its stacks, grown in place one at a time, and one block of
 scratch allocated once per call, which one generator (_head_blocks) hands
-out block by block: sample_extrema folds the blocks into running extrema,
-and _snake_head_rows writes them into head rows.
+out block by block; sample_extrema folds them into running extrema.
 
 Re-rooting at the spatial minimum turns the signed head into a nonnegative
 one while permuting head values, so path ranges are preserved sample by
-sample; the distribution of the re-rooted pair is the positive
-(conditioned) snake, which is the continuum reference object for the
-scaling comparisons.  sample_positive_snake draws it as rows, re-rooted
-in place one row block at a time; the re-rooted lifetime comes from
-plane_tree._reroot_walk, which re-roots the sampled trees' contours too.
+sample; the re-rooted pair is the positive (conditioned) snake, the
+continuum reference object for the scaling comparisons.  No re-rooted path
+is drawn: the sup of the positive snake is the range sup - inf of the head,
+which sample_extrema returns.  The lifetime would re-root by
+plane_tree._reroot_walk, the formula that re-roots the sampled trees'
+contours, and the tests check that formula on grid rows.
 """
 
 from __future__ import annotations
@@ -36,15 +36,11 @@ from typing import Iterator
 
 import numpy as np
 
-from treesnake.plane_tree import _check_vertices, _reroot_walk, _row_blocks
+from treesnake.plane_tree import _check_vertices, _row_blocks
 
 
 _HEAD_BLOCK = 32  # head steps per block of normals and per stack-growth check
 _EXTREMA_BATCH = 2048  # snakes sample_extrema draws and reduces together
-
-
-class NonUniqueMinimum(ValueError):
-    """The grid minimum of the head is attained more than once."""
 
 
 class EmptySample(ValueError):
@@ -196,58 +192,6 @@ def _head_blocks(e: np.ndarray, rng: np.random.Generator) -> Iterator[tuple[int,
 
         yield start, z_block[1 : steps + 1]
         z_block[0] = z_block[steps]
-
-
-def _snake_head_rows(e: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """The (count, m+1) head rows of _head_blocks for excursion rows e."""
-    z = np.zeros(e.shape)
-    for start, heads in _head_blocks(e, rng):
-        z[:, start + 1 : start + 1 + len(heads)] = heads.T
-    return z
-
-
-def _reroot_at_minimum(e: np.ndarray, z: np.ndarray) -> None:
-    """Re-root lifetime rows e and head rows z at each head's grid argmin,
-    in place, one row block at a time.
-
-    The new head reads the old one cyclically from the argmin, less the
-    minimum, and the new lifetime at offset j is the tree distance between
-    the old times: plane_tree._reroot_walk, the formula that re-roots the
-    discrete trees too.  A row whose minimum is attained at more than one
-    grid time raises NonUniqueMinimum.
-    """
-    count, mp1 = e.shape
-    m = mp1 - 1
-    for start, stop in _row_blocks(count, mp1):
-        head = z[start:stop]
-        star = np.argmin(head[:, :m], axis=1)
-        low = head[np.arange(stop - start), star][:, None]
-        ties = np.count_nonzero(head[:, :m] == low, axis=1)
-        tied = (ties > 1).nonzero()[0]
-        if tied.size:
-            i = tied[0]
-            raise NonUniqueMinimum(
-                f"head minimum of row {start + i} attained {ties[i]} times on the grid"
-            )
-        e[start:stop], u = _reroot_walk(e[start:stop], star)
-        np.subtract(np.take_along_axis(head, u, axis=1), low, out=head)
-
-
-def sample_positive_snake(
-    m: int, count: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """count grid snakes re-rooted at the minimum of their heads: rows of
-    lifetimes and of nonnegative heads, each (count, m+1).
-
-    A tied grid minimum, which has probability zero for Gaussian heads,
-    raises NonUniqueMinimum.
-    """
-    _check_grid(m)
-    _check_count(count)
-    e = _excursion_rows(m, count, rng)
-    z = _snake_head_rows(e, rng)
-    _reroot_at_minimum(e, z)
-    return e, z
 
 
 def sample_extrema(

@@ -640,6 +640,28 @@ class TestSizeBudget:
         assert capsys.readouterr().err == err
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("argv, work", [
+        (["snake", "--grid", "9999999", "--samples", "2048"], "sample_extrema"),
+        (["sample", "--measure", "Pi-n", "--n", "9999999", "--samples", "256"], "sample_measure"),
+        (["quad", "--n", "9999998", "--samples", "256"], "sample_uniform_quads"),
+    ], ids=["snake", "sample", "quad"])
+    @pytest.mark.parametrize("message, err", [
+        ("Unable to allocate 153. GiB", "error: Unable to allocate 153. GiB\n"),
+        ("", "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_unallocatable_batch_is_one_line_with_status_1(
+            self, tmp_path, monkeypatch, capsys, argv, work, message, err):
+        # the sampler raises as numpy does when it cannot allocate; none is
+        # asked for the real batch, which a host that overcommits memory
+        # may grant and then kill the process for
+        def unallocatable(*_args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, work, unallocatable)
+        assert run([*argv, "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr() == ("", err)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("identity, err", [
         ("quad", "maps (1876446 at --n 8)"),
         ("reroot", "atoms (2814669 at --n 8)"),

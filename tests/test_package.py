@@ -24,8 +24,8 @@ def test_readme_library_use_runs_as_written():
     exec(compile(block.group(1), f"{README}:Library use", "exec"), namespace)
     assert namespace["tree"].n_edges == 200
     assert namespace["uniform"].n == 200
-    assert namespace["lifetimes"].shape == namespace["heads"].shape == (8, 4097)
-    assert (namespace["heads"][:, 0] == 0.0).all()
+    assert namespace["sups"].shape == namespace["infs"].shape == (8,)
+    assert (namespace["sups"] > 0.0).all() and (namespace["infs"] < 0.0).all()
 
 
 def test_readme_command_lines_parse():

@@ -34,7 +34,6 @@ from treesnake.quadmap import (
     distances,
     enumerate_well_labelled,
     sample_radius_and_distance,
-    sample_uniform_quad,
     sample_uniform_quads,
 )
 from treesnake.snake_limit import ks_two_sample
@@ -215,7 +214,7 @@ class TestCanonicalCode:
     def test_invariant_under_dart_relabelling(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            q = sample_uniform_quad(8, rng)
+            q = next(sample_uniform_quads(8, 1, rng))
             relabelled = renumbered(q, rng)
             relabelled.validate()
             assert canonical_code(relabelled) == canonical_code(q)
@@ -396,8 +395,8 @@ class TestUniformSampling:
         assert ks_two_sample(dists, ref[:, 1]) < 0.0515
 
     def test_sample_uniform_quad_is_valid_and_reproducible(self):
-        q1 = sample_uniform_quad(25, np.random.default_rng(99))
-        q2 = sample_uniform_quad(25, np.random.default_rng(99))
+        q1 = next(sample_uniform_quads(25, 1, np.random.default_rng(99)))
+        q2 = next(sample_uniform_quads(25, 1, np.random.default_rng(99)))
         q1.validate()
         assert q1.sigma == q2.sigma
         assert q1.root_dart == q2.root_dart
@@ -425,7 +424,7 @@ class TestUniformSampling:
 
     def test_no_faces_is_rejected(self):
         with pytest.raises(ValueError, match="face"):
-            sample_uniform_quad(0, np.random.default_rng(1))
+            next(sample_uniform_quads(0, 1, np.random.default_rng(1)))
         with pytest.raises(ValueError, match="face"):
             sample_radius_and_distance(0, 5, np.random.default_rng(1))
 

@@ -12,7 +12,6 @@ constants by that same offset; the frozen bands account for it.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import tracemalloc
 
@@ -22,15 +21,11 @@ import pytest
 from treesnake import plane_tree, snake_limit
 from treesnake.snake_limit import (
     EmptySample,
-    NonUniqueMinimum,
     _excursion_rows,
     _head_blocks,
-    _reroot_at_minimum,
-    _snake_head_rows,
     ks_report,
     ks_two_sample,
     sample_extrema,
-    sample_positive_snake,
     samples_csv,
     to_lattice,
 )
@@ -91,6 +86,14 @@ def reference_head_rows(e, rng):
     return out
 
 
+def snake_head_rows(e, rng):
+    """The (count, m+1) head rows of _head_blocks for excursion rows e."""
+    z = np.zeros(e.shape)
+    for start, heads in _head_blocks(e, rng):
+        z[:, start + 1 : start + 1 + len(heads)] = heads.T
+    return z
+
+
 @pytest.fixture(scope="module")
 def excursion_batch():
     """10^5 excursions at m = 2^12, reduced to the columns the tests need."""
@@ -115,10 +118,9 @@ def excursion_batch():
 
 class TestExcursion:
     def test_rejects_degenerate_grid(self):
-        for draw in (sample_extrema, sample_positive_snake):
-            for m in (-1, 0, 1):
-                with pytest.raises(ValueError, match="at least two steps"):
-                    draw(m, 3, np.random.default_rng(0))
+        for m in (-1, 0, 1):
+            with pytest.raises(ValueError, match="at least two steps"):
+                sample_extrema(m, 3, np.random.default_rng(0))
 
     def test_endpoints_and_sign(self):
         rng = np.random.default_rng(3)
@@ -168,9 +170,8 @@ class TestExcursion:
         [
             lambda rng: [_excursion_rows(4096, 130, rng).tobytes()],
             lambda rng: [a.tobytes() for a in sample_extrema(256, 30, rng)],
-            lambda rng: [a.tobytes() for a in sample_positive_snake(256, 30, rng)],
         ],
-        ids=["excursion_rows", "sample_extrema", "positive_snake"],
+        ids=["excursion_rows", "sample_extrema"],
     )
     def test_rows_do_not_depend_on_the_block(self, monkeypatch, draw):
         rng = np.random.default_rng(21)
@@ -213,12 +214,12 @@ def block_extrema(e, rng):
 
 class TestSnakeHead:
     def test_degenerate_lifetime_gives_constant_head(self):
-        z = _snake_head_rows(np.zeros((2, 3)), np.random.default_rng(2))
+        z = snake_head_rows(np.zeros((2, 3)), np.random.default_rng(2))
         assert np.array_equal(z, np.zeros((2, 3)))
 
     def test_reproducible(self):
-        a = sample_positive_snake(32, 4, np.random.default_rng(6))
-        b = sample_positive_snake(32, 4, np.random.default_rng(6))
+        a = sample_extrema(32, 4, np.random.default_rng(6))
+        b = sample_extrema(32, 4, np.random.default_rng(6))
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
@@ -228,7 +229,7 @@ class TestSnakeHead:
         e = np.array([0.0, 0.5, 1.0, 0.75, 1.25, 0.25, 0.6, 0.3, 0.0])
         count = 100_000
         rows = np.tile(e, (count, 1))
-        z = _snake_head_rows(rows, np.random.default_rng(41))
+        z = snake_head_rows(rows, np.random.default_rng(41))
         pairs = [(1, 3), (2, 4), (1, 7), (3, 5), (4, 6)]
         for i, j in pairs:
             want = e[i : j + 1].min()
@@ -243,7 +244,7 @@ class TestSnakeHead:
         # as a covariance off min e over [i, j]
         e = np.array([0.0, 0.5, 1.0, 0.75, 1.25, 0.25, 0.6, 0.3, 0.0])
         count = 200_000
-        z = _snake_head_rows(np.tile(e, (count, 1)), np.random.default_rng(47))
+        z = snake_head_rows(np.tile(e, (count, 1)), np.random.default_rng(47))
         for i in range(1, 8):
             for j in range(i, 8):
                 want = e[i : j + 1].min()
@@ -254,7 +255,7 @@ class TestSnakeHead:
     def test_variance_matches_lifetime(self):
         e = np.array([0.0, 0.5, 1.0, 0.75, 1.25, 0.25, 0.6, 0.3, 0.0])
         count = 100_000
-        z = _snake_head_rows(np.tile(e, (count, 1)), np.random.default_rng(43))
+        z = snake_head_rows(np.tile(e, (count, 1)), np.random.default_rng(43))
         for s in (2, 4, 6):
             var = z[:, s].var()
             se = np.sqrt(2.0 / count) * e[s]  # sd of a chi-square mean estimate
@@ -283,7 +284,7 @@ class TestSnakeHead:
         else:
             e = _excursion_rows(300, 257, np.random.default_rng(3))
         rng, ref_rng = np.random.default_rng(40), np.random.default_rng(40)
-        got = _snake_head_rows(e, rng)
+        got = snake_head_rows(e, rng)
         want = reference_head_rows(e, ref_rng)
         assert got.tobytes() == want.tobytes()
         assert rng.random() == ref_rng.random()
@@ -303,7 +304,7 @@ class TestSnakeHead:
 
         def draw():
             rng = np.random.default_rng(40)
-            z = _snake_head_rows(e, rng).tobytes()
+            z = snake_head_rows(e, rng).tobytes()
             rng_ext = np.random.default_rng(40)
             ext = [a.tobytes() for a in block_extrema(e, rng_ext)]
             return z, ext, rng.random(), rng_ext.random()
@@ -312,7 +313,7 @@ class TestSnakeHead:
         monkeypatch.setattr(snake_limit, "_HEAD_BLOCK", block)
         assert draw() == want
 
-    @pytest.mark.parametrize("draw", [sample_extrema, sample_positive_snake])
+    @pytest.mark.parametrize("draw", [sample_extrema])
     def test_rejects_a_negative_sample_count(self, draw):
         with pytest.raises(ValueError, match="sample count must be nonnegative"):
             draw(64, -1, np.random.default_rng(0))
@@ -333,7 +334,7 @@ class TestSnakeHead:
         sups, infs = sample_extrema(64, 300, np.random.default_rng(9))
         rng = np.random.default_rng(9)
         e = _excursion_rows(64, 100, rng)
-        z = _snake_head_rows(e, rng)
+        z = snake_head_rows(e, rng)
         assert np.array_equal(sups[:100], z.max(axis=1))
         assert np.array_equal(infs[:100], z.min(axis=1))
 
@@ -342,79 +343,36 @@ def snake_rows(m, count, seed):
     """Rows of grid snakes before re-rooting: lifetimes and heads."""
     rng = np.random.default_rng(seed)
     e = _excursion_rows(m, count, rng)
-    return e, _snake_head_rows(e, rng)
+    return e, snake_head_rows(e, rng)
 
 
 def rerooted(e, z):
-    """Copies of the rows, re-rooted at their head minima."""
-    e, z = e.copy(), z.copy()
-    _reroot_at_minimum(e, z)
-    return e, z
+    """The rows re-rooted at their head minima: the lifetimes by
+    plane_tree._reroot_walk, the heads read along its times less the minimum."""
+    star = np.argmin(z[:, :-1], axis=1)
+    e_new, u = plane_tree._reroot_walk(e, star)
+    low = np.take_along_axis(z, star[:, None], axis=1)
+    return e_new, np.take_along_axis(z, u, axis=1) - low
 
 
 class TestVerwaatReroot:
-    def test_detects_tied_minimum(self):
-        e = np.array([[0.0, 1.0, 2.0, 1.0, 0.0], [0.0, 1.0, 2.0, 1.0, 0.0]])
-        z = np.array([[0.0, -2.0, 0.0, -1.0, 0.0], [0.0, -1.0, 0.0, -1.0, 0.0]])
-        with pytest.raises(NonUniqueMinimum, match="row 1 attained 2 times"):
-            _reroot_at_minimum(e, z)
-
-    def test_per_sample_identities(self):
-        e, z = snake_rows(48, 200, 14)
-        e_new, z_new = rerooted(e, z)
-        for old, head, life in zip(z, z_new, e_new):
-            assert head[0] == 0.0
-            assert head.min() == 0.0
-            assert abs(head.max() - (old.max() - old.min())) < 1e-12
-            assert life[0] == 0.0 and life[-1] == 0.0
-            assert (life >= 0.0).all()
-
     def test_lifetime_is_tree_distance_to_argmin(self):
+        # the one re-rooting formula on real-valued rows: grid lifetimes
+        # re-read from the argmin of their heads
         m = 32
         e, z = snake_rows(m, 20, 77)
-        e_new, z_new = rerooted(e, z)
+        star = np.argmin(z[:, :m], axis=1)
+        e_new, u = plane_tree._reroot_walk(e, star)
         for row in range(len(e)):
-            star = int(np.argmin(z[row, :m]))
+            s = int(star[row])
             for j in range(m + 1):
-                u = (star + j) % m
-                lo, hi = min(star, u), max(star, u)
-                want = e[row, star] + e[row, u] - 2.0 * e[row, lo : hi + 1].min()
+                v = (s + j) % m
+                lo, hi = min(s, v), max(s, v)
+                want = e[row, s] + e[row, v] - 2.0 * e[row, lo : hi + 1].min()
                 if j in (0, m):
                     want = 0.0
                 assert abs(e_new[row, j] - want) < 1e-12
-                assert z_new[row, j] == z[row, u] - z[row, star]
-
-    # sha256 of the lifetime then head bytes, recorded once the head drew
-    # one normal a step, after the scalar walker and the covariance tests
-    # passed on it; the test ids name the seed alone
-    @pytest.mark.parametrize("seed, digest", [
-        pytest.param(1, "a5f453651adb90cd7634172d8c24e882cad81f7e32838e8dbfaab6a72ba97a74", id="1"),
-        pytest.param(2, "95b89143b93772601e4a19ee9164bb0d007f6d24c018b656accdf40afe2c120a", id="2"),
-        pytest.param(3, "cd231e99ff886b7d639d4f62847bd5d0b87b258c08cbde7eda0649b0b7cb6422", id="3"),
-    ])
-    def test_arrays_keep_their_bytes(self, seed, digest):
-        e, z = sample_positive_snake(1024, 1, np.random.default_rng(seed))
-        assert hashlib.sha256(e.tobytes() + z.tobytes()).hexdigest() == digest
-
-    def test_positive_pipeline(self):
-        e, z = sample_positive_snake(64, 5, np.random.default_rng(21))
-        assert e.shape == z.shape == (5, 65)
-        assert (z.min(axis=1) == 0.0).all() and (z[:, 0] == 0.0).all()
-        e, z = sample_positive_snake(64, 0, np.random.default_rng(21))
-        assert e.shape == z.shape == (0, 65)
-
-    def test_memory_stays_under_three_result_arrays(self):
-        # the two result arrays, plus one row block of re-rooting temporaries
-        # and the head sampler's anchor stacks: about 2.38 result arrays, so
-        # a bound of 2.5 fails a rise of an eighth of a result array
-        rng = np.random.default_rng(1)
-        tracemalloc.start()
-        try:
-            sample_positive_snake(4096, 1000, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * 1000 * 4097 * 8
+                assert u[row, j] == v
 
 
 class TestKolmogorovSmirnov:
