@@ -542,6 +542,15 @@ class TestSnakeSubcommand:
         assert all(v > 0 for v in values)
         assert payload["summary"]["mean_range"] > 0
 
+    def test_range_file_keeps_its_bytes(self, tmp_path, capsys):
+        # recorded before snake wrote its file through csv.writer
+        out = tmp_path / "ranges.csv"
+        assert run(["snake", "--grid", "128", "--samples", "40", "--seed", "3",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "daddff38c68c7c70565a6576354b0330e5cbd72e62d36a5894811384b704254f")
+
     def test_degenerate_grid_rejected(self, capsys):
         assert run(["snake", "--grid", "1", "--samples", "5", "--seed", "1"]) == 2
         capsys.readouterr()
@@ -572,6 +581,15 @@ class TestCompareSubcommand:
         assert run(["compare", "--discrete-n", "10", "--grid", "16", "--samples", "20",
                     "--seed", "-2"]) == 2
         assert capsys.readouterr().err == "error: need --seed at least 0, not -2\n"
+
+    def test_report_keeps_its_bytes(self, capsys):
+        # recorded before verify and compare printed their reports through
+        # one helper; KS 0.21 fails the threshold, hence status 1
+        assert run(["compare", "--discrete-n", "50", "--grid", "64", "--samples", "300",
+                    "--seed", "4"]) == 1
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "973d823a1579c2de81d1388ef5a79f1cdca87fdc3616b4a14ef3df6bfcfbe4b9")
 
     def test_report_file_matches_stdout(self, tmp_path, capsys):
         out = tmp_path / "ks.json"
