@@ -1,12 +1,15 @@
 """Command-line front end for the samplers, verifiers, and comparisons.
 
 Every randomized subcommand takes an explicit --seed so that a run is
-fully determined by its flags; there is no wall-clock fallback.  `sample`
-and `quad` cut the sample budget into blocks of SAMPLE_BLOCK draws, block
-k drawing from child k of SeedSequence(seed); `snake` draws from child 0
-of the seed, and `compare` its trees from child 0 and its snakes from
-child 1.  Everything runs in one process.  Timing lives only in the
-manifest printed to stdout, never in the files written to --out.
+fully determined by its flags; there is no wall-clock fallback.  Every
+generator comes from spawn_rngs(seed, k), child i of SeedSequence(seed)
+being generator i: `sample` and `quad` cut the sample budget into blocks
+of SAMPLE_BLOCK draws, block i drawing from child i; `snake` draws from
+child 0, and `compare` its trees from child 0 and its snakes from child 1.
+Everything runs in one process.  Timing lives only in the manifest printed
+to stdout, never in the files written to --out.  The files of `sample`,
+`quad` and `snake` are CSV from one csv.writer path (_csv); `verify` and
+`compare` print a JSON report and write the same text to --out.
 
 A `sample` block is one sample_measure call: the sized measures draw the
 whole block through the row kernel, the unsized ones cut it from one count
@@ -58,7 +61,6 @@ import numpy as np
 from treesnake.exact_enum import (
     count_well_labelled,
     verify_reroot_identity,
-    verify_reroot_identity_closed,
     verify_size_law,
 )
 from treesnake.gw_sampler import (
@@ -84,7 +86,7 @@ from treesnake.quadmap import (
     enumerate_well_labelled,
     sample_uniform_quads,
 )
-from treesnake.snake_limit import ks_report, sample_extrema, samples_csv, to_lattice
+from treesnake.snake_limit import ks_report, sample_extrema, to_lattice
 
 KS_THRESHOLD = 0.05
 
@@ -119,10 +121,6 @@ class RunManifest:
     elapsed_seconds: float
 
 
-def _print_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2, default=str))
-
-
 def _check_samples(total: int) -> None:
     # before anything is allocated; every sample has at least one vertex
     if total < 1:
@@ -136,14 +134,14 @@ def _catalan(k: int) -> int:
 
 
 def _run_blocks(fn, args, total: int, seed: int) -> list:
-    """fn(*args, size, seed_sequence) for each block of the budget, in order.
+    """fn(*args, size, rng) for each block of the budget, in order.
 
-    Block k gets child k of SeedSequence(seed).
+    Block k draws from the k-th generator of spawn_rngs(seed, blocks), on
+    child k of SeedSequence(seed).
     """
     _check_samples(total)
     sizes = [min(SAMPLE_BLOCK, total - s) for s in range(0, total, SAMPLE_BLOCK)]
-    seqs = np.random.SeedSequence(seed).spawn(len(sizes))
-    return [fn(*args, size, seq) for size, seq in zip(sizes, seqs)]
+    return [fn(*args, size, rng) for size, rng in zip(sizes, spawn_rngs(seed, len(sizes)))]
 
 
 def _check_out(path: str) -> None:
@@ -158,6 +156,21 @@ def _check_out(path: str) -> None:
 def _write_text(path: str, *chunks: str) -> None:
     with open(path, "w") as fh:
         fh.writelines(chunks)
+
+
+def _print_json(obj: dict, out: str | None = None) -> None:
+    """Print obj as indented JSON, and write the same text to out if given."""
+    text = json.dumps(obj, indent=2, default=str) + "\n"
+    if out:
+        _write_text(out, text)
+    sys.stdout.write(text)
+
+
+def _csv(rows) -> str:
+    """CSV text of rows, one line each: the files of sample, quad and snake."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _finish(args, subcommand: str, config: dict, artifact: list[str], t0: float,
@@ -206,19 +219,16 @@ def _joined(values: np.ndarray, starts: np.ndarray, sep: str) -> Iterator[str]:
         yield text
 
 
-def _sample_block(measure, mu, gamma, n, x, size: int, seq) -> tuple[str, str]:
+def _sample_block(measure, mu, gamma, n, x, size: int, rng) -> tuple[str, str]:
     """The CSV header line and the CSV text of one block of `sample` draws."""
-    counts, starts, labels = sample_measure(
-        measure, mu, gamma, n, x, size, np.random.default_rng(seq))
+    counts, starts, labels = sample_measure(measure, mu, gamma, n, x, size, rng)
     # tree_to_line's format, without PlaneTree's re-check of rows that the
     # samplers only ever draw as valid trees
     fields = [list(_joined(counts, starts, ","))]
     if labels is not None:
         fields.append(list(_joined(labels, starts, ";")))
     del counts, labels  # before the csv writer copies the fields
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(zip(*fields))
-    return "tree\n" if len(fields) == 1 else "tree,labels\n", buf.getvalue()
+    return "tree\n" if len(fields) == 1 else "tree,labels\n", _csv(zip(*fields))
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -340,7 +350,7 @@ _IDENTITIES = {
         lambda n, mu, gamma: verify_reroot_identity(n, mu, gamma)),
     "reroot-closed": _Identity(
         "atoms", 10**6, _reroot_atoms, False,
-        lambda n, mu, gamma: verify_reroot_identity_closed(n, mu, gamma)),
+        lambda n, mu, gamma: verify_reroot_identity(n, mu, gamma, closed=True)),
     "size-law": _Identity(
         "trees", MAX_VERTICES, lambda n, gamma: sum(_catalan(k - 1) for k in range(1, n + 1)),
         True, lambda n, mu, gamma: verify_size_law(mu, n)),
@@ -375,16 +385,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"identity {args.identity} takes only --gamma {_UNIFORM3}")
     _check_verify_size(args.identity, args.n, gamma)
     report = entry.report(args.n, mu, gamma)
-    text = json.dumps(report, indent=2, default=str) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    sys.stdout.write(text)
+    _print_json(report, args.out)
     return 0 if report["equal"] else 1
 
 
-def _quad_block(n: int, size: int, seq) -> Counter:
+def _quad_block(n: int, size: int, rng) -> Counter:
     """Canonical-code counts of one block of uniform quadrangulations."""
-    rng = np.random.default_rng(seq)
     return Counter(canonical_code(q).decode() for q in sample_uniform_quads(n, size, rng))
 
 
@@ -393,16 +399,10 @@ def _cmd_quad(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise UsageError("need --n at least 1")
     codes = sum(_run_blocks(_quad_block, (args.n,), args.samples, args.seed), Counter())
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("code", "count"))
-    for code in sorted(codes):
-        writer.writerow((code, codes[code]))
     _finish(
         args, "quad",
         {"n": args.n, "samples": args.samples},
-        [buf.getvalue()], t0,
+        [_csv([("code", "count"), *((code, codes[code]) for code in sorted(codes))])], t0,
         {"distinct_codes": len(codes)},
     )
     return 0
@@ -418,7 +418,7 @@ def _cmd_snake(args: argparse.Namespace) -> int:
     _finish(
         args, "snake",
         {"grid": args.grid, "samples": args.samples},
-        [samples_csv(ranges)], t0,
+        [_csv([("value",), *([v] for v in ranges.tolist())])], t0,
         {"mean_range": float(ranges.mean()), "sd_range": float(ranges.std())},
     )
     return 0
@@ -443,10 +443,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     report = ks_report(maxs - mins, cont, KS_THRESHOLD)
     report["discrete_n"] = args.discrete_n
     report["grid"] = args.grid
-    text = json.dumps(report, indent=2, default=str) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    sys.stdout.write(text)
+    _print_json(report, args.out)
     return 0 if report["pass"] else 1
 
 

@@ -4,8 +4,10 @@ Everything in here is exact: tree masses under the critical law, the size
 law through the associated walk, the two re-rooting measure identities on
 single-child-root trees, and the census of well-labelled trees that
 underlies the quadrangulation counts.  These functions are the oracles that
-the samplers are tested against, so they deliberately share no code with
-the sampling paths beyond the tree classes themselves.
+the samplers are tested against, so they share no sampling code: beside
+the tree classes they take from gw_sampler only the two law classes, whose
+exact masses they read and never their draws, and the UnreachableSize
+error.
 
 Measures on labelled trees are represented as dictionaries mapping an atom
 (preorder counts, preorder labels) to its exact weight, a Fraction; two
@@ -127,14 +129,15 @@ def _atom_numerators(n: int, mu: OffspringDistribution, gamma: StepDistribution,
 
 
 def _walk_point_mass(mu: OffspringDistribution, n: int) -> Fraction:
-    """P(the associated walk is at -1 after n steps), by exact convolution."""
+    """P(the associated walk is at -1 after n steps), by exact convolution
+    of its step law nu(k) = mu(k + 1), k >= -1."""
     dist: dict[int, Fraction] = {0: Fraction(1)}
     top = n  # a step above n - 2 cannot appear on a path ending at -1
     for _ in range(n):
         new: dict[int, Fraction] = {}
         for s, p in dist.items():
             for k in range(-1, top + 1):
-                q = mu.step_pmf(k)
+                q = mu.exact_pmf(k + 1)
                 if q:
                     new[s + k] = new.get(s + k, Fraction(0)) + p * q
         dist = {s: p for s, p in new.items() if s <= top}
@@ -331,12 +334,19 @@ def reroot_measures(
     return lhs, rhs, terms
 
 
-def _verify_reroot(
+def verify_reroot_identity(
     n: int,
     mu: OffspringDistribution,
     gamma: StepDistribution,
-    closed: bool,
+    closed: bool = False,
 ) -> dict:
+    """Exact check of a re-rooting identity at n edges: the open form, or
+    the closed one (summed over argmin leaves) when closed is true.
+
+    The report names the identity, its laws, whether the two sides of
+    reroot_measures are equal, the atoms enumerated and those on the right
+    side, and the mass of each default functional on both sides.
+    """
     lhs, rhs, terms = reroot_measures(n, mu, gamma, closed=closed)
     return {
         "identity": "reroot-closed" if closed else "reroot",
@@ -348,24 +358,6 @@ def _verify_reroot(
         "atoms": len(rhs),
         "functionals": _functional_report(lhs, rhs),
     }
-
-
-def verify_reroot_identity(
-    n: int,
-    mu: OffspringDistribution,
-    gamma: StepDistribution,
-) -> dict:
-    """Exact check of the open re-rooting identity at n edges."""
-    return _verify_reroot(n, mu, gamma, closed=False)
-
-
-def verify_reroot_identity_closed(
-    n: int,
-    mu: OffspringDistribution,
-    gamma: StepDistribution,
-) -> dict:
-    """Exact check of the closed (summed over argmin leaves) identity."""
-    return _verify_reroot(n, mu, gamma, closed=True)
 
 
 # ---------------------------------------------------------------------------

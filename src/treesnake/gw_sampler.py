@@ -28,9 +28,9 @@ Memory: the batch kernels fill their output one row block of at most
 2**18 entries at a time (plane_tree._row_blocks): the sized count rows, and
 the labels that _conditioned_rows and the batch reductions reduce block by
 block.  The reductions walk one generator of sized count rows in chunks
-(_sized_chunks), so a chunk's count rows are its only array of the chunk's
-size (16 MB for 999 rows at n = 2000, where sample_label_extrema's traced
-peak is about 29 MB).  The blocks change no draw: consecutive blocks of
+of one rule (_sized_chunks), so a chunk's count rows are its only array
+of the chunk's size (16 MB for 999 rows at n = 2000, where
+sample_label_extrema's traced peak is about 29 MB).  The blocks change no draw: consecutive blocks of
 rng.random, standard_normal or integers draw what one call would, and the
 chunk sizes fix the order of the draws, save a _marks row whose k-th and
 (k+1)-th keys tie: it is drawn again before the next block's keys.
@@ -100,12 +100,15 @@ def _finite_pmf(pmf: Mapping[int, Numeric], what: str) -> list[tuple[int, Fracti
     """A finite probability vector as (value, mass) pairs sorted by value.
 
     The values must be integers (numpy integers too, by operator.index) and
-    the masses nonnegative with total one; zero masses are dropped.
+    the masses finite and nonnegative with total one; zero masses are
+    dropped.
     """
     try:
         values = [operator.index(v) for v in pmf]
     except TypeError:
         raise ValueError(f"{what} must be integers") from None
+    if any(isinstance(p, float) and not math.isfinite(p) for p in pmf.values()):
+        raise ValueError("probabilities must be finite")
     items = [(v, _as_fraction(p)) for v, p in zip(values, pmf.values())]
     if any(p < 0 for _, p in items):
         raise ValueError("probabilities must be nonnegative")
@@ -120,8 +123,8 @@ class OffspringDistribution:
 
     Either the geometric(1/2) law mu(k) = 2^-(k+1), or a finite vector of
     exact probabilities.  Construction validates the vector (_finite_pmf:
-    integer counts, nonnegative masses of total one), then nonnegative
-    counts, mean one, mu(1) < 1 and positive variance.
+    integer counts, finite nonnegative masses of total one), then
+    nonnegative counts, mean one, mu(1) < 1 and positive variance.
     """
 
     def __init__(self, pmf: Optional[Mapping[int, Numeric]] = None, *, _geometric: bool = False):
@@ -166,10 +169,6 @@ class OffspringDistribution:
             return Fraction(1, 2 ** (k + 1))
         return self._pmf.get(k, Fraction(0))
 
-    def step_pmf(self, k: int) -> Fraction:
-        """Law of the associated walk step, nu(k) = mu(k + 1) for k >= -1."""
-        return self.exact_pmf(k + 1)
-
     def sample_counts(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.is_geometric:
             return rng.geometric(0.5, size=size) - 1
@@ -190,8 +189,9 @@ class StepDistribution:
 
     Finite symmetric vectors keep exact probabilities and integer values
     (validated by _finite_pmf, then for symmetry and a nonzero variance);
-    normal(std) is available for purely numeric work.  dtype is that of the
-    steps drawn: int64, or float64 for normal steps.
+    normal(std), std finite and positive, is available for purely numeric
+    work.  dtype is that of the steps drawn: int64, or float64 for normal
+    steps.
     """
 
     def __init__(
@@ -202,8 +202,8 @@ class StepDistribution:
     ):
         self.normal_std = _normal_std
         if _normal_std is not None:
-            if _normal_std <= 0:
-                raise ValueError("normal spread must be positive")
+            if not (math.isfinite(_normal_std) and _normal_std > 0):
+                raise ValueError(f"normal spread must be finite and positive, not {_normal_std}")
             self.support: Optional[tuple[int, ...]] = None
             self.variance: Numeric = _normal_std**2
             self.exact = False
@@ -489,18 +489,18 @@ def _label_blocks(
     """Labels of a batch of count rows at root label x, one row block at a time.
 
     Yields (start, labels) per block, labels[i] being the labels of
-    rows[start + i].  Each block draws its increments with one gamma.sample
-    call of shape (block rows, max(1, n)), increment k - 1 of a row on the
-    edge into vertex k and a zero-edge row ignoring its one draw;
-    consecutive calls draw what one call for all rows would, so the labels
-    do not depend on the block size.
+    rows[start + i].  A block of rows with n edges draws one step an edge,
+    by one gamma.sample call of shape (block rows, n) that goes straight
+    into the weight rows behind the root's x, step k - 1 of a row on the
+    edge into vertex k; zero-edge rows draw nothing.  Consecutive calls
+    draw what one call for all rows would, so the labels do not depend on
+    the block size.
     """
     n1 = rows.shape[1]
     for start, stop in _row_blocks(len(rows), n1):
-        incs = gamma.sample(rng, (stop - start, max(1, n1 - 1)))
         w = np.empty((stop - start, n1), dtype=np.result_type(gamma.dtype, x))
         w[:, 0] = x
-        w[:, 1:] = incs[:, : n1 - 1]
+        w[:, 1:] = gamma.sample(rng, (stop - start, n1 - 1))
         yield start, _path_sums(_subtree_ends(rows[start:stop]), w)
 
 
@@ -579,14 +579,14 @@ def _conditioned_rows(
 
 def _sized_chunks(
     mu: OffspringDistribution, n: int, total: int, rng: np.random.Generator,
-    least: int, most: int,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(done, rows): total sized count rows with n edges in consecutive
-    chunks of max(least, min(most, 2_000_000 // (n + 1))) rows, done rows
-    before each."""
+    chunks of max(16, min(16384, 2_000_000 // (n + 1))) rows, done rows
+    before each: about 2 * 10**6 counts (16 MB) a chunk, and between 16 and
+    16384 rows, for every reduction alike."""
     if n < 0:
         raise ValueError("edge count must be nonnegative")
-    chunk = max(least, min(most, 2_000_000 // (n + 1)))
+    chunk = max(16, min(16384, 2_000_000 // (n + 1)))
     for done in range(0, total, chunk):
         yield done, _sized_count_rows(mu, n, rng, min(chunk, total - done))
 
@@ -600,10 +600,12 @@ def estimate_positive_probability(
     rng: np.random.Generator,
 ) -> int:
     """How many of the given number of conditioned draws keep labels positive."""
+    if attempts < 0:
+        raise ValueError(f"attempt count must be nonnegative, got {attempts}")
     if n == 0:
         return attempts
     accepted = 0
-    for _, rows in _sized_chunks(mu, n, attempts, rng, 64, 16384):
+    for _, rows in _sized_chunks(mu, n, attempts, rng):
         for _, labels in _label_blocks(rows, gamma, x, rng):
             accepted += int(_positive(labels).sum())
     return accepted
@@ -620,7 +622,7 @@ def sample_label_extrema(
     """Per-sample (min, max) label over the whole tree under the sized law."""
     mins = np.empty(samples)
     maxs = np.empty(samples)
-    for done, rows in _sized_chunks(mu, n, samples, rng, 16, 8192):
+    for done, rows in _sized_chunks(mu, n, samples, rng):
         for start, labels in _label_blocks(rows, gamma, x, rng):
             at = slice(done + start, done + start + len(labels))
             mins[at] = labels.min(axis=1)
@@ -636,7 +638,7 @@ def sample_leaf_counts(
 ) -> np.ndarray:
     """Leaf counts of size-conditioned trees (childless non-root vertices)."""
     out = np.empty(samples, dtype=np.int64)
-    for done, rows in _sized_chunks(mu, n, samples, rng, 16, 8192):
+    for done, rows in _sized_chunks(mu, n, samples, rng):
         out[done : done + len(rows)] = (rows == 0).sum(axis=1) - (rows[:, 0] == 0)
     return out
 

@@ -467,14 +467,15 @@ def sample_uniform_quads(
     Each map is cvs_build of a uniform well-labelled tree with n edges, a
     Pbar_{n,1} draw of sample_measure under the geometric law and uniform
     steps in {-1, 0, 1}, which takes it from exact Qbar_{n+1} draws; its
-    flat arrays are read back as count rows of n + 1 entries.
+    flat arrays are read back as count rows of n + 1 entries.  The trees
+    are drawn, and n checked, when the function is called; the maps are
+    built one at a time as the returned iterator is read.
     """
     if n < 1:
         raise ValueError(f"need at least one face, not n={n}")
     counts, _, labels = sample_measure("Pbar-n-x", _GEO, _U3, n, 1, count, rng)
     rows = zip(counts.reshape(count, n + 1).tolist(), labels.reshape(count, n + 1).tolist())
-    for c, l in rows:
-        yield cvs_build(SpatialTree(PlaneTree(tuple(c)), tuple(l)))
+    return (cvs_build(SpatialTree(PlaneTree(tuple(c)), tuple(l))) for c, l in rows)
 
 
 def sample_radius_and_distance(

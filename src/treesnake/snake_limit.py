@@ -254,9 +254,3 @@ def ks_report(a: np.ndarray, b: np.ndarray, threshold: float) -> dict:
         "pass": bool(stat <= threshold),
     }
 
-
-def samples_csv(values: np.ndarray) -> str:
-    """One-column CSV of sample values."""
-    lines = ["value"]
-    lines.extend(repr(float(v)) for v in np.asarray(values))
-    return "\n".join(lines) + "\n"

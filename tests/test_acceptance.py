@@ -28,7 +28,6 @@ from treesnake.exact_enum import (
     default_functionals,
     labelled_atoms,
     verify_reroot_identity,
-    verify_reroot_identity_closed,
     verify_size_law,
 )
 from treesnake.gw_sampler import (
@@ -108,7 +107,7 @@ def test_criterion_02_reroot_identities():
     for gamma, name in ((UNIFORM3, "uniform3"), (PM1, "pm1")):
         for n in range(1, 6):
             ok &= verify_reroot_identity(n, GEO, gamma)["equal"]
-            ok &= verify_reroot_identity_closed(n, GEO, gamma)["equal"]
+            ok &= verify_reroot_identity(n, GEO, gamma, closed=True)["equal"]
     line = report(2, ok, "open and closed re-rooting identities exact, n<=5, both step laws")
     assert ok, line
 

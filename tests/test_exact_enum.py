@@ -20,7 +20,6 @@ from treesnake.exact_enum import (
     reroot_measures,
     tree_weight,
     verify_reroot_identity,
-    verify_reroot_identity_closed,
     verify_size_law,
 )
 from treesnake.gw_sampler import OffspringDistribution, StepDistribution, UnreachableSize
@@ -100,14 +99,14 @@ class TestRerootIdentities:
     @pytest.mark.parametrize("gamma", [U3, PM1], ids=["uniform3", "pm1"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_closed_identity(self, n, gamma):
-        report = verify_reroot_identity_closed(n, GEO, gamma)
+        report = verify_reroot_identity(n, GEO, gamma, closed=True)
         assert report["equal"] is True
 
     def test_identity_for_binary_offspring(self):
         half = Fraction(1, 2)
         binary = OffspringDistribution({0: half, 2: half})
         assert verify_reroot_identity(3, binary, U3)["equal"] is True
-        assert verify_reroot_identity_closed(3, binary, U3)["equal"] is True
+        assert verify_reroot_identity(3, binary, U3, closed=True)["equal"] is True
 
     def test_closed_dominates_open(self):
         lo, _, _ = reroot_measures(3, GEO, U3, closed=False)
@@ -122,7 +121,7 @@ class TestRerootIdentities:
         # a two-point step law never ties root and leaf... it does tie two
         # leaves, so only compare totals through the reports
         a = verify_reroot_identity(2, GEO, PM1)
-        b = verify_reroot_identity_closed(2, GEO, PM1)
+        b = verify_reroot_identity(2, GEO, PM1, closed=True)
         assert a["equal"] and b["equal"]
 
     def test_term_counts(self):

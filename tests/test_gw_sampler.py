@@ -97,12 +97,6 @@ class TestOffspringValidation:
         assert GEO.variance == 2
         assert GEO.sigma == pytest.approx(math.sqrt(2))
 
-    def test_step_law(self):
-        assert GEO.step_pmf(-1) == HALF
-        assert GEO.step_pmf(0) == Fraction(1, 4)
-        assert BINARY.step_pmf(-1) == HALF
-        assert BINARY.step_pmf(1) == HALF
-
     def test_subcritical_rejected(self):
         with pytest.raises(ValueError):
             OffspringDistribution({0: HALF, 1: HALF})
@@ -162,6 +156,21 @@ class TestStepValidation:
         # symmetric, of total one and nonzero variance, yet no probability law
         with pytest.raises(ValueError, match="probabilities must be nonnegative"):
             StepDistribution(pmf)
+
+    @pytest.mark.parametrize("law, pmf", [
+        (StepDistribution, {-1: math.inf, 1: 0.5}),
+        (StepDistribution, {-1: math.nan, 1: math.nan}),
+        (OffspringDistribution, {0: math.inf, 2: 0.5}),
+        (OffspringDistribution, {0: 0.5, 2: math.nan}),
+    ], ids=["step-inf", "step-nan", "offspring-inf", "offspring-nan"])
+    def test_non_finite_masses_rejected(self, law, pmf):
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            law(pmf)
+
+    @pytest.mark.parametrize("std", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_normal_spread_must_be_finite_and_positive(self, std):
+        with pytest.raises(ValueError, match="normal spread must be finite and positive"):
+            StepDistribution.normal(std)
 
     def test_normal_has_no_exact_support(self):
         g = StepDistribution.normal(2.0)
@@ -545,6 +554,12 @@ class TestPipelines:
         mins, maxs = sample_label_extrema(GEO, U3, 30, 0, 200, rng_of(3))
         assert mins.shape == (200,)
         assert np.all(mins <= 0) and np.all(maxs >= 0)
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_negative_attempt_count_rejected(self, n):
+        # also at n = 0, where every draw is vacuously positive
+        with pytest.raises(ValueError, match="attempt count must be nonnegative"):
+            estimate_positive_probability(GEO, U3, n, 1, -5, rng_of(0))
 
     @pytest.mark.parametrize(
         "draw",

@@ -423,8 +423,9 @@ class TestUniformSampling:
         assert hashlib.sha256(data).hexdigest() == digest
 
     def test_no_faces_is_rejected(self):
+        # at the call, as sample_radius_and_distance does, not at the first map
         with pytest.raises(ValueError, match="face"):
-            next(sample_uniform_quads(0, 1, np.random.default_rng(1)))
+            sample_uniform_quads(0, 1, np.random.default_rng(1))
         with pytest.raises(ValueError, match="face"):
             sample_radius_and_distance(0, 5, np.random.default_rng(1))
 

@@ -26,7 +26,6 @@ from treesnake.snake_limit import (
     ks_report,
     ks_two_sample,
     sample_extrema,
-    samples_csv,
     to_lattice,
 )
 
@@ -432,11 +431,3 @@ class TestFunctionals:
         _, z_new = rerooted(e, z)
         assert np.abs(z_new.max(axis=1) - np.ptp(z, axis=1)).max() < 1e-12
 
-
-class TestCsvExport:
-    def test_single_column_layout(self):
-        text = samples_csv(np.array([1.5, -2.0]))
-        lines = text.strip().split("\n")
-        assert lines[0] == "value"
-        assert float(lines[1]) == 1.5
-        assert float(lines[2]) == -2.0
