@@ -34,11 +34,11 @@ completes), 1 when a verification or comparison fails, a sampler runs out
 of its rejection budget, a size or sample count passes plane_tree's
 MAX_VERTICES (checked before the rows are allocated; `verify` checks the
 closed-form count of what it would enumerate before it starts, against 10^6
-maps, atoms or shapes for quad, the re-rooting forms and the census, which
-stops at --n 12) or a batch is larger than numpy can allocate (MemoryError;
-every file is written after the draws, so none is), 2 for usage errors and
-inputs outside a sampler's domain.  Those errors print one line; any other
-exception keeps its traceback.
+maps, atoms or products for quad, the re-rooting forms and the census,
+whose label-window recursion stops at --n 125) or a batch is larger than
+numpy can allocate (MemoryError; every file is written after the draws, so
+none is), 2 for usage errors and inputs outside a sampler's domain.  Those
+errors print one line; any other exception keeps its traceback.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from treesnake.exact_enum import (
-    count_well_labelled,
+    label_window_counts,
     verify_reroot_identity,
     verify_size_law,
 )
@@ -82,7 +82,6 @@ from treesnake.quadmap import (
     canonical_code,
     cvs_build,
     cvs_inverse,
-    distances,
     enumerate_well_labelled,
     sample_uniform_quads,
 )
@@ -265,9 +264,14 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _census_report(n: int) -> dict:
+    """Both columns from one label-window recursion each: the labelled
+    trees with k = 1..n edges from the wall-free run, the well-labelled
+    ones from the walled run."""
+    totals, positives = label_window_counts(n, walls=False), label_window_counts(n)
     entries = []
     for k in range(1, n + 1):
-        total, positive, ratio = count_well_labelled(k)
+        total, positive = totals[k], positives[k]
+        ratio = Fraction(positive, total)
         want_total = 3**k * _catalan(k)
         entries.append(
             {
@@ -294,12 +298,12 @@ def _quad_battery_report(n: int) -> dict:
     for wt in enumerate_well_labelled(n):
         try:
             q = cvs_build(wt)  # cvs_inverse validates it
-            got = distances(q).counts
-            want = {0: 1}  # the extra vertex, then one vertex per label
-            for l in wt.labels:
-                want[l] = want.get(l, 0) + 1
+            # the distances from the root vertex: 0 at the extra vertex,
+            # then one vertex per label
+            got = sorted(q.root_distances)
             back = cvs_inverse(q)
-            if got != want or back.tree != wt.tree or back.labels != wt.labels:
+            if (got != sorted((0, *wt.labels)) or back.tree != wt.tree
+                    or back.labels != wt.labels):
                 failures.append(tree_to_line(wt.tree))
         except Exception as exc:  # noqa: BLE001 - collect and report, don't stop the sweep
             failures.append(f"{tree_to_line(wt.tree)}: {exc}")
@@ -320,11 +324,12 @@ class _Identity(NamedTuple):
 
     The re-rooting identities run over the |support|^n Cat(n-1) labelled
     single-child-root trees with n edges, the size law over the trees with
-    1..n vertices, the census over the Cat(k) shapes with k = 1..n edges
-    (one label DP each) and the quad battery over the 2 3^n Cat(n)/(n+2)
-    well-labelled trees with n edges (one map each).  The census and the
-    battery are statements about steps in {-1, 0, 1}, and the size law has
-    no steps.  A report looks its functions up when it runs.
+    1..n vertices, the census over the n (n+1)^2 / 2 products of its walled
+    label-window recursion (the wall-free run adds n (n+1) / 2) and the
+    quad battery over the 2 3^n Cat(n)/(n+2) well-labelled trees with n
+    edges (one map each).  The census and the battery are statements about
+    steps in {-1, 0, 1}, and the size law has no steps.  A report looks its
+    functions up when it runs.
     """
 
     items: str
@@ -341,9 +346,9 @@ def _reroot_atoms(n: int, gamma: StepDistribution) -> int:
 # The budgets below MAX_VERTICES: the battery builds, checks and inverts a
 # map in about 55 us (quad --n 7, 208494 maps, 11 s), the re-rooting forms
 # hold their measures in dicts at about 7 us an atom (reroot-closed --n 7,
-# 288684 atoms, 2 s and 100 MB), and the census runs its label DP on a
-# shape in 35 to 40 us at n = 11 (58786 shapes, 2.0 to 2.3 s); 10^6 items
-# is under a minute.
+# 288684 atoms, 2 s and 100 MB), and the census's recursion makes a
+# product in about 0.12 us at n = 125 (992250 products, 0.12 s); 10^6
+# items is under a minute.
 _IDENTITIES = {
     "reroot": _Identity(
         "atoms", 10**6, _reroot_atoms, False,
@@ -355,7 +360,7 @@ _IDENTITIES = {
         "trees", MAX_VERTICES, lambda n, gamma: sum(_catalan(k - 1) for k in range(1, n + 1)),
         True, lambda n, mu, gamma: verify_size_law(mu, n)),
     "census": _Identity(
-        "shapes", 10**6, lambda n, gamma: sum(_catalan(k) for k in range(1, n + 1)),
+        "products", 10**6, lambda n, gamma: n * (n + 1) ** 2 // 2,
         True, lambda n, mu, gamma: _census_report(n)),
     "quad": _Identity(
         "maps", 10**6, lambda n, gamma: 2 * 3**n * _catalan(n) // (n + 2),

@@ -3,11 +3,12 @@
 Everything in here is exact: tree masses under the critical law, the size
 law through the associated walk, the two re-rooting measure identities on
 single-child-root trees, and the census of well-labelled trees that
-underlies the quadrangulation counts.  These functions are the oracles that
-the samplers are tested against, so they share no sampling code: beside
-the tree classes they take from gw_sampler only the two law classes, whose
-exact masses they read and never their draws, and the UnreachableSize
-error.
+underlies the quadrangulation counts, both by enumerating the trees and by
+the label-window recursion in integers.  These functions are the oracles
+that the samplers are tested against, so they share no sampling code:
+beside the tree classes they take from gw_sampler only the two law
+classes, whose exact masses they read and never their draws, and the
+UnreachableSize error.
 
 Measures on labelled trees are represented as dictionaries mapping an atom
 (preorder counts, preorder labels) to its exact weight, a Fraction; two
@@ -17,7 +18,9 @@ leaf count, sorted label multiset, head label, atom) so a failure points at
 something readable.  Each family is a key of an atom: a report puts a
 measure's weights over one common denominator and, in one pass, adds each
 atom's integer numerator to its key's sum in every family, so an
-indicator's mass is a lookup and no functional is called per atom.
+indicator's mass is a lookup and no functional is called per atom.  The
+re-rooting reports keep both sides in integer numerators over the one
+denominator of the enumeration, and make no Fraction per atom.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterator, Optional
 
 from treesnake.gw_sampler import OffspringDistribution, StepDistribution, UnreachableSize
@@ -204,23 +208,27 @@ _FAMILIES: dict[str, tuple[Callable[[Atom], object], Callable, Optional[int]]] =
 }
 
 
-def _pushforward(measure: dict[Atom, Fraction]) -> tuple[int, int, dict[str, dict]]:
-    """A measure pushed forward by every family's key, in integer numerators.
-
-    The weights go over their common denominator once and each atom adds
-    its numerator to its key's sum in each family, so an indicator's mass
-    is one lookup.  Returns the denominator, the total and the sums.
-    """
-    den = math.lcm(*(w.denominator for w in measure.values()))
+def _family_sums(nums: dict[Atom, int]) -> tuple[int, dict[str, dict]]:
+    """The total of integer numerators over one denominator, and their sums
+    by every family's key: each atom adds its numerator to its key's sum in
+    each family, so an indicator's mass is one lookup."""
     total = 0
     sums: dict[str, dict] = {family: {} for family in _FAMILIES}
-    for atom, w in measure.items():
-        num = w.numerator * (den // w.denominator)
+    for atom, num in nums.items():
         total += num
         for family, (key, _, _) in _FAMILIES.items():
             k = key(atom)
             sums[family][k] = sums[family].get(k, 0) + num
-    return den, total, sums
+    return total, sums
+
+
+def _pushforward(measure: dict[Atom, Fraction]) -> tuple[int, int, dict[str, dict]]:
+    """A measure pushed forward by every family's key, in integer numerators
+    over the weights' common denominator.  Returns the denominator, the
+    total and the sums."""
+    den = math.lcm(*(w.denominator for w in measure.values()))
+    return den, *_family_sums(
+        {atom: w.numerator * (den // w.denominator) for atom, w in measure.items()})
 
 
 def _indicators(sums: dict[str, dict]) -> list[tuple[str, str, object]]:
@@ -247,17 +255,24 @@ def default_functionals(measure: dict[Atom, Fraction]) -> list[Functional]:
     return fns
 
 
-def _functional_report(lhs: dict[Atom, Fraction], rhs: dict[Atom, Fraction]) -> list[dict]:
-    (lden, ltotal, lsums), (rden, rtotal, rsums) = _pushforward(lhs), _pushforward(rhs)
+def _mass_rows(left: tuple[int, int, dict], right: tuple[int, int, dict]) -> list[dict]:
+    """The report rows of two pushforwards, each (denominator, total, sums):
+    every default functional's mass on both sides."""
+    (lden, ltotal, lsums), (rden, rtotal, rsums) = left, right
     masses = [("total-mass", ltotal, rtotal)] + [
         (name, lsums[family].get(k, 0), rsums[family].get(k, 0))
-        for name, family, k in _indicators(rsums if rhs else lsums)
+        # the right side's keys, or the left's when the right has no atom
+        for name, family, k in _indicators(rsums if rsums["atom"] else lsums)
     ]
     rows = []
     for name, a, b in masses:
         a, b = Fraction(a, lden), Fraction(b, rden)
         rows.append({"name": name, "lhs": _frac(a), "rhs": _frac(b), "equal": a == b})
     return rows
+
+
+def _functional_report(lhs: dict[Atom, Fraction], rhs: dict[Atom, Fraction]) -> list[dict]:
+    return _mass_rows(_pushforward(lhs), _pushforward(rhs))
 
 
 def _reroot_plan(t: PlaneTree, v: int) -> Plan:
@@ -280,29 +295,16 @@ def _apply_plan(plan: Plan, labels: tuple) -> Atom:
     return counts, tuple(labels[j] - base for j in src)
 
 
-def reroot_measures(
+def _reroot_numerators(
     n: int,
     mu: OffspringDistribution,
     gamma: StepDistribution,
-    closed: bool = False,
-) -> tuple[dict[Atom, Fraction], dict[Atom, Fraction], int]:
-    """The two sides of a re-rooting identity as exact atomic measures.
-
-    Open form (closed=False): push forward by re-rooting at the unique
-    overall label argmin when it is a leaf, against the leaf-count-weighted
-    restriction to strictly positive non-root labels.
-
-    Closed form (closed=True): sum the push-forwards over every leaf that
-    attains the overall minimum, against the leaf-count-weighted
-    restriction to nonnegative non-root labels.
-
-    Both run over single-child-root trees with n edges, root label 0, and
-    return (lhs, rhs, atom count of the underlying enumeration).  Leaf sets
-    are built once per shape and re-rooting plans once per (shape, leaf);
-    each atom only reads its labels through them.
-    """
+    closed: bool,
+) -> tuple[int, dict[Atom, int], dict[Atom, int], int]:
+    """reroot_measures in integers: the one denominator of the enumeration,
+    both sides as weight numerators over it, and the atom count."""
     den, atoms = _atom_numerators(n, mu, gamma, 0, True)
-    lhs: dict[Atom, int] = {}  # weight numerators over den
+    lhs: dict[Atom, int] = {}
     rhs: dict[Atom, int] = {}
     terms = 0
     shape = None
@@ -330,6 +332,31 @@ def reroot_measures(
         if low == 0 and (closed or argmin == [0]):
             key = (shape.counts, labels)
             rhs[key] = rhs.get(key, 0) + w * len(leafset)
+    return den, lhs, rhs, terms
+
+
+def reroot_measures(
+    n: int,
+    mu: OffspringDistribution,
+    gamma: StepDistribution,
+    closed: bool = False,
+) -> tuple[dict[Atom, Fraction], dict[Atom, Fraction], int]:
+    """The two sides of a re-rooting identity as exact atomic measures.
+
+    Open form (closed=False): push forward by re-rooting at the unique
+    overall label argmin when it is a leaf, against the leaf-count-weighted
+    restriction to strictly positive non-root labels.
+
+    Closed form (closed=True): sum the push-forwards over every leaf that
+    attains the overall minimum, against the leaf-count-weighted
+    restriction to nonnegative non-root labels.
+
+    Both run over single-child-root trees with n edges, root label 0, and
+    return (lhs, rhs, atom count of the underlying enumeration).  Leaf sets
+    are built once per shape and re-rooting plans once per (shape, leaf);
+    each atom only reads its labels through them.
+    """
+    den, lhs, rhs, terms = _reroot_numerators(n, mu, gamma, closed)
     lhs, rhs = ({key: Fraction(w, den) for key, w in side.items()} for side in (lhs, rhs))
     return lhs, rhs, terms
 
@@ -345,9 +372,11 @@ def verify_reroot_identity(
 
     The report names the identity, its laws, whether the two sides of
     reroot_measures are equal, the atoms enumerated and those on the right
-    side, and the mass of each default functional on both sides.
+    side, and the mass of each default functional on both sides.  It reads
+    both sides as the integer numerators over their one denominator, so
+    the sides are equal exactly when the numerators are.
     """
-    lhs, rhs, terms = reroot_measures(n, mu, gamma, closed=closed)
+    den, lhs, rhs, terms = _reroot_numerators(n, mu, gamma, closed)
     return {
         "identity": "reroot-closed" if closed else "reroot",
         "n": n,
@@ -356,7 +385,7 @@ def verify_reroot_identity(
         "equal": lhs == rhs,
         "terms": terms,
         "atoms": len(rhs),
-        "functionals": _functional_report(lhs, rhs),
+        "functionals": _mass_rows((den, *_family_sums(lhs)), (den, *_family_sums(rhs))),
     }
 
 
@@ -377,6 +406,8 @@ def count_well_labelled(n: int) -> tuple[int, int, Fraction]:
     children c of f_c(l-1) + f_c(l) + f_c(l+1), the term at label 0
     dropped; a leaf has f = 1, and the shape has f_root(1).  A vertex at
     depth d is reached with label at most d + 1, so labels 1..n+1 suffice.
+    label_window_counts gives the same counts without listing the shapes;
+    this enumeration is the independent check of it.
     """
     if n < 0:
         raise ValueError("edge count must be nonnegative")
@@ -399,6 +430,39 @@ def count_well_labelled(n: int) -> tuple[int, int, Fraction]:
             sums.append([a + b + c for a, b, c in zip(g, g[1:], g[2:])])
         count_pos += f[0]  # the root's product, at label 1
     return count_all, count_pos, Fraction(count_pos, count_all)
+
+
+def label_window_counts(n: int, walls: bool = True) -> list[int]:
+    """Trees with k edges, root label 1 and steps in {-1, 0, 1}, for k = 0..n.
+
+    With walls, those whose labels all stay at least 1, the well-labelled
+    trees, 2 3^k Cat(k)/(k+2) of them; without, all 3^k Cat(k).  One run of
+    the label-window recursion of Bouttier, Di Francesco & Guitter
+    (Nucl. Phys. B 663, 2003) in integers: t_l(k) counts the trees with k
+    edges and root label l whose labels stay in the window [1, n+1],
+    t_l(0) = 1 and t_l(k) = sum over j < k of s_l(j) t_l(k-1-j), where
+    s_l = t_{l-1} + t_l + t_{l+1} counts the root's first subtree, rooted
+    at label l - 1, l or l + 1, and t = 0 outside the window.  A tree with k edges
+    at root 1 stays at or below label k + 1, so only the lower wall bites
+    and t_1(k) is the well-labelled count.  Without walls every label
+    counts alike, and one label with s = 3t suffices.  The walled run makes
+    (n+1) k products at degree k, n (n+1)^2 / 2 in all.
+    """
+    if n < 0:
+        raise ValueError("edge count must be nonnegative")
+    wall = [0] * n
+    t = [[1] for _ in range(n + 1 if walls else 1)]
+    s: list[list[int]] = [[] for _ in t]
+    for k in range(1, n + 1):
+        for l, (tl, sl) in enumerate(zip(t, s)):
+            if walls:
+                below = t[l - 1] if l else wall
+                above = t[l + 1] if l < n else wall
+                sl.append(below[k - 1] + tl[k - 1] + above[k - 1])
+            else:
+                sl.append(3 * tl[k - 1])
+            tl.append(sum(map(mul, sl, reversed(tl))))
+    return t[0]
 
 
 def conditional_label_law(

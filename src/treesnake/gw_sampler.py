@@ -619,9 +619,10 @@ def sample_label_extrema(
     samples: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample (min, max) label over the whole tree under the sized law."""
-    mins = np.empty(samples)
-    maxs = np.empty(samples)
+    """Per-sample (min, max) label over the whole tree under the sized law,
+    in the labels' dtype."""
+    mins = np.empty(samples, dtype=np.result_type(gamma.dtype, x))
+    maxs = np.empty_like(mins)
     for done, rows in _sized_chunks(mu, n, samples, rng):
         for start, labels in _label_blocks(rows, gamma, x, rng):
             at = slice(done + start, done + start + len(labels))

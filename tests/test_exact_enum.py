@@ -1,9 +1,11 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
 from treesnake import exact_enum
+from treesnake.cli import run
 from treesnake.exact_enum import (
     _FAMILIES,
     IrrationalMass,
@@ -15,6 +17,7 @@ from treesnake.exact_enum import (
     conditional_label_law,
     count_well_labelled,
     default_functionals,
+    label_window_counts,
     labelled_atoms,
     q_weight,
     reroot_measures,
@@ -205,6 +208,32 @@ class TestCensus:
         assert count_well_labelled(k)[1] == 2 * 3**k * catalan(k) // (k + 2)
 
 
+class TestLabelWindowCounts:
+    def test_counts_the_enumerated_labellings(self):
+        assert label_window_counts(10) == [count_well_labelled(k)[1] for k in range(11)]
+
+    def test_well_labelled_closed_form(self):
+        want = [2 * 3**k * catalan(k) // (k + 2) for k in range(101)]
+        assert label_window_counts(100) == want
+
+    def test_wall_free_counts_every_labelling(self):
+        assert label_window_counts(100, walls=False) == [3**k * catalan(k) for k in range(101)]
+
+    def test_a_shorter_run_is_a_prefix(self):
+        # the upper wall at n + 2 is out of reach of t_1 at every degree
+        assert label_window_counts(7) == label_window_counts(30)[:8]
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="edge count must be nonnegative"):
+            label_window_counts(-1)
+
+    def test_census_past_the_enumeration(self, capsys):
+        assert run(["verify", "--identity", "census", "--n", "30"]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert [e["n"] for e in entries] == list(range(1, 31))
+        assert all(e["equal"] is True for e in entries)
+
+
 def mean_leaves(mu, n):
     """Mean leaf count of the size-conditioned shape law, from the leaves family."""
     shapes = {(t.counts, (0,) * t.size): tree_weight(t, mu) for t in enumerate_trees(n + 1)}
@@ -288,6 +317,18 @@ class TestMeasureValues:
         for side, measure in (("lhs", lhs), ("rhs", rhs)):
             want = [_frac(v) for v in reference_values(measure, fns)]
             assert [row[side] for row in rows] == want
+
+    @pytest.mark.parametrize("gamma", [U3, PM1], ids=["uniform3", "pm1"])
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_report_matches_the_public_measures(self, n, closed, gamma):
+        # the report's integer core against the pushforward of the Fraction
+        # dicts that reroot_measures hands its callers
+        lhs, rhs, terms = reroot_measures(n, GEO, gamma, closed=closed)
+        report = verify_reroot_identity(n, GEO, gamma, closed=closed)
+        assert report["equal"] is (lhs == rhs)
+        assert (report["terms"], report["atoms"]) == (terms, len(rhs))
+        assert report["functionals"] == _functional_report(lhs, rhs)
 
     def test_sides_are_kept_apart(self):
         # open and closed pushforwards differ (ties at 0 steps), so a report

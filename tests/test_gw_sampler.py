@@ -555,6 +555,15 @@ class TestPipelines:
         assert mins.shape == (200,)
         assert np.all(mins <= 0) and np.all(maxs >= 0)
 
+    def test_extrema_keep_a_large_root_label(self):
+        # labels past 2^53 are not rounded: the extrema come in the labels' dtype
+        x = 2**60 + 1
+        mins, maxs = sample_label_extrema(GEO, U3, 3, x, 50, rng_of(3))
+        assert mins.dtype == maxs.dtype == np.int64
+        assert (x - 3 <= mins).all() and (mins <= x).all()
+        assert (x <= maxs).all() and (maxs <= x + 3).all()
+        assert set(maxs.tolist()) > {x}
+
     @pytest.mark.parametrize("n", [0, 5])
     def test_negative_attempt_count_rejected(self, n):
         # also at n = 0, where every draw is vacuously positive
@@ -671,8 +680,10 @@ class TestStreamBytes:
          "6fe546b88c7ddbdee4a7041c0358504e35bce020795201cf784c8af82b4fa7da"),
         (lambda rng: sample_leaf_counts(GEO, 2000, 2500, rng).tobytes(),
          "1d0edb3b747bb94b8cc0c9f2f4d097d8710d9d6f02d4c593af5660bf3701c960"),
+        # the extrema in int64, their labels' dtype; the float64 view of the
+        # same arrays hashes to the digest recorded before, 7e31022c...
         (lambda rng: b"".join(a.tobytes() for a in sample_label_extrema(GEO, U3, 2000, 0, 2500, rng)),
-         "7e31022c2976c632f215b6edf89ba7bde1b0dd2cb28614c30fb3ed3ac73d667d"),
+         "e01bca1b34e511435e6bc984fd5456dc18c70ffb855e13e8b71bd18bcc66376a"),
     ], ids=["estimate_positive_probability", "sample_leaf_counts", "sample_label_extrema"])
     def test_chunked_reductions(self, draw, digest):
         rng = rng_of(25)
